@@ -3,8 +3,12 @@
 H_P^t(x) = (2 pi)^-d integral e^{-t P(xi)} e^{-i x.xi} dxi is computed by
 tensor trapezoid quadrature over a box on which t Re P >= T_CUT = 46 at the
 boundary (integrand below ~1e-20 there), so truncation dominates nothing and
-the trapezoid rule is effectively spectral.  A grid variant evaluates whole
-lattice windows with one FFT of the sampled weight e^{-t P}.
+the trapezoid rule is effectively spectral.  The box half-widths come from a
+batched ray search (doubling then bisection on every sampled direction at
+once, one polynomial evaluation per step) followed by certification of
+t Re P on sampled box faces, which expands the box until it holds.  A grid
+variant evaluates whole lattice windows with one FFT of the sampled weight
+e^{-t P}.
 """
 
 from __future__ import annotations
@@ -22,22 +26,30 @@ from .lattice import LatticeFunction
 _BOUNDARY_DIRS_SEED = 777
 
 
-def _ray_reach(P, t, u, target):
-    """Smallest r with t Re P(r u) >= target along the ray u (doubling + bisection)."""
-    r = 1e-3
+def _ray_reach(P, t, dirs, target):
+    """Smallest r with t Re P(r u) >= target along each ray u (row of dirs).
+
+    All rays are searched together: each doubles its own r from 1e-3 and
+    leaves the active set once it passes, then 60 bisection steps run on
+    the whole batch.  Every ray sees the same float operations as a scalar
+    search along it alone.
+    """
+    r = np.full(len(dirs), 1e-3)
+    active = np.arange(len(dirs))
     for _ in range(120):
-        if t * P.real(r * u) >= target:
+        hit = t * P.real(r[active, None] * dirs[active]) >= target
+        active = active[~hit]
+        if not active.size:
             break
-        r *= 2.0
+        r[active] *= 2.0
     else:
         raise ValueError("Re P does not grow along a ray; invalid polynomial")
     lo, hi = r / 2.0, r
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if t * P.real(mid * u) >= target:
-            hi = mid
-        else:
-            lo = mid
+        hit = t * P.real(mid[:, None] * dirs) >= target
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
     return hi
 
 
@@ -47,10 +59,8 @@ def box_halfwidths(P, t):
     dirs = sphere_samples(d, 256 * d, seed=_BOUNDARY_DIRS_SEED)
     axes = np.concatenate([np.eye(d), -np.eye(d)])
     dirs = np.concatenate([dirs, axes])
-    L = np.zeros(d)
-    for u in dirs:
-        r = _ray_reach(P, t, u, _config.T_CUT)
-        L = np.maximum(L, 1.25 * r * np.abs(u))
+    r = _ray_reach(P, t, dirs, _config.T_CUT)
+    L = (1.25 * r[:, None] * np.abs(dirs)).max(axis=0)
     # verify on sampled faces, expanding if undershooting
     for _ in range(8):
         if _boundary_min(P, t, L) >= _config.T_CUT:

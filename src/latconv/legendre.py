@@ -162,7 +162,7 @@ class ConjugateEvaluator:
     def conjugate(self, x, with_argmax=False):
         """R#(x), guaranteed >= the certified grid fallback value."""
         x = np.asarray(x, dtype=float)
-        key = tuple(np.round(x / 1e-12).astype(np.int64))
+        key = x.tobytes()
         if key not in self._cache:
             vals, args = self.conjugate_batch(x[None, :])
             self._cache[key] = (float(vals[0]), args[0])

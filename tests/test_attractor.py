@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import latconv
-from latconv import examples
-from latconv.attractor import attractor_eval, attractor_grid, llt_approx
-from latconv.homogeneous import HomogeneousPolynomial, from_quadratic_form
+from latconv import _config, attractor, examples
+from latconv.attractor import (attractor_eval, attractor_grid, box_halfwidths,
+                               llt_approx)
+from latconv.homogeneous import (HomogeneousPolynomial, from_quadratic_form,
+                                 sphere_samples)
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +161,63 @@ def test_llt_requires_classified(rng):
     ana = latconv.analyze(latconv.delta((1, 0)))
     with pytest.raises(ValueError):
         llt_approx(ana, 4, [(-2, 2), (-2, 2)])
+
+
+def _scalar_ray_reach(P, t, u, target):
+    """Reference: one ray at a time, doubling then 60 bisection steps."""
+    r = 1e-3
+    for _ in range(120):
+        if t * P.real(r * u) >= target:
+            break
+        r *= 2.0
+    else:
+        raise ValueError("Re P does not grow along a ray; invalid polynomial")
+    lo, hi = r / 2.0, r
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if t * P.real(mid * u) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _scalar_box_halfwidths(P, t):
+    """Reference: the per-ray search of box_halfwidths, then face certification."""
+    d = P.dim
+    dirs = sphere_samples(d, 256 * d, seed=attractor._BOUNDARY_DIRS_SEED)
+    dirs = np.concatenate([dirs, np.eye(d), -np.eye(d)])
+    L = np.zeros(d)
+    for u in dirs:
+        r = _scalar_ray_reach(P, t, u, _config.T_CUT)
+        L = np.maximum(L, 1.25 * r * np.abs(u))
+    for _ in range(8):
+        if attractor._boundary_min(P, t, L) >= _config.T_CUT:
+            return L
+        L = L * 1.35
+    raise ValueError("could not certify the quadrature box; invalid polynomial")
+
+
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex73", "ex75:3,2", "ex72"])
+def test_box_halfwidths_match_scalar_search(name, request):
+    fixture = {"ex75:3,2": "ex75"}.get(name, name) + "_analysis"
+    analysis = request.getfixturevalue(fixture)
+    polys = []
+    for pa in analysis.minimal_points():
+        # ex73's two minimal points share one P; check it once
+        if all(pa.classification.poly.coeffs != Q.coeffs for Q in polys):
+            polys.append(pa.classification.poly)
+    for P in polys:
+        for t in (1, 32, 256):
+            assert np.array_equal(box_halfwidths(P, t),
+                                  _scalar_box_halfwidths(P, t)), (name, t)
+
+
+def test_box_halfwidths_rejects_flat_ray():
+    # Re P = xi_1^2 vanishes on the xi_2 axis, so that ray never reaches T_CUT
+    P = HomogeneousPolynomial(2, {(2, 0): 1.0}, np.eye(2), (1, 1),
+                              validate=False)
+    with pytest.raises(ValueError, match="does not grow"):
+        box_halfwidths(P, 10.0)
+    with pytest.raises(ValueError, match="does not grow"):
+        _scalar_box_halfwidths(P, 10.0)

@@ -153,3 +153,14 @@ def test_bounds_check_ex73(ex73_analysis):
 def test_weighted_norm():
     assert weighted_norm(np.array([2.0, 3.0]), (1, 2)) == pytest.approx(
         2.0 ** 2 + 3.0 ** (4.0 / 3.0))
+
+
+def test_conjugate_cache_keeps_large_points_apart(srw2_analysis):
+    # R#(x) = |x|^2 for srw:2; keys must not collide at |x_j| ~ 1e7
+    P = srw2_analysis.minimal_points()[0].classification.poly
+    ev = ConjugateEvaluator(P)
+    first = ev.conjugate(np.array([1e7, 0.0]))
+    second = ev.conjugate(np.array([2e7, 0.0]))
+    fresh = ConjugateEvaluator(P).conjugate(np.array([2e7, 0.0]))
+    assert second == pytest.approx(fresh, rel=1e-12)
+    assert second == pytest.approx(4.0 * first, rel=1e-9)
