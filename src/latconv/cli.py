@@ -1,8 +1,9 @@
 """latconv command line: analysis reports, power/attractor/legendre grids,
 bound and stability diagnostics, and the builtin example corpus.
 
-Exit codes: 0 success, 2 usage error, 3 verdict failure (bound violation or
-instability), 4 resource-cap error.
+Exit codes: 0 success, 2 usage error (arguments, example names, input
+files), 3 verdict failure (bound violation or instability), 4 resource-cap
+error.  Any other failure is internal and ends with a traceback.
 """
 
 from __future__ import annotations
@@ -35,33 +36,49 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _load_function(args):
-    if args.example:
-        return examples.get(args.example)
-    if args.input:
-        return read_function(args.input)
-    raise SystemExit2("one of --example or --input is required")
-
-
 class SystemExit2(Exception):
     pass
+
+
+def _example(name):
+    try:
+        return examples.get(name)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit2(exc.args[0]) from exc
+
+
+def _load_function(args):
+    if args.example:
+        f = _example(args.example)
+    elif args.input:
+        try:
+            f = read_function(args.input)
+        except (OSError, ValueError) as exc:
+            raise SystemExit2(str(exc)) from exc
+    else:
+        raise SystemExit2("one of --example or --input is required")
+    if not len(f):
+        raise SystemExit2("the function is identically zero")
+    return f
+
+
+def _parse_ints(spec, sep, what):
+    try:
+        return [int(t) for t in spec.split(sep)]
+    except ValueError as exc:
+        raise SystemExit2(f"bad {what} {spec!r}") from exc
 
 
 def _parse_n_list(spec):
     out = []
     for token in spec.split(","):
-        token = token.strip()
-        if ":" in token:
-            parts = [int(t) for t in token.split(":")]
-            if len(parts) == 2:
-                lo, hi, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                lo, hi, step = parts
-            else:
-                raise SystemExit2(f"bad n range {token!r}")
-            out.extend(range(lo, hi + 1, step))
-        else:
-            out.append(int(token))
+        parts = _parse_ints(token.strip(), ":", "n value or range")
+        if len(parts) == 1:
+            out.append(parts[0])
+            continue
+        if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] < 1):
+            raise SystemExit2(f"bad n range {token!r}")
+        out.extend(range(parts[0], parts[1] + 1, *parts[2:]))
     if not out or min(out) < 1:
         raise SystemExit2("n values must be positive")
     return sorted(set(out))
@@ -73,8 +90,10 @@ def _parse_window(spec, dim):
         raise SystemExit2(f"window needs {dim} axis ranges, got {len(parts)}")
     out = []
     for p in parts:
-        a, _, b = p.partition(":")
-        out.append((int(a), int(b)))
+        bounds = _parse_ints(p, ":", "window range")
+        if len(bounds) != 2 or bounds[0] > bounds[1]:
+            raise SystemExit2(f"bad window range {p!r}")
+        out.append(tuple(bounds))
     return out
 
 
@@ -308,8 +327,10 @@ def cmd_bounds(args):
         rep = subexp_bound_fit(f, ana, n_values, N=args.decay_order)
     else:
         vectors = [np.eye(f.dim, dtype=np.int64)[j] for j in range(f.dim)]
-        beta = tuple(int(b) for b in args.beta.split(",")) if args.beta \
-            else tuple([1] + [0] * (f.dim - 1))
+        beta = (tuple(_parse_ints(args.beta, ",", "multi-index")) if args.beta
+                else tuple([1] + [0] * (f.dim - 1)))
+        if len(beta) != f.dim:
+            raise SystemExit2(f"--beta needs {f.dim} entries, got {len(beta)}")
         rep = derivative_bound_fit(f, ana, vectors, beta, n_values)
     _write_report_csv(_out_path(args, f"bounds_{args.kind}.csv"), rep)
     print(f"verdict: {rep.verdict}")
@@ -332,6 +353,8 @@ def cmd_stability(args):
 
 def cmd_theta(args):
     f = _load_function(args)
+    if not f.is_probability():
+        raise SystemExit2("theta requires a probability distribution")
     profile = walk_profile(f)
     n_values = _parse_n_list(args.n)
     window = (_parse_window(args.window, f.dim) if args.window
@@ -365,7 +388,7 @@ def cmd_examples(args):
         return EXIT_OK
     if not args.name:
         raise SystemExit2("examples emit requires a name")
-    f = examples.get(args.name)
+    f = _example(args.name)
     safe = args.name.replace(":", "_").replace(",", "_")
     path = _out_path(args, f"{safe}.fn")
     write_function(f, path)
@@ -400,8 +423,9 @@ def build_parser():
     common(sub.add_parser("analyze", help="spectral classification report"))
     p = sub.add_parser("power", help="phi^(n) as CSV (optionally graymap)")
     common(p, needs_n=True, pgm=True)
+    # "fast" is kept as an alias of "spectral"
     p.add_argument("--method", choices=("direct", "fast", "spectral"),
-                   default="fast")
+                   default="spectral")
     common(sub.add_parser("llt", help="local-limit approximation and error"),
            needs_n=True, pgm=True)
     common(sub.add_parser("attractor", help="attractor grid"), needs_n=True,
@@ -447,15 +471,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    _config.set_fft_workers(args.threads)
-    if getattr(args, "memory_cap", None):
-        _config.set_memory_cap(int(args.memory_cap * 2 ** 30))
+    # the run configuration is module state; restore it for in-process callers
+    saved = _config.MEMORY_CAP_BYTES, _config.FFT_WORKERS
     try:
+        _config.set_fft_workers(args.threads)
+        if args.memory_cap is not None:
+            if args.memory_cap * 2 ** 30 < 1:
+                raise SystemExit2("--memory-cap must be positive")
+            _config.set_memory_cap(int(args.memory_cap * 2 ** 30))
         return _COMMANDS[args.command](args)
     except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
@@ -463,9 +488,11 @@ def main(argv=None):
         return EXIT_RESOURCE
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        _config.MEMORY_CAP_BYTES, _config.FFT_WORKERS = saved
 
 
 if __name__ == "__main__":

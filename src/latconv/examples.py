@@ -123,16 +123,9 @@ def ex75(m, lam=None):
         e[j] = 1
         rho = LatticeFunction.from_dict({tuple(e): 0.5,
                                          tuple(-v for v in e): 0.5})
-        base = _sub(delta((0,) * d), rho)
-        out = _sub(out, power(base, mj, method="direct").scale(lj))
+        base = delta((0,) * d) - rho
+        out = out - power(base, mj, method="direct").scale(lj)
     return out
-
-
-def _sub(f, g):
-    entries = f.to_dict()
-    for k, v in g.to_dict().items():
-        entries[k] = entries.get(k, 0.0) - v
-    return LatticeFunction.from_dict(entries, dim=f.dim)
 
 
 def srw(d):

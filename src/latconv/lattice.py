@@ -4,6 +4,10 @@ A :class:`LatticeFunction` is stored in canonical sparse form: a
 lexicographically sorted integer point array plus matching complex values,
 with entries of magnitude below 1e-300 (true zeros) dropped.  All operations
 are pure; results are new canonical functions.
+
+Powers take one of two paths: the exact dense :func:`sweep` (the oracle of
+record, bit-identical to iterated pairwise :func:`convolve`) or one spectral
+transform (:func:`power_dense`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import _config
-from ._kernels import scatter_convolve
 from .errors import DimensionMismatchError, ResourceLimitError
 
 ZERO_DROP = 1e-300
@@ -102,6 +105,21 @@ class LatticeFunction:
                 and np.array_equal(self.points, other.points)
                 and np.array_equal(self.values, other.values))
 
+    def __add__(self, other):
+        if not isinstance(other, LatticeFunction):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
+        # _canonical merges the keys the two supports share
+        return LatticeFunction(self.dim, np.concatenate((self.points, other.points)),
+                               np.concatenate((self.values, other.values)))
+
+    def __sub__(self, other):
+        if not isinstance(other, LatticeFunction):
+            return NotImplemented
+        # 0 - v, not -v: a zero component gives +0, as a scalar subtraction does
+        return self + LatticeFunction(other.dim, other.points, 0.0 - other.values)
+
     def __repr__(self):
         return f"LatticeFunction(dim={self.dim}, support={len(self)})"
 
@@ -154,42 +172,67 @@ def _check_box(shape, complex_arrays=2):
     return cells
 
 
-def _strides_for(shape):
-    strides = np.ones(len(shape), dtype=np.int64)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    return strides
+def _flat_points(flat, shape, lo):
+    """Lattice points of row-major flat indices into a box with corner ``lo``."""
+    return np.stack(np.unravel_index(flat, shape), axis=-1).astype(np.int64) + lo
 
 
 def convolve(f, g):
     """Exact convolution (f*g)(x) = sum_y f(x-y) g(y).
 
-    This is the double-sum oracle: every product is accumulated in a fixed
-    deterministic order with no thresholding.
+    This is the pairwise double-sum oracle: every product is accumulated in a
+    fixed deterministic order with no thresholding.
     """
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dim {f.dim} vs {g.dim}")
     if not len(f) or not len(g):
         return LatticeFunction(f.dim)
-    flo, fhi = f.extent()
-    glo, ghi = g.extent()
-    lo, hi = flo + glo, fhi + ghi
-    shape = tuple(int(s) for s in (hi - lo + 1))
+    # iterate the smaller support in the outer loop; the indices of one shift
+    # are distinct, so the fancy-index add needs no np.add.at
+    if len(f) < len(g):
+        f, g = g, f
+    (flo, fhi), (glo, ghi) = f.extent(), g.extent()
+    shape = tuple(int(s) for s in (fhi - flo + ghi - glo + 1))
     _check_box(shape, complex_arrays=1)
-    out = np.zeros(int(np.prod(shape, dtype=np.int64)), dtype=np.complex128)
-    strides = _strides_for(shape)
-    # iterate the smaller support in the inner loop
-    if len(f) >= len(g):
-        scatter_convolve(f.points, f.values, g.points, g.values, out, strides, lo)
-    else:
-        scatter_convolve(g.points, g.values, f.points, f.values, out, strides, lo)
-    nz = np.nonzero(np.abs(out) >= ZERO_DROP)[0]
-    pts = np.empty((nz.size, f.dim), dtype=np.int64)
-    rem = nz.copy()
-    for k in range(f.dim):
-        pts[:, k] = rem // strides[k] + lo[k]
-        rem = rem % strides[k]
-    return LatticeFunction(f.dim, pts, out[nz])
+    out = np.zeros(shape, dtype=np.complex128).reshape(-1)
+    base = np.ravel_multi_index(tuple((f.points - flo).T), shape)
+    shifts = np.ravel_multi_index(tuple((g.points - glo).T), shape)
+    for shift, v in zip(shifts, g.values):
+        out[base + shift] += f.values * v
+    nz = np.flatnonzero(np.abs(out) >= ZERO_DROP)
+    return LatticeFunction(f.dim, _flat_points(nz, shape, flo + glo), out[nz])
+
+
+def sweep(f, n_max):
+    """Yield ``(array, lo)`` with ``array[i] = phi^(n)(lo + i)`` for n = 1..n_max.
+
+    Each step adds ``phi(y) * phi^(n-1)`` into the shifted slice of the next
+    box for every y in supp phi, then zeroes entries below ``ZERO_DROP``, as
+    :func:`convolve` drops them.  Every cell then receives the same non-zero
+    products, multiplied in the same operand order and added in the same
+    order as iterated ``convolve(phi^(n-1), phi)``, so the values are
+    bit-identical to that oracle.  The yielded arrays are fresh each step.
+    """
+    flo, fhi = f.extent()
+    span = fhi - flo
+    _check_box(tuple(int(n_max * s + 1) for s in span), complex_arrays=2)
+    offsets = f.points - flo
+    cur = _embed_dense(f, tuple(int(s + 1) for s in span), flo)
+    yield cur, flo
+    for n in range(2, n_max + 1):
+        nxt = np.zeros(tuple(int(n * s + 1) for s in span), dtype=np.complex128)
+        # mirror convolve(phi^(n-1), phi): when supp phi^(n-1) is the smaller
+        # support it loops over that, which reaches each cell in reverse order
+        # of y, with the factors of the product swapped
+        forward = np.count_nonzero(cur) >= len(f)
+        order = range(len(f)) if forward else range(len(f) - 1, -1, -1)
+        for j in order:
+            sl = tuple(slice(o, o + s) for o, s in zip(offsets[j], cur.shape))
+            v = f.values[j]
+            nxt[sl] += cur * v if forward else v * cur
+        nxt[np.abs(nxt) < ZERO_DROP] = 0.0
+        cur = nxt
+        yield cur, n * flo
 
 
 def tensor(f, g):
@@ -213,14 +256,8 @@ def _embed_dense(f, shape, lo):
 
 def _extract_sparse(dim, arr, lo, floor):
     flat = arr.reshape(-1)
-    nz = np.nonzero(np.abs(flat) > floor)[0]
-    strides = _strides_for(arr.shape)
-    pts = np.empty((nz.size, dim), dtype=np.int64)
-    rem = nz.copy()
-    for k in range(dim):
-        pts[:, k] = rem // strides[k] + lo[k]
-        rem = rem % strides[k]
-    return LatticeFunction(dim, pts, flat[nz])
+    nz = np.flatnonzero(np.abs(flat) > floor)
+    return LatticeFunction(dim, _flat_points(nz, arr.shape, lo), flat[nz])
 
 
 def _fft_noise_floor(n, vmax):
@@ -233,8 +270,8 @@ def power_dense(f, n, pad_to=None):
     """phi^(n) on its minimal dense box via one spectral transform.
 
     Returns ``(array, lo)`` with ``array[i] = phi^(n)(lo + i)``.  Shared by the
-    fast/spectral sparse paths and by verification code that wants the dense
-    field without sparsification.
+    spectral sparse path and by verification code that wants the dense field
+    without sparsification.
     """
     n = int(n)
     if n < 1:
@@ -254,13 +291,14 @@ def power_dense(f, n, pad_to=None):
     return out, n * flo
 
 
-def power(f, n, method="fast"):
+def power(f, n, method="spectral"):
     """n-fold convolution power of f.
 
-    ``direct`` iterates :func:`convolve` (the oracle of record), ``fast`` does
-    repeated squaring with zero-padded cyclic FFT convolution on the final
-    box, ``spectral`` samples phi-hat^n on a torus grid covering the support
-    box and inverts.  The three agree entrywise within 1e-10 at desk scale.
+    ``direct`` runs the exact :func:`sweep` (the oracle of record),
+    ``spectral`` samples phi-hat^n on a torus grid covering the support box
+    and inverts, dropping entries below the transform-noise floor; ``fast``
+    is an alias of ``spectral``.  The paths agree entrywise within 1e-10 at
+    desk scale.
     """
     n = int(n)
     if n < 1:
@@ -269,48 +307,13 @@ def power(f, n, method="fast"):
         raise ValueError(f"unknown method {method!r}")
     if not len(f) or n == 1:
         return f
-
     if method == "direct":
-        out = f
-        for _ in range(n - 1):
-            out = convolve(out, f)
-        return out
-
-    flo, fhi = f.extent()
-    ext = n * (fhi - flo) + 1
-    shape = tuple(sfft.next_fast_len(int(e)) for e in ext)
-    _check_box(shape, complex_arrays=3)
-
-    if method == "spectral":
-        arr, lo = power_dense(f, n)
-        vmax = float(np.abs(arr).max())
-        return _extract_sparse(f.dim, arr, lo, _fft_noise_floor(n, vmax))
-
-    # fast: binary-expansion repeated squaring, every product a cyclic FFT
-    # convolution on the full final box (supports never wrap)
-    base = _embed_dense(f, shape, flo)
-    base_off = flo.copy()
-    acc = None
-    acc_off = None
-    bits = n
-    while bits:
-        if bits & 1:
-            if acc is None:
-                acc, acc_off = base.copy(), base_off.copy()
-            else:
-                acc = sfft.ifftn(
-                    sfft.fftn(acc, workers=_config.FFT_WORKERS)
-                    * sfft.fftn(base, workers=_config.FFT_WORKERS),
-                    workers=_config.FFT_WORKERS)
-                acc_off = acc_off + base_off
-        bits >>= 1
-        if bits:
-            base = sfft.ifftn(
-                sfft.fftn(base, workers=_config.FFT_WORKERS) ** 2,
-                workers=_config.FFT_WORKERS)
-            base_off = 2 * base_off
-    vmax = float(np.abs(acc).max())
-    return _extract_sparse(f.dim, acc, acc_off, _fft_noise_floor(n, vmax))
+        for arr, lo in sweep(f, n):
+            pass
+        return _extract_sparse(f.dim, arr, lo, 0.0)
+    arr, lo = power_dense(f, n)
+    vmax = float(np.abs(arr).max())
+    return _extract_sparse(f.dim, arr, lo, _fft_noise_floor(n, vmax))
 
 
 def read_function(path):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .attractor import llt_approx
 from .errors import DimensionMismatchError
-from .lattice import (LatticeFunction, convolve, delta, norm_l1, norm_linf,
-                      power, power_dense, translate)
+from .lattice import (LatticeFunction, _embed_dense, _extract_sparse, convolve,
+                      norm_l1, norm_linf, power, power_dense, sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -60,18 +60,13 @@ def _dyadic_ns(n_max, extra=()):
 
 
 def direct_powers(f, n_values):
-    """{n: phi^(n)} via one iterated-convolution sweep (oracle of record)."""
+    """{n: phi^(n)} via one exact :func:`~latconv.lattice.sweep` (oracle of record)."""
     n_values = sorted(set(int(n) for n in n_values))
     if n_values[0] < 1:
         raise ValueError("n values must be >= 1")
-    out = {}
-    cur = f
-    for n in range(1, n_values[-1] + 1):
-        if n > 1:
-            cur = convolve(cur, f)
-        if n in n_values:
-            out[n] = cur
-    return out
+    return {n: _extract_sparse(f.dim, arr, lo, 0.0)
+            for n, (arr, lo) in enumerate(sweep(f, n_values[-1]), start=1)
+            if n in n_values}
 
 
 def sup_decay_report(f, analysis, n_values):
@@ -136,16 +131,9 @@ def llt_error(f, analysis, n, window=None):
     full[sl] = arr
     approx = llt_approx(analysis, n, list(zip(box_lo, box_hi)))
     approx_arr = approx.values.reshape(full.shape) if len(approx) == full.size \
-        else _dense_from(approx, box_lo, full.shape)
+        else _embed_dense(approx, full.shape, box_lo)
     err = float(np.abs(full - approx_arr).max())
     return err, float(analysis.mu_phi and n ** float(analysis.mu_phi) * err)
-
-
-def _dense_from(f, lo, shape):
-    out = np.zeros(shape, dtype=np.complex128)
-    idx = tuple(f.points[:, k] - lo[k] for k in range(f.dim))
-    out[idx] = f.values
-    return out
 
 
 def llt_error_ladder(f, analysis, n_values, window=None):
@@ -175,8 +163,7 @@ class _ConjugateField:
         self.dim = poly.dim
         E = poly.E
         self.F = (np.eye(self.dim) - E).T
-        evals, vecs = np.linalg.eigh((self.F + self.F.T) / 2.0)
-        self.evals, self.vecs = evals, vecs
+        self.evals, self.vecs = _eigh_symmetric(self.F)
         if self.dim == 1:
             self.table = np.array([self.ev.conjugate(np.array([-1.0])),
                                    self.ev.conjugate(np.array([1.0]))])
@@ -227,6 +214,15 @@ class _ConjugateField:
             base = (1.0 - w) * self.table[i0] + w * self.table[i1]
         out[nz] = t * base
         return out
+
+
+def _eigh_symmetric(M):
+    """Eigen-decomposition of M, which is symmetric only in an orthogonal basis."""
+    asym = float(np.max(np.abs(M - M.T)))
+    if asym > 1e-12:
+        raise ValueError(f"exponent matrix is not symmetric (max |E - E^T| = "
+                         f"{asym:.3e}): the polynomial's basis is not orthogonal")
+    return np.linalg.eigh((M + M.T) / 2.0)
 
 
 def _envelope_fit(fields, mu_exponent, conj_field, alpha, normalizer=1.0):
@@ -314,11 +310,6 @@ def _poly_differs(p1, p2, tol=1e-8):
                for k in keys)
 
 
-def _box_points(lo, shape):
-    axes = [np.arange(l, l + s) for l, s in zip(lo, shape)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
-
-
 def subexp_bound_fit(f, analysis, n_values, N=4):
     """Fit C_N in |phi^(n)(x)| <= C_N sum_q n^-mu_q (1 + |n^-Eq*(x - n a_q)|)^-N."""
     if analysis.mu_phi is None:
@@ -329,8 +320,7 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
     terms = []
     for pa in analysis.points:
         cls = pa.classification
-        E = cls.poly.E
-        evals, vecs = np.linalg.eigh((E + E.T) / 2.0)
+        evals, vecs = _eigh_symmetric(cls.poly.E)
         terms.append((float(cls.poly.mu), cls.alpha, evals, vecs))
     rows = []
     worst = {}
@@ -410,11 +400,7 @@ def space_diff(psi, w):
     w = np.asarray(w, dtype=np.int64)
     if w.shape != (psi.dim,):
         raise DimensionMismatchError("shift dimension mismatch")
-    shifted = translate(psi, -w)
-    entries = shifted.to_dict()
-    for k, v in psi.to_dict().items():
-        entries[k] = entries.get(k, 0.0) - v
-    return LatticeFunction.from_dict(entries, dim=psi.dim)
+    return translate(psi, -w) - psi
 
 
 def space_diff_multi(psi, vectors, beta):
@@ -439,11 +425,7 @@ def time_diff(f, point_analysis, l, psi):
     la = np.round(la).astype(np.int64)
     phi_l = power(f, l, method="direct") if l > 1 else f
     kernel = translate(phi_l, -la).scale(point_analysis.value ** (-l))
-    correction = convolve(kernel, psi)
-    entries = psi.to_dict()
-    for k, v in correction.to_dict().items():
-        entries[k] = entries.get(k, 0.0) - v
-    return LatticeFunction.from_dict(entries, dim=psi.dim)
+    return psi - convolve(kernel, psi)
 
 
 def _prefactor(g, point_analysis, n):
@@ -580,12 +562,10 @@ def support_periodicity_check(f, profile, n_max, tol=1e-8):
     """Exact inclusion supp(phi^(n)) within supp(Theta(n, .)) for n <= n_max."""
     if not f.is_probability():
         raise ValueError("support periodicity check requires a probability input")
-    cur = f
-    for n in range(1, n_max + 1):
-        if n > 1:
-            cur = convolve(cur, f)
+    for n, (arr, lo) in enumerate(sweep(f, n_max), start=1):
+        points = np.argwhere(arr) + lo
         phases = (n * profile.omega_phases[None, :]
-                  - cur.points.astype(float) @ profile.omega_points.T)
+                  - points.astype(float) @ profile.omega_points.T)
         theta_vals = np.exp(1j * phases).sum(axis=1)
         if np.any(np.abs(theta_vals) <= tol):
             return False

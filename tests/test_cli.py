@@ -145,3 +145,47 @@ def test_bounds_gaussian_cli(tmp_path, capsys):
     assert code == 0
     assert "verdict: fit" in text
     assert (out / "bounds_gaussian.csv").exists()
+
+
+def test_cli_restores_run_configuration(capsys, monkeypatch):
+    from latconv import _config
+    # register the current values for restoration should main() leak them
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", _config.MEMORY_CAP_BYTES)
+    monkeypatch.setattr(_config, "FFT_WORKERS", _config.FFT_WORKERS)
+    before = (_config.MEMORY_CAP_BYTES, _config.FFT_WORKERS)
+    assert main(["--memory-cap", "0.0001", "--threads", "2",
+                 "examples", "list"]) == 0
+    capsys.readouterr()
+    assert (_config.MEMORY_CAP_BYTES, _config.FFT_WORKERS) == before
+    latconv.power(latconv.examples.intro(), 64, method="spectral")
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--example", "srw:x", "--n", "2"],
+    ["power", "--example", "ex75:3,2:1,1", "--n", "2"],
+    ["power", "--input", "missing.fn", "--n", "2"],
+    ["power", "--example", "srw:2", "--n", "2:x"],
+    ["power", "--example", "srw:2", "--n", "1:8:0"],
+    ["power", "--example", "srw:2", "--n", "2", "--window=-1:a,0:1"],
+    ["power", "--example", "srw:2", "--n", "2", "--window=1:-1,0:1"],
+    ["bounds", "--example", "srw:2", "--n", "2,4", "--kind", "derivative",
+     "--beta", "1,x"],
+    ["theta", "--example", "intro", "--n", "1"],
+    ["examples", "emit", "nope"],
+    ["--memory-cap", "0", "examples", "list"],
+])
+def test_input_errors_are_usage_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_usage_error(tmp_path, monkeypatch):
+    from latconv import cli
+
+    def broken(f):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    # the exception propagates, so the process exits 1 with a traceback
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["analyze", "--example", "intro", "--out", str(tmp_path / "o")])

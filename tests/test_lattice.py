@@ -207,3 +207,56 @@ def test_canonical_form_drops_zeros():
     assert len(f) == 1
     g = LatticeFunction(1, np.array([[0], [0]]), np.array([1.0, -1.0]))
     assert len(g) == 0
+
+
+def _assert_bit_identical(got, want):
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def _check_direct_paths(f, n):
+    """power(direct) and direct_powers against iterated pairwise convolve."""
+    from latconv import verify
+
+    ns = sorted({1, max(1, n // 2), n})
+    powers = verify.direct_powers(f, ns)
+    out = f
+    for k in range(1, n + 1):
+        if k > 1:
+            out = latconv.convolve(out, f)
+        if k in ns:
+            _assert_bit_identical(powers[k], out)
+    _assert_bit_identical(latconv.power(f, n, method="direct"), out)
+    assert latconv.power(f, n, method="fast") == latconv.power(f, n, method="spectral")
+
+
+@pytest.mark.parametrize("name,n", [("intro", 96), ("ex73", 128), ("srw:3", 24),
+                                    ("unstable1d", 256), ("phim:2,3", 32)])
+def test_direct_sweep_bit_identical_to_convolve(name, n):
+    _check_direct_paths(examples.get(name), n)
+
+
+def test_direct_sweep_bit_identical_random():
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        dim = int(rng.integers(1, 4))
+        radius = 2 if dim < 3 else 1
+        n = int(np.exp(rng.uniform(0.0, np.log(64.0))))
+        _check_direct_paths(random_function(rng, dim, max_points=12, radius=radius), n)
+    # products with the tiny entries fall below 1e-300, so phi^(2) has fewer
+    # points than phi and convolve iterates supp phi^(n-1) instead of supp phi
+    entries = {(0,): 1e-60 * (1 + 0.3j), (1,): 1e-60 * (0.7 - 0.2j),
+               (2,): 1e-60 * (-0.4 + 0.9j)}
+    entries.update({(k,): 1e-250 * (1 + 1j) for k in range(5, 9)})
+    f = LatticeFunction.from_dict(entries)
+    assert len(latconv.convolve(f, f)) < len(f)
+    _check_direct_paths(f, 6)
+
+
+def test_add_sub_merge_shared_points():
+    f = LatticeFunction.from_dict({(0,): 1.0, (1,): 2.0 + 1j})
+    g = LatticeFunction.from_dict({(1,): 2.0 + 1j, (3,): 0.5})
+    assert (f - g).to_dict() == {(0,): 1.0, (3,): -0.5}
+    assert (f + g).to_dict() == {(0,): 1.0, (1,): 4.0 + 2j, (3,): 0.5}
+    with pytest.raises(DimensionMismatchError):
+        f + examples.intro()

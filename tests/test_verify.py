@@ -293,3 +293,17 @@ def test_direct_powers_match_oracle():
     oracle = power_oracle(f.to_dict(), 5)
     for k, v in oracle.items():
         assert abs(powers[5].value_at(k) - v) < 1e-14
+
+
+def test_conjugate_field_rejects_non_orthogonal_basis():
+    from types import SimpleNamespace
+
+    from latconv.homogeneous import HomogeneousPolynomial
+
+    P = HomogeneousPolynomial(2, {(2, 0): 1, (0, 4): 1}, [[1, 0.5], [0, 1]], (1, 2))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        verify._ConjugateField(P)
+    point = SimpleNamespace(classification=SimpleNamespace(poly=P, alpha=np.zeros(2)))
+    analysis = SimpleNamespace(mu_phi=P.mu, points=[point], function=examples.srw(2))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        verify.subexp_bound_fit(analysis.function, analysis, [1, 2])
