@@ -2,99 +2,84 @@
 
 A polynomial is a dict mapping exponent tuples to complex coefficients.
 Keys are plain int tuples of a fixed length d; values may be complex.
+:class:`CompiledPoly` is the one evaluator; derivatives are taken on the dict.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_BLOCK_CELLS = 1 << 18  # numbers held per block: points x terms x (d + coef size)
 
-def poly_eval(coeffs, xi):
-    """Evaluate at xi of shape (..., d); returns complex array of shape (...)."""
-    xi = np.asarray(xi)
-    scalar = xi.ndim == 1
-    pts = xi[None, :] if scalar else xi
-    out = np.zeros(pts.shape[:-1], dtype=np.complex128)
+
+class CompiledPoly:
+    """A polynomial compiled once into exponents and stacked coefficients.
+
+    Coefficients are all scalars or all arrays of one shape S, so a gradient
+    or Hessian is one polynomial; at points of shape (..., d) the value has
+    shape (...) + S.  Powers come from per-axis tables of repeated products
+    and terms are added elementwise in a fixed order, so a point's value is
+    bit-identical however it is batched (a BLAS reduction would not be).
+    """
+
+    __slots__ = ("dim", "degree", "_rows", "_coef", "_to_points", "_per_point")
+
+    def __init__(self, coeffs, dim):
+        self.dim = int(dim)
+        keys = sorted(coeffs) or [(0,) * self.dim]
+        vals = [coeffs.get(b, 0.0) for b in keys]
+        exps = np.array(keys, dtype=np.intp).reshape(len(keys), self.dim)
+        self.degree = max(1, int(exps.max()))
+        # row of x_j^e in the power table flattened to (powers * d, points)
+        self._rows = exps * self.dim + np.arange(self.dim)
+        # the point axis is last inside a block and first in the result
+        self._coef = np.array(vals, dtype=np.result_type(float, *vals))[..., None]
+        # np.moveaxis(out, -1, 0), precomputed: moveaxis costs ~1/5 of a small call
+        self._to_points = (self._coef.ndim - 2,) + tuple(range(self._coef.ndim - 2))
+        self._per_point = len(keys) * (self.dim + self._coef[0].size)
+
+    def __call__(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        pts = xi.reshape(-1, self.dim)
+        step = max(1, _BLOCK_CELLS // self._per_point)
+        blocks = [self._block(pts[s:s + step])
+                  for s in range(0, max(len(pts), 1), step)]
+        out = np.concatenate(blocks, axis=-1) if len(blocks) > 1 else blocks[0]
+        out = out.transpose(self._to_points)
+        # [()] turns the 0-d value at a single point into a numpy scalar
+        return out.reshape(xi.shape[:-1] + out.shape[1:])[()]
+
+    def _block(self, pts):
+        tab = np.empty((self.degree + 1, self.dim, len(pts)))
+        tab[0] = 1.0
+        tab[1] = pts.T
+        for p in range(2, self.degree + 1):
+            np.multiply(tab[p - 1], tab[1], out=tab[p])
+        fac = tab.reshape(-1, len(pts))[self._rows]
+        mono = fac[:, 0]
+        for j in range(1, self.dim):
+            mono = mono * fac[:, j]
+        terms = mono.reshape(mono.shape[:1] + (1,) * (self._coef.ndim - 2)
+                             + mono.shape[1:]) * self._coef
+        out = terms[0]
+        for term in terms[1:]:
+            out += term
+        return out
+
+
+def poly_diff(coeffs, j):
+    """Coefficients of the partial derivative along axis j."""
+    out = {}
     for beta, c in coeffs.items():
-        term = np.ones(pts.shape[:-1])
-        for j, b in enumerate(beta):
-            if b:
-                term = term * pts[..., j] ** b
-        out += c * term
-    return out[0] if scalar else out
+        if beta[j]:
+            out[beta[:j] + (beta[j] - 1,) + beta[j + 1:]] = beta[j] * c
+    return out
 
 
-def poly_eval_real(coeffs, xi):
-    """Evaluate the real part Re P (coefficientwise real part) at real xi."""
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    pts = xi[None, :] if scalar else xi
-    out = np.zeros(pts.shape[:-1])
-    for beta, c in coeffs.items():
-        cr = c.real if isinstance(c, complex) else float(np.real(c))
-        if cr == 0.0:
-            continue
-        term = np.full(pts.shape[:-1], cr)
-        for j, b in enumerate(beta):
-            if b:
-                term = term * pts[..., j] ** b
-        out += term
-    return out[0] if scalar else out
-
-
-def poly_grad_real(coeffs, xi):
-    """Gradient of Re P at real xi of shape (..., d); same leading shape + (d,)."""
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    pts = xi[None, :] if scalar else xi
-    d = pts.shape[-1]
-    out = np.zeros(pts.shape[:-1] + (d,))
-    for beta, c in coeffs.items():
-        cr = float(np.real(c))
-        if cr == 0.0:
-            continue
-        for j, bj in enumerate(beta):
-            if not bj:
-                continue
-            term = np.full(pts.shape[:-1], cr * bj)
-            for k, bk in enumerate(beta):
-                p = bk - 1 if k == j else bk
-                if p:
-                    term = term * pts[..., k] ** p
-            out[..., j] += term
-    return out[0] if scalar else out
-
-
-def poly_hess_real(coeffs, xi):
-    """Hessian of Re P at real xi of shape (d,) -> (d, d) or (k, d) -> (k, d, d)."""
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    pts = xi[None, :] if scalar else xi
-    d = pts.shape[-1]
-    out = np.zeros(pts.shape[:-1] + (d, d))
-    for beta, c in coeffs.items():
-        cr = float(np.real(c))
-        if cr == 0.0:
-            continue
-        for j, bj in enumerate(beta):
-            if not bj:
-                continue
-            for k, bk in enumerate(beta):
-                if k == j:
-                    if bj < 2:
-                        continue
-                    factor = cr * bj * (bj - 1)
-                else:
-                    if not bk:
-                        continue
-                    factor = cr * bj * bk
-                term = np.full(pts.shape[:-1], factor)
-                for l, bl in enumerate(beta):
-                    p = bl - (l == j) - (l == k)
-                    if p:
-                        term = term * pts[..., l] ** p
-                out[..., j, k] += term
-    return out[0] if scalar else out
+def poly_stack(polys, shape):
+    """One polynomial with coefficient arrays of ``shape``, filled row-major."""
+    keys = set().union(*polys)
+    return {b: np.reshape([p.get(b, 0.0) for p in polys], shape) for b in keys}
 
 
 def poly_mul(a, b, max_degree=None):

@@ -222,7 +222,7 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
                 break
         if not axis_ok:
             continue
-        if _poly.poly_eval_real(kept, samples).min() <= 0.0:
+        if _poly.CompiledPoly(kept, d)(samples).real.min() <= 0.0:
             continue
         kept = poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
         poly = HomogeneousPolynomial(d, kept, A, weights)
@@ -257,11 +257,12 @@ def _any_survivor_everywhere(q_rot, null_axes, quad_axes, m_max, d):
 def _residual_norms(q_rot, kept, weights, A, samples):
     """Numerical surrogate for Upsilon = o(Re P): max |t Q(t^-E xi) - P(xi)|."""
     diag = np.array([1.0 / (2 * m) for m in weights])
+    d = len(weights)
+    Q = _poly.CompiledPoly(q_rot, d)
+    p_vals = _poly.CompiledPoly(kept, d)(samples)
     out = {}
     for t in (10.0, 100.0, 1000.0):
-        scaled = samples * t ** (-diag)
-        q_vals = _poly.poly_eval(q_rot, scaled) * t
-        p_vals = _poly.poly_eval(kept, samples)
+        q_vals = Q(samples * t ** (-diag)) * t
         out[t] = float(np.max(np.abs(q_vals - p_vals)))
     return out
 

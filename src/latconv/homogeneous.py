@@ -4,6 +4,8 @@ A :class:`HomogeneousPolynomial` stores its semi-elliptic normal form: a basis
 matrix A, per-axis even orders 2*m_j, and coefficients a_beta (in A-coordinates)
 whose exponents satisfy |beta : 2m| = 1 exactly.  The exponent matrix is
 E = A diag(1/(2 m_j)) A^{-1} and mu = tr E is kept as an exact rational.
+P, Re P and the gradient and Hessian of Re P (derived as polynomials) are
+compiled once at construction for the one evaluator of ``_poly``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from ._poly import (poly_compose_linear, poly_eval, poly_eval_real,
-                    poly_grad_real, poly_hess_real, poly_prune)
+from ._poly import (CompiledPoly, poly_compose_linear, poly_diff, poly_prune,
+                    poly_stack)
 
 POSITIVITY_SAMPLES_PER_DIM = 1000
 _SAMPLE_SEED = 20240915
@@ -29,7 +31,8 @@ def sphere_samples(dim, count, seed=_SAMPLE_SEED):
 class HomogeneousPolynomial:
     """Positive homogeneous polynomial with stored semi-elliptic normal form."""
 
-    __slots__ = ("dim", "basis", "weights", "semi_coeffs", "coeffs", "E", "mu")
+    __slots__ = ("dim", "basis", "weights", "semi_coeffs", "coeffs", "E", "mu",
+                 "_p", "_re", "_grad", "_hess")
 
     def __init__(self, dim, semi_coeffs, basis, weights, validate=True):
         self.dim = int(dim)
@@ -44,6 +47,14 @@ class HomogeneousPolynomial:
         self.coeffs = poly_compose_linear(self.semi_coeffs, basis_inv)
         self.E = self.basis @ np.diag([1.0 / (2 * m) for m in self.weights]) @ basis_inv
         self.mu = sum(Fraction(1, 2 * m) for m in self.weights)
+        d = self.dim
+        re = {b: c.real for b, c in self.coeffs.items() if c.real != 0.0}
+        grad = [poly_diff(re, j) for j in range(d)]
+        hess = [poly_diff(g, k) for g in grad for k in range(d)]
+        self._p = CompiledPoly(self.coeffs, d)
+        self._re = CompiledPoly(re, d)
+        self._grad = CompiledPoly(poly_stack(grad, (d,)), d)
+        self._hess = CompiledPoly(poly_stack(hess, (d, d)), d)
         if validate:
             self._validate()
 
@@ -52,7 +63,7 @@ class HomogeneousPolynomial:
             if sum(Fraction(b, 2 * m) for b, m in zip(beta, self.weights)) != 1:
                 raise ValueError(f"monomial {beta} violates |beta:2m| = 1")
         samples = sphere_samples(self.dim, POSITIVITY_SAMPLES_PER_DIM * self.dim)
-        if poly_eval_real(self.coeffs, samples).min() <= 0.0:
+        if self._re(samples).min() <= 0.0:
             raise ValueError("Re P is not positive on the sample sphere")
         # spot check t P(xi) = P(t^E xi)
         rng = np.random.default_rng(_SAMPLE_SEED + 1)
@@ -63,19 +74,19 @@ class HomogeneousPolynomial:
             if np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))) > 1e-8:
                 raise ValueError("stored normal form fails the homogeneity identity")
 
-    # -- evaluation ---------------------------------------------------------
+    # -- evaluation (class methods, so that a profiler can wrap them there) --
 
     def __call__(self, xi):
-        return poly_eval(self.coeffs, xi)
+        return self._p(xi)
 
     def real(self, xi):
-        return poly_eval_real(self.coeffs, xi)
+        return self._re(xi)
 
     def real_grad(self, xi):
-        return poly_grad_real(self.coeffs, xi)
+        return self._grad(xi)
 
     def real_hess(self, xi):
-        return poly_hess_real(self.coeffs, xi)
+        return self._hess(xi)
 
     # -- scaling structure ---------------------------------------------------
 

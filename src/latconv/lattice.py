@@ -215,7 +215,8 @@ def sweep(f, n_max):
     """
     flo, fhi = f.extent()
     span = fhi - flo
-    _check_box(tuple(int(n_max * s + 1) for s in span), complex_arrays=2)
+    # a step holds phi^(n-1), phi^(n) and the product phi(y) * phi^(n-1)
+    _check_box(tuple(int(n_max * s + 1) for s in span), complex_arrays=3)
     offsets = f.points - flo
     cur = _embed_dense(f, tuple(int(s + 1) for s in span), flo)
     yield cur, flo

@@ -27,26 +27,13 @@ DEDUPE_RADIUS = 1e-6
 
 
 class SymbolView:
-    """Trigonometric-polynomial view of phi-hat with cached moment tables."""
+    """Trigonometric-polynomial view of phi-hat, evaluated term by term."""
 
     def __init__(self, source):
         if not len(source):
             raise ZeroFunctionError("cannot build a symbol for the zero function")
         self.source = source
         self.dim = source.dim
-        self._moments = {}
-
-    def moment(self, beta):
-        """sum_x (i x)^beta phi(x)."""
-        beta = tuple(int(b) for b in beta)
-        if beta not in self._moments:
-            f = self.source
-            term = f.values.copy()
-            for j, b in enumerate(beta):
-                if b:
-                    term = term * (1j * f.points[:, j]) ** b
-            self._moments[beta] = complex(term.sum())
-        return self._moments[beta]
 
     def evaluate(self, z):
         """phi-hat(z) for real or complex z of shape (d,) or (..., d)."""

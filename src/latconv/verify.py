@@ -435,11 +435,6 @@ def _prefactor(g, point_analysis, n):
     return LatticeFunction(g.dim, g.points, g.values * phase * pref)
 
 
-def prefactored_power(f, point_analysis, n, method="direct"):
-    """phihat(xi0)^{-n} e^{i x.xi0} phi^(n)(x) as a lattice function."""
-    return _prefactor(power(f, n, method=method), point_analysis, n)
-
-
 def derivative_bound_fit(f, analysis, vectors, beta, n_values):
     """Fit C_beta for |D_v^beta (prefactored phi^(n))| against the weighted envelope.
 

@@ -13,6 +13,119 @@ from latconv.homogeneous import (HomogeneousPolynomial, contraction_check,
                                  trace_invariance_check)
 
 
+# Term-by-term reference evaluators on the coefficient dict; the library
+# evaluates through one compiled form (latconv._poly.CompiledPoly).
+
+def ref_eval(coeffs, xi):
+    """Evaluate at xi of shape (..., d); returns complex array of shape (...)."""
+    xi = np.asarray(xi)
+    scalar = xi.ndim == 1
+    pts = xi[None, :] if scalar else xi
+    out = np.zeros(pts.shape[:-1], dtype=np.complex128)
+    for beta, c in coeffs.items():
+        term = np.ones(pts.shape[:-1])
+        for j, b in enumerate(beta):
+            if b:
+                term = term * pts[..., j] ** b
+        out += c * term
+    return out[0] if scalar else out
+
+
+def ref_real(coeffs, xi):
+    """Evaluate the real part Re P (coefficientwise real part) at real xi."""
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 1
+    pts = xi[None, :] if scalar else xi
+    out = np.zeros(pts.shape[:-1])
+    for beta, c in coeffs.items():
+        cr = c.real if isinstance(c, complex) else float(np.real(c))
+        if cr == 0.0:
+            continue
+        term = np.full(pts.shape[:-1], cr)
+        for j, b in enumerate(beta):
+            if b:
+                term = term * pts[..., j] ** b
+        out += term
+    return out[0] if scalar else out
+
+
+def ref_grad(coeffs, xi):
+    """Gradient of Re P at real xi of shape (..., d); same leading shape + (d,)."""
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 1
+    pts = xi[None, :] if scalar else xi
+    d = pts.shape[-1]
+    out = np.zeros(pts.shape[:-1] + (d,))
+    for beta, c in coeffs.items():
+        cr = float(np.real(c))
+        if cr == 0.0:
+            continue
+        for j, bj in enumerate(beta):
+            if not bj:
+                continue
+            term = np.full(pts.shape[:-1], cr * bj)
+            for k, bk in enumerate(beta):
+                p = bk - 1 if k == j else bk
+                if p:
+                    term = term * pts[..., k] ** p
+            out[..., j] += term
+    return out[0] if scalar else out
+
+
+def ref_hess(coeffs, xi):
+    """Hessian of Re P at real xi of shape (d,) -> (d, d) or (k, d) -> (k, d, d)."""
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 1
+    pts = xi[None, :] if scalar else xi
+    d = pts.shape[-1]
+    out = np.zeros(pts.shape[:-1] + (d, d))
+    for beta, c in coeffs.items():
+        cr = float(np.real(c))
+        if cr == 0.0:
+            continue
+        for j, bj in enumerate(beta):
+            if not bj:
+                continue
+            for k, bk in enumerate(beta):
+                if k == j:
+                    if bj < 2:
+                        continue
+                    factor = cr * bj * (bj - 1)
+                else:
+                    if not bk:
+                        continue
+                    factor = cr * bj * bk
+                term = np.full(pts.shape[:-1], factor)
+                for l, bl in enumerate(beta):
+                    p = bl - (l == j) - (l == k)
+                    if p:
+                        term = term * pts[..., l] ** p
+                out[..., j, k] += term
+    return out[0] if scalar else out
+
+
+_REFERENCES = (("__call__", ref_eval), ("real", ref_real),
+               ("real_grad", ref_grad), ("real_hess", ref_hess))
+
+
+@pytest.fixture(scope="module")
+def corpus_polys(intro_analysis, ex71_analysis, ex72_analysis, ex73_analysis,
+                 ex74_analysis, ex75_analysis, srw2_analysis):
+    polys = [pa.classification.poly
+             for ana in (intro_analysis, ex71_analysis, ex72_analysis,
+                         ex73_analysis, ex74_analysis, ex75_analysis,
+                         srw2_analysis)
+             for pa in ana.points]
+    # a non-orthogonal basis and complex coefficients
+    A = np.array([[1.0, 0.4], [0.2, 1.0]])
+    polys.append(HomogeneousPolynomial(
+        2, {(4, 0): 1.0, (0, 2): 0.5 + 0.3j, (2, 1): 0.1j}, A, (2, 1)))
+    polys.append(from_quadratic_form(np.array([[2.0, 0.3, 0.1],
+                                               [0.3, 1.0, 0.2],
+                                               [0.1, 0.2, 1.5]])))
+    return polys
+
+
 @pytest.fixture(scope="module")
 def abs2_poly():
     # P = |xi|^2 on R^2
@@ -197,3 +310,47 @@ def test_invalid_construction():
     with pytest.raises(ValueError):
         # not positive
         HomogeneousPolynomial(1, {(2,): -1.0}, np.eye(1), (1,))
+
+
+def test_evaluator_matches_term_by_term_reference(corpus_polys, rng):
+    for P in corpus_polys:
+        pts = 2.0 * rng.standard_normal((64, P.dim))
+        for method, ref in _REFERENCES:
+            want = ref(P.coeffs, pts)
+            got = getattr(P, method)(pts)
+            assert got.shape == want.shape
+            # entries that cancel to ~0 are held to the scale of the output
+            atol = 1e-13 * np.abs(want).max()
+            assert_allclose(got, want, rtol=1e-13, atol=atol)
+            one, one_want = getattr(P, method)(pts[0]), ref(P.coeffs, pts[0])
+            assert np.shape(one) == np.shape(one_want)
+            assert_allclose(one, one_want, rtol=1e-13, atol=atol)
+
+
+def test_evaluator_rows_bit_identical_to_single_points(corpus_polys, rng):
+    for P in corpus_polys:
+        pts = 2.0 * rng.standard_normal((257, P.dim))
+        for method, _ in _REFERENCES:
+            batch = getattr(P, method)(pts)
+            single = np.array([getattr(P, method)(x) for x in pts])
+            assert np.array_equal(batch, single), method
+
+
+def test_evaluator_blocks_bit_identical(corpus_polys, rng, monkeypatch):
+    from latconv import _poly
+    pts = 2.0 * rng.standard_normal((257, 2))
+    polys = [P for P in corpus_polys if P.dim == 2]
+    whole = [[getattr(P, m)(pts) for m, _ in _REFERENCES] for P in polys]
+    monkeypatch.setattr(_poly, "_BLOCK_CELLS", 1000)
+    for P, want in zip(polys, whole):
+        for (method, _), w in zip(_REFERENCES, want):
+            assert np.array_equal(getattr(P, method)(pts), w), method
+
+
+def test_evaluator_keeps_leading_shape(corpus_polys, rng):
+    P = corpus_polys[0]
+    pts = rng.standard_normal((3, 4, P.dim))
+    assert P(pts).shape == (3, 4)
+    assert P.real_hess(pts).shape == (3, 4, P.dim, P.dim)
+    assert np.array_equal(P.real_grad(pts).reshape(12, P.dim),
+                          P.real_grad(pts.reshape(12, P.dim)))

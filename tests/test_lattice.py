@@ -111,6 +111,21 @@ def test_memory_cap(monkeypatch):
         latconv.power(examples.intro(), 64, method="fast")
 
 
+def test_direct_power_cap_counts_what_a_step_holds(monkeypatch):
+    # a sweep step holds three complex boxes (tracemalloc: 3.0 boxes of the
+    # final size for ex73 at n = 256), so a cap between two and three boxes
+    # must refuse the run
+    from latconv import _config
+    f, n = examples.ex73(), 64
+    lo, hi = f.extent()
+    box_bytes = 16 * int(np.prod(n * (hi - lo) + 1))
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", int(2.5 * box_bytes))
+    with pytest.raises(ResourceLimitError):
+        latconv.power(f, n, method="direct")
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 3 * box_bytes)
+    assert len(latconv.power(f, n, method="direct"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_convolution_commutative_associative(data):

@@ -1,0 +1,43 @@
+"""The benchmark's per-layer wrappers (perfbench/spans.py) still attach.
+
+``spans.install`` patches latconv's modules and classes, so it runs in a
+child process.  A refactor that renames or moves a wrapped function or
+method would otherwise only show up as a crash of ``run.py --trace 1``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import latconv
+import spans
+
+P = latconv.from_quadratic_form(np.array([[2.0, 0.5], [0.5, 1.0]]))
+tracer = spans.Tracer()
+spans.install(tracer)
+pts = np.ones((5, 2))
+P(pts), P.real(pts), P.real_grad(pts), P.real_hess(pts[0])
+latconv.power(latconv.examples.intro(), 4, method="direct")
+print(json.dumps({k: v for k, (v, _) in spans.layer_metrics(tracer).items()}))
+"""
+
+
+def test_spans_install_wraps_evaluator_and_layers():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["homogeneous.eval.calls"] == 4
+    assert metrics["homogeneous.eval.points"] == 16
+    assert metrics["lattice.power.direct.calls"] == 1
