@@ -304,12 +304,11 @@ def cmd_legendre(args):
     ev = ConjugateEvaluator(pa.classification.poly)
     window = (_parse_window(args.window, f.dim) if args.window
               else [(-8, 8)] * f.dim)
-    rows = []
     axes = [np.arange(a, b + 1) for a, b in window]
-    for pt in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim):
-        val, arg = ev.conjugate(pt.astype(float), with_argmax=True)
-        rows.append(tuple(int(c) for c in pt) + (val,)
-                    + tuple(float(a) for a in arg))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
+    vals, argmax = ev.conjugate_batch(pts.astype(float))
+    rows = [tuple(int(c) for c in pt) + (float(val),) + tuple(float(a) for a in arg)
+            for pt, val, arg in zip(pts, vals, argmax)]
     header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["value"]
                       + [f"argmax_{j + 1}" for j in range(f.dim)])
     _write_csv(_out_path(args, "legendre.csv"), header, rows)

@@ -4,8 +4,10 @@ R need not be convex (the expansion can keep mixed terms), so the conjugate
 R#(x) = sup_xi {x.xi - R(xi)} is computed by multi-start gradient ascent with
 a certified coarse-grid fallback: the grid radius is grown until the objective
 is negative on the boundary, which pins the maximizer inside.  The ascent
-result is always at least the grid value.  All starts (and, for batch queries,
-all query points) are advanced simultaneously as numpy arrays.
+result is always at least the grid value.  ``conjugate_batch`` is the one
+evaluation path: all starts and all query points are advanced simultaneously
+as numpy arrays, and nothing is kept between calls, so a value depends only on
+the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -35,19 +37,17 @@ def _batched_solve(H, g):
 
 
 class ConjugateEvaluator:
-    """Evaluator of the convex conjugate of Re P with a memo cache."""
+    """Evaluator of the convex conjugate of Re P."""
 
     def __init__(self, P):
         self.P = P
         self.dim = P.dim
-        self._cache = {}
         n_starts = 8 ** min(self.dim, 3)
         n_shells = {1: 4, 2: 4, 3: 8}.get(self.dim, 8)
         per_shell = max(1, n_starts // n_shells)
         dirs = sphere_samples(self.dim, per_shell, seed=_START_SEED)
         shells = np.geomspace(0.25, 8.0, n_shells)
         self._starts = (shells[:, None, None] * dirs[None, :, :]).reshape(-1, self.dim)
-        self._rho_cache = 0.0
 
     # -- batched ascent ------------------------------------------------------
 
@@ -104,14 +104,13 @@ class ConjugateEvaluator:
 
     def _certified_radius(self, xmax):
         """rho with objective < 0 on the grid boundary for every |x| <= xmax."""
-        rho = max(self._rho_cache, 1.0)
+        rho = 1.0
         dirs = sphere_samples(self.dim, 64 * self.dim, seed=_START_SEED + 9)
         for _ in range(200):
             vals = self.P.real(rho * dirs)
             if vals.min() > xmax * rho * np.sqrt(self.dim) + 1.0:
                 break
             rho *= 2.0
-        self._rho_cache = rho
         return rho
 
     def _grid_scan_batch(self, xs, rho, n_axis=64):
@@ -159,23 +158,14 @@ class ConjugateEvaluator:
         vals = np.maximum(vals, 0.0)  # R#(x) >= x.0 - R(0) = 0
         return vals, args
 
-    def conjugate(self, x, with_argmax=False):
-        """R#(x), guaranteed >= the certified grid fallback value."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key not in self._cache:
-            vals, args = self.conjugate_batch(x[None, :])
-            self._cache[key] = (float(vals[0]), args[0])
-        val, arg = self._cache[key]
-        return (val, arg) if with_argmax else val
-
-    def __call__(self, x):
-        return self.conjugate(x)
+    def conjugate(self, x):
+        """R#(x) as a one-row :meth:`conjugate_batch`."""
+        return float(self.conjugate_batch(x)[0][0])
 
 
-def conjugate(P, x, with_argmax=False):
+def conjugate(P, x):
     """One-shot R#(x) for R = Re P."""
-    return ConjugateEvaluator(P).conjugate(x, with_argmax=with_argmax)
+    return ConjugateEvaluator(P).conjugate(x)
 
 
 def weighted_norm(x, weights):

@@ -153,9 +153,9 @@ class _ConjugateField:
     """Vectorized R#((x - n a)/n) evaluation via homogeneity.
 
     R# scales as t R#(x) = R#(t^F x) with F = (I - E)^T, so values on a shell
-    table of unit directions extend to all of R^d by a bisection on the scale.
-    Exact per-point ascent is used for d = 1 axis values and to build the
-    table; d >= 3 falls back to capped per-point evaluation.
+    table of unit directions extend to all of R^d by solving for the scale.
+    d = 1 tabulates the two unit points; d >= 3 has no table and evaluates
+    every point in one ``conjugate_batch``.
     """
 
     def __init__(self, poly, n_angles=4096):
@@ -165,30 +165,37 @@ class _ConjugateField:
         self.F = (np.eye(self.dim) - E).T
         self.evals, self.vecs = _eigh_symmetric(self.F)
         if self.dim == 1:
-            self.table = np.array([self.ev.conjugate(np.array([-1.0])),
-                                   self.ev.conjugate(np.array([1.0]))])
+            self.table, _ = self.ev.conjugate_batch(np.array([[-1.0], [1.0]]))
         elif self.dim == 2:
             th = np.linspace(-np.pi, np.pi, n_angles, endpoint=False)
             dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-            # grid + Newton suffices on the unit shell; the multi-start
-            # refinement is reserved for the exact single-point API
+            # grid + Newton suffices on the unit shell, so the table skips
+            # the multi-start refinement
             self.table, _ = self.ev.conjugate_batch(dirs, refine_starts=False)
             self.n_angles = n_angles
         else:
             self.table = None
 
     def _solve_scale(self, xs):
-        """t(x) with |t^{-F} x| = 1 (monotone in t; vectorized bisection)."""
+        """t(x) with |t^{-F} x| = 1, by Newton in s = log t.
+
+        With y the eigen-coordinates of x, h(s) = log sum_j y_j^2 e^{-2 l_j s}
+        is convex and decreasing, and h >= 0 at the start
+        s0 = min(log|y| / l_max, log|y| / l_min), so the iterates rise to the
+        root without overshoot.  s0 is the root when F is scalar.
+        """
         y = xs @ self.vecs
-        lo = np.full(xs.shape[0], 1e-12)
-        hi = np.full(xs.shape[0], 1e12)
-        for _ in range(96):
-            mid = np.sqrt(lo * hi)
-            r = np.linalg.norm(y * mid[:, None] ** (-self.evals[None, :]), axis=1)
-            take = r > 1.0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        return np.sqrt(lo * hi)
+        lam = self.evals
+        log_y = np.log(np.linalg.norm(y, axis=1))
+        s = np.minimum(log_y / lam.max(), log_y / lam.min())
+        for _ in range(64):
+            u2 = (y * np.exp(s)[:, None] ** -lam) ** 2
+            total = u2.sum(axis=1)
+            step = np.log(total) * total / (2.0 * (u2 * lam).sum(axis=1))
+            s = s + step
+            if np.all(np.abs(step) <= 4e-15 * np.maximum(1.0, np.abs(s))):
+                break
+        return np.exp(s)
 
     def values(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -198,7 +205,7 @@ class _ConjugateField:
             return out
         pts = xs[nz]
         if self.table is None:
-            out[nz] = np.array([self.ev.conjugate(x) for x in pts])
+            out[nz], _ = self.ev.conjugate_batch(pts)
             return out
         t = self._solve_scale(pts)
         u = (pts @ self.vecs) * t[:, None] ** (-self.evals[None, :])

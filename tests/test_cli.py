@@ -189,3 +189,23 @@ def test_internal_error_is_not_usage_error(tmp_path, monkeypatch):
     # the exception propagates, so the process exits 1 with a traceback
     with pytest.raises(ValueError, match="internal failure"):
         main(["analyze", "--example", "intro", "--out", str(tmp_path / "o")])
+
+
+def test_legendre_grid_matches_closed_form_and_batch(tmp_path, capsys):
+    code, out = run(tmp_path, "legendre", "--example", "ex71",
+                    "--window=-3:3,-3:3")
+    capsys.readouterr()
+    assert code == 0
+    table = np.loadtxt(out / "legendre.csv", delimiter=",", skiprows=1)
+    assert table.shape == (49, 5)
+    xs, got, argmax = table[:, :2], table[:, 2], table[:, 3:]
+    # criterion 2: R#(x, y) = (5/3^{6/5})|x|^{6/5} + (3/2)|y|^{4/3}
+    want = (5.0 * 3.0 ** (-6.0 / 5.0) * np.abs(xs[:, 0]) ** (6.0 / 5.0)
+            + 1.5 * np.abs(xs[:, 1]) ** (4.0 / 3.0))
+    big = np.linalg.norm(xs, axis=1) >= 1.0
+    assert np.all(np.abs(got - want)[big] <= 1e-6 * want[big])
+    assert np.all(np.abs(got - want)[~big] <= 1e-6)
+    P = latconv.analyze(latconv.examples.ex71()).points[0].classification.poly
+    vals, args = latconv.ConjugateEvaluator(P).conjugate_batch(xs)
+    assert np.array_equal(got, vals)
+    assert np.array_equal(argmax, args)

@@ -164,3 +164,15 @@ def test_conjugate_cache_keeps_large_points_apart(srw2_analysis):
     fresh = ConjugateEvaluator(P).conjugate(np.array([2e7, 0.0]))
     assert second == pytest.approx(fresh, rel=1e-12)
     assert second == pytest.approx(4.0 * first, rel=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["intro_analysis", "ex71_analysis",
+                                     "ex73_analysis", "srw2_analysis"])
+def test_conjugate_independent_of_call_history(fixture, request):
+    P = request.getfixturevalue(fixture).points[0].classification.poly
+    xs = np.random.default_rng(3).uniform(-6, 6, size=(12, 2))
+    used = ConjugateEvaluator(P)
+    used.conjugate(np.array([1e6, -1e6]))
+    after = np.array([used.conjugate(x) for x in xs])
+    fresh = np.array([ConjugateEvaluator(P).conjugate(x) for x in xs])
+    assert np.array_equal(after, fresh)

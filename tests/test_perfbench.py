@@ -41,3 +41,34 @@ def test_spans_install_wraps_evaluator_and_layers():
     assert metrics["homogeneous.eval.calls"] == 4
     assert metrics["homogeneous.eval.points"] == 16
     assert metrics["lattice.power.direct.calls"] == 1
+
+
+CONJUGATE_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import latconv
+import spans
+
+P = latconv.from_quadratic_form(np.array([[2.0, 0.5], [0.5, 1.0]]))
+tracer = spans.Tracer()
+spans.install(tracer)
+ev = latconv.ConjugateEvaluator(P)
+ev.conjugate(np.array([1.0, 0.0]))
+ev.conjugate_batch(np.ones((3, 2)))
+print(json.dumps({k: v for k, (v, _) in spans.layer_metrics(tracer).items()}))
+"""
+
+
+def test_spans_install_wraps_conjugate_methods():
+    # conjugate is a one-row conjugate_batch, so the batch span counts both
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", CONJUGATE_SCRIPT, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["legendre.conjugate.calls"] == 1
+    assert metrics["legendre.conjugate_batch.calls"] == 2
+    assert metrics["legendre.conjugate_batch.points"] == 4

@@ -307,3 +307,49 @@ def test_conjugate_field_rejects_non_orthogonal_basis():
     analysis = SimpleNamespace(mu_phi=P.mu, points=[point], function=examples.srw(2))
     with pytest.raises(ValueError, match="not orthogonal"):
         verify.subexp_bound_fit(analysis.function, analysis, [1, 2])
+
+
+def _bisection_scale(field, xs):
+    """The former fixed-bracket bisection for t, kept as a reference."""
+    y = xs @ field.vecs
+    lo = np.full(xs.shape[0], 1e-12)
+    hi = np.full(xs.shape[0], 1e12)
+    for _ in range(96):
+        mid = np.sqrt(lo * hi)
+        r = np.linalg.norm(y * mid[:, None] ** (-field.evals[None, :]), axis=1)
+        take = r > 1.0
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    return np.sqrt(lo * hi)
+
+
+@pytest.mark.parametrize("fixture", ["intro_analysis", "srw2_analysis"])
+def test_conjugate_field_scale_over_sixteen_decades(fixture, request, monkeypatch):
+    # intro has a non-scalar F = diag(3/4, 1/2); srw:2 has F = I/2
+    P = request.getfixturevalue(fixture).points[0].classification.poly
+    field = verify._ConjugateField(P)
+    rng = np.random.default_rng(5)
+    dirs = np.vstack([np.eye(2), -np.eye(2), rng.standard_normal((12, 2))])
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    xs = (np.geomspace(1e-8, 1e8, 33)[:, None, None] * dirs[None]).reshape(-1, 2)
+    t = field._solve_scale(xs)
+    r = np.linalg.norm((xs @ field.vecs) * t[:, None] ** (-field.evals), axis=1)
+    assert np.abs(r - 1.0).max() <= 1e-14
+    got = field.values(xs)
+    t_old = _bisection_scale(field, xs)
+    inside = (t_old > 1.01e-12) & (t_old < 1e12 / 1.01)
+    assert (~inside).any()
+    monkeypatch.setattr(field, "_solve_scale", lambda pts: _bisection_scale(field, pts))
+    ref = field.values(xs)
+    assert np.abs(got[inside] / ref[inside] - 1.0).max() <= 1e-14
+
+
+def test_conjugate_field_is_not_clamped(srw2_analysis):
+    # R#(x) = |x|^2 for srw:2, so t = |x|^2 leaves [1e-12, 1e12] here
+    P = srw2_analysis.points[0].classification.poly
+    field = verify._ConjugateField(P)
+    xs = np.array([[1e7, 0.0], [1e-7, 0.0]])
+    got = field.values(xs)
+    assert got == pytest.approx([1e14, 1e-14], rel=1e-12)
+    exact, _ = field.ev.conjugate_batch(xs)
+    assert got == pytest.approx(exact, rel=1e-9)
