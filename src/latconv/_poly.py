@@ -1,11 +1,17 @@
-"""Multi-index polynomial arithmetic on coefficient dicts.
+"""Multi-index polynomial arithmetic.
 
-A polynomial is a dict mapping exponent tuples to complex coefficients.
-Keys are plain int tuples of a fixed length d; values may be complex.
-:class:`CompiledPoly` is the one evaluator; derivatives are taken on the dict.
+At the API boundary a polynomial is a dict mapping exponent tuples to
+coefficients: keys are plain int tuples of a fixed length d, values may be
+complex.  :class:`CompiledPoly` is the one evaluator; derivatives are taken on
+the dict.  Products run on dense truncated series instead: an array of shape
+(m+1,)*d whose entry beta is the coefficient of xi^beta, kept zero wherever
+|beta| > m (Brent & Kung, *Fast algorithms for manipulating formal power
+series*, 1978).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,63 +88,71 @@ def poly_stack(polys, shape):
     return {b: np.reshape([p.get(b, 0.0) for p in polys], shape) for b in keys}
 
 
-def poly_mul(a, b, max_degree=None):
-    out = {}
-    for ba, ca in a.items():
-        for bb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ba, bb))
-            if max_degree is not None and sum(key) > max_degree:
-                continue
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def poly_add(a, b, scale=1.0):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + scale * v
-    return out
-
-
 def poly_prune(coeffs, tol=0.0):
     return {k: v for k, v in coeffs.items() if abs(v) > tol}
+
+
+@functools.lru_cache(maxsize=None)
+def _total_degree(m, dim):
+    """|beta| at every entry of a dense series of order m in dim variables."""
+    return np.indices((m + 1,) * dim).sum(axis=0)
+
+
+def from_dense(arr):
+    """Coefficient dict of the non-zero entries of a dense series."""
+    nz = np.nonzero(arr)
+    return dict(zip(map(tuple, np.transpose(nz).tolist()), arr[nz].tolist()))
+
+
+def series_mul(a, b):
+    """Product of two dense series of order m, truncated at total degree m.
+
+    One shifted-slice add per non-zero term of ``b`` that can reach degree
+    <= m past the lowest-degree term of ``a``; entries above m are zeroed.
+    """
+    m = a.shape[0] - 1
+    deg = _total_degree(m, a.ndim)
+    low = deg[a != 0].min(initial=m + 1)
+    out = np.zeros(a.shape, dtype=np.result_type(a, b))
+    for beta in np.argwhere((b != 0) & (deg <= m - low)).tolist():
+        dst = tuple(slice(k, None) for k in beta)
+        src = tuple(slice(None, m + 1 - k) for k in beta)
+        out[dst] += a[src] * b[tuple(beta)]
+    out[deg > m] = 0.0
+    return out
+
+
+def log1p_series(u):
+    """Dense log(1 + u) = sum_k (-1)^(k+1) u^k / k for a dense series u with
+    no constant term, truncated at u's order."""
+    out = u.copy()
+    power = u
+    for k in range(2, u.shape[0]):
+        power = series_mul(power, u)
+        out += ((-1) ** (k + 1) / k) * power
+    return out
 
 
 def poly_compose_linear(coeffs, mat):
     """Coefficients of xi -> P(M xi) for a d x d matrix M."""
     mat = np.asarray(mat, dtype=float)
     d = mat.shape[0]
-    zero = tuple([0] * d)
-    # linear forms L_i(xi) = sum_j M[i, j] xi_j as degree-1 polynomials
-    forms = []
-    for i in range(d):
-        form = {}
-        for j in range(d):
-            if mat[i, j] != 0.0:
-                key = tuple(1 if k == j else 0 for k in range(d))
-                form[key] = mat[i, j]
-        forms.append(form)
-    out = {}
+    m = max([1] + [sum(beta) for beta in coeffs])
+    one = np.zeros((m + 1,) * d)
+    one[(0,) * d] = 1.0
+    # pows[i][p] = L_i^p for the linear forms L_i(xi) = sum_j M[i, j] xi_j
+    pows = []
+    for row in mat:
+        form = np.zeros_like(one)
+        form[tuple(np.eye(d, dtype=int))] = row
+        pows.append([one])
+        while len(pows[-1]) <= m:
+            pows[-1].append(series_mul(pows[-1][-1], form))
+    out = np.zeros((m + 1,) * d, dtype=np.complex128)
     for beta, c in coeffs.items():
-        term = {zero: complex(c)}
-        for i, b in enumerate(beta):
-            for _ in range(b):
-                term = poly_mul(term, forms[i])
-        out = poly_add(out, term)
-    return poly_prune(out, 0.0)
-
-
-def log1p_series(u, order):
-    """Truncated composition log(1 + u) for a series u with no constant term."""
-    d = len(next(iter(u))) if u else 0
-    out = {}
-    power_u = dict(u)
-    sign = 1.0
-    for k in range(1, order + 1):
-        if k > 1:
-            power_u = poly_mul(power_u, u, max_degree=order)
-            if not power_u:
-                break
-        out = poly_add(out, power_u, scale=sign / k)
-        sign = -sign
-    return poly_prune(out, 0.0) if d else out
+        term = pows[0][beta[0]]
+        for p, b in zip(pows[1:], beta[1:]):
+            if b:
+                term = series_mul(term, p[b])
+        out += complex(c) * term
+    return from_dense(out)

@@ -2,7 +2,9 @@
 
 For xi0 with |phi-hat(xi0)| = 1 the function Gamma(xi) = log(phi-hat(xi + xi0)
 / phi-hat(xi0)) is expanded about 0 by composing the exact Taylor coefficients
-of the shifted, renormalized symbol with the log(1+u) series.  Classification
+of the shifted, renormalized symbol with the log(1+u) series.  Both series are
+dense truncated arrays (``_poly.series_mul`` multiplies them); the result is
+handed on as the coefficient dict of :class:`TaylorSeries`.  Classification
 then asks whether Gamma = i a.xi - P(xi) + o(Re P) for a polynomial P whose
 real part is positive definite and which scales as t P(xi) = P(t^E xi): the
 quadratic part of Re(-Gamma) fixes the weight-one directions, remaining axes
@@ -19,12 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._poly import poly_compose_linear, poly_prune
 from .errors import NotNormalizedError
 from .homogeneous import (HomogeneousPolynomial, _canonical_signs,
                           sphere_samples)
 from .lattice import LatticeFunction
-from .symbol import SymbolView, find_omega, normalize
+from .symbol import OmegaSet, SymbolView, find_omega, normalize
 
 from . import _poly
 
@@ -46,11 +47,9 @@ class TaylorSeries:
     coeffs: dict
 
     def linear(self):
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for j in range(self.dim):
-            key = tuple(1 if k == j else 0 for k in range(self.dim))
-            out[j] = self.coeffs.get(key, 0.0)
-        return out
+        units = np.eye(self.dim, dtype=int).tolist()
+        return np.array([self.coeffs.get(tuple(e), 0.0) for e in units],
+                        dtype=np.complex128)
 
 
 @dataclass
@@ -76,10 +75,16 @@ class Classification:
 def gamma_taylor(sym, xi0, m):
     """Taylor series of Gamma_{xi0} = log(phi-hat(.+xi0)/phi-hat(xi0)) to order m.
 
-    Coefficients of f(xi) = phi-hat(xi + xi0)/phi-hat(xi0) come from the exact
-    moment formula; the log is a formal composition with log(1+u) truncated at
-    total order m.
+    The log is a formal composition of :func:`_shifted_series` with log(1+u)
+    truncated at total order m; only the result becomes a dict.
     """
+    series = _poly.log1p_series(_shifted_series(sym, xi0, m))
+    return TaylorSeries(dim=sym.dim, order=m, coeffs=_poly.from_dense(series))
+
+
+def _shifted_series(sym, xi0, m):
+    """Dense Taylor series u of phi-hat(. + xi0)/phi-hat(xi0) - 1 to order m,
+    from the exact moment formula."""
     if m < 2:
         raise ValueError("expansion order must be >= 2")
     f = sym.source
@@ -90,7 +95,7 @@ def gamma_taylor(sym, xi0, m):
         raise NotNormalizedError(f"|phi-hat(xi0)| = {abs(v0):.12g}, not unit modulus")
     psi = f.values * np.exp(1j * (f.points.astype(float) @ xi0)) / v0
     ipts = 1j * f.points.astype(float)
-    u = {}
+    u = np.zeros((m + 1,) * d, dtype=np.complex128)
     for beta in itertools.product(*(range(m + 1),) * d):
         total = sum(beta)
         if total == 0 or total > m:
@@ -102,35 +107,25 @@ def gamma_taylor(sym, xi0, m):
                 term = term * ipts[:, j] ** b
                 fact *= math.factorial(b)
         u[beta] = complex(term.sum()) / fact
-    series = _poly.log1p_series(u, m)
-    return TaylorSeries(dim=d, order=m, coeffs=poly_prune(series, 0.0))
+    return u
 
 
 def _quadratic_hessian(q_coeffs, dim):
     """Symmetric H with Re(quadratic part of Q)(xi) = xi . H xi."""
     H = np.zeros((dim, dim))
     for beta, c in q_coeffs.items():
-        if sum(beta) != 2:
-            continue
-        nz = [j for j, b in enumerate(beta) if b]
-        if len(nz) == 1:
-            H[nz[0], nz[0]] = c.real
-        else:
-            j, k = nz
-            H[j, k] = H[k, j] = c.real / 2.0
+        if sum(beta) == 2:
+            j, k = np.repeat(np.arange(dim), beta)
+            H[j, k] = H[k, j] = c.real if j == k else c.real / 2.0
     return H
 
 
 def _weight_assignments(null_axes, quad_axes, m_max, reverse=False):
     """All weight tuples: 1 on quadratic axes, even orders on null axes."""
-    orders = list(range(4, m_max + 1, 2))
-    if reverse:
-        orders = orders[::-1]
-    d = len(null_axes) + len(quad_axes)
-    for combo in itertools.product(orders, repeat=len(null_axes)):
-        weights = [0] * d
-        for j in quad_axes:
-            weights[j] = 1
+    orders = range(4, m_max + 1, 2)
+    for combo in itertools.product(orders[::-1] if reverse else orders,
+                                   repeat=len(null_axes)):
+        weights = [1] * (len(null_axes) + len(quad_axes))
         for j, two_m in zip(null_axes, combo):
             weights[j] = two_m // 2
         yield tuple(weights)
@@ -168,7 +163,6 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
 
     # Q = -(Gamma - i alpha . xi): orders 2..m_max
     q = {beta: -c for beta, c in series.coeffs.items() if sum(beta) >= 2}
-    q = poly_prune(q, 0.0)
     if not q or max(abs(c) for c in q.values()) <= SUBHOMOGENEOUS_TOL:
         reason = ("pure translation (log-symbol is linear)"
                   if len(sym.source) == 1 else
@@ -198,7 +192,7 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
 
     quad_axes = [j for j in range(d) if evals[j] > NULL_EIGENVALUE_TOL]
     null_axes = [j for j in range(d) if evals[j] <= NULL_EIGENVALUE_TOL]
-    q_rot = poly_prune(poly_compose_linear(q, A), 0.0)
+    q_rot = _poly.poly_compose_linear(q, A)
 
     samples = sphere_samples(d, 1000 * d)
     saw_vanishing_null_axis = False
@@ -209,22 +203,16 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
             continue
         # sign certification on each axis: the pure monomial xi_j^{2 m_j}
         # must be present with positive real part
-        axis_ok = True
-        for j, m in enumerate(weights):
-            beta = tuple(2 * m if k == j else 0 for k in range(d))
-            c = kept.get(beta, 0.0)
-            if abs(c) <= SUBHOMOGENEOUS_TOL:
-                saw_vanishing_null_axis = True
-                axis_ok = False
-                break
-            if c.real <= 0.0:
-                axis_ok = False
-                break
-        if not axis_ok:
+        pure = [kept.get(tuple(2 * m if k == j else 0 for k in range(d)), 0.0)
+                for j, m in enumerate(weights)]
+        bad = next((c for c in pure
+                    if abs(c) <= SUBHOMOGENEOUS_TOL or c.real <= 0.0), None)
+        if bad is not None:
+            saw_vanishing_null_axis |= abs(bad) <= SUBHOMOGENEOUS_TOL
             continue
         if _poly.CompiledPoly(kept, d)(samples).real.min() <= 0.0:
             continue
-        kept = poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
+        kept = _poly.poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
         poly = HomogeneousPolynomial(d, kept, A, weights)
         res_norms = _residual_norms(q_rot, kept, weights, A, samples)
         diagnostics["residual_norms"] = res_norms
@@ -233,7 +221,7 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
                               diagnostics=diagnostics)
 
     if saw_vanishing_null_axis and not _any_survivor_everywhere(
-            q_rot, null_axes, quad_axes, m_max, d):
+            q_rot, null_axes, quad_axes, m_max):
         diagnostics["reason"] = (
             f"order {m_max} insufficient: some null axis carries no "
             "sub-homogeneous obstruction but no positive pure term either")
@@ -245,13 +233,11 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
     return Classification(VERDICT_NOT, alpha=alpha, diagnostics=diagnostics)
 
 
-def _any_survivor_everywhere(q_rot, null_axes, quad_axes, m_max, d):
+def _any_survivor_everywhere(q_rot, null_axes, quad_axes, m_max):
     """True when every assignment is blocked by a surviving lower-order term."""
-    for weights in _weight_assignments(null_axes, quad_axes, m_max):
-        survivors, _ = _split_by_weight(q_rot, weights)
-        if not survivors or max(abs(c) for c in survivors.values()) <= SUBHOMOGENEOUS_TOL:
-            return False
-    return True
+    return all(max(map(abs, _split_by_weight(q_rot, w)[0].values()), default=0.0)
+               > SUBHOMOGENEOUS_TOL
+               for w in _weight_assignments(null_axes, quad_axes, m_max))
 
 
 def _residual_norms(q_rot, kept, weights, A, samples):
@@ -316,7 +302,6 @@ def analyze(f, m_max=12, grid_n=None, basis=None):
     g, scale = normalize(f, grid_n=grid_n)
     sym = SymbolView(g)
     if len(g) == 1:
-        from .symbol import OmegaSet
         xi = np.zeros(g.dim)
         val = sym.evaluate(xi)
         cls = Classification(VERDICT_NOT,

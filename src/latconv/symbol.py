@@ -24,6 +24,10 @@ from .lattice import LatticeFunction
 
 TWO_PI = 2.0 * np.pi
 DEDUPE_RADIUS = 1e-6
+# Newton endpoints this close share one extended-precision polish: on the
+# corpus the worst endpoint lies 7.9e-5 from its Omega point (ex73), and
+# distinct Omega points lie at least 1.9 apart
+CLUSTER_RADIUS = 1e-3
 
 
 class SymbolView:
@@ -37,14 +41,7 @@ class SymbolView:
 
     def evaluate(self, z):
         """phi-hat(z) for real or complex z of shape (d,) or (..., d)."""
-        z = np.asarray(z)
-        scalar = z.ndim == 1
-        pts = z[None, :] if scalar else z
-        f = self.source
-        phase = pts @ f.points.T.astype(float) if not np.iscomplexobj(pts) \
-            else pts @ f.points.T.astype(complex)
-        out = np.exp(1j * phase) @ f.values
-        return complex(out[0]) if scalar else out
+        return self.derivative((0,) * self.dim, z)
 
     def derivative(self, beta, z):
         """d^beta phi-hat at z via the exact moment formula."""
@@ -63,9 +60,10 @@ class SymbolView:
 
     # -- gradient / hessian of g = |phi-hat|^2 (exact) -----------------------
 
-    def _g_parts(self, xi):
+    def abs2_grad_hess(self, xi):
+        """(g, grad g, hess g) for g = |phi-hat|^2 at a real point."""
         f = self.source
-        phase = f.points.astype(float) @ xi
+        phase = f.points.astype(float) @ np.asarray(xi, dtype=float)
         e = np.exp(1j * phase)
         val = e @ f.values
         grad = np.array([(1j * f.points[:, j] * e) @ f.values
@@ -75,11 +73,6 @@ class SymbolView:
             for k in range(j, self.dim):
                 hjk = (-(f.points[:, j] * f.points[:, k]).astype(float) * e) @ f.values
                 hess[j, k] = hess[k, j] = hjk
-        return val, grad, hess
-
-    def abs2_grad_hess(self, xi):
-        """(g, grad g, hess g) for g = |phi-hat|^2 at a real point."""
-        val, grad, hess = self._g_parts(np.asarray(xi, dtype=float))
         g = (val * val.conjugate()).real
         gg = 2.0 * (np.conjugate(val) * grad).real
         gh = 2.0 * (np.outer(np.conjugate(grad), grad)
@@ -144,7 +137,9 @@ def _mp_polish(f, xi, digits=60, max_iter=250):
 
     Flat (quartic or higher) directions leave the double-precision gradient
     below its own rounding noise while the point is still ~1e-5 off; a few
-    Newton steps at 40 digits close the gap to well under 1e-12.
+    Newton steps at ``digits`` (60) digits close the gap to well under 1e-12.
+    ``find_omega`` runs it once per cluster of Newton endpoints, not once
+    per seed.
     """
     import mpmath as mp
 
@@ -174,10 +169,10 @@ def _mp_polish(f, xi, digits=60, max_iter=250):
                     hess[j, k] = hess[k, j] = h
             try:
                 step = mp.lu_solve(hess, mp.matrix([-c for c in gg]))
+                too_long = mp.sqrt(sum(step[j] ** 2 for j in range(d))) > mp.mpf("0.5")
             except Exception:
-                step = mp.matrix([c / max(gn, mp.mpf(1)) * mp.mpf("0.1")
-                                  for c in gg])
-            if mp.sqrt(sum(step[j] ** 2 for j in range(d))) > mp.mpf("0.5"):
+                too_long = True
+            if too_long:
                 step = mp.matrix([c / max(gn, mp.mpf(1)) * mp.mpf("0.1")
                                   for c in gg])
             for j in range(d):
@@ -246,8 +241,11 @@ def find_omega(sym, grid_n=None, tol=1e-9):
     """Locate Omega(phi) = {xi : |phi-hat(xi)| = 1} for a normalized symbol.
 
     Seeds are grid local maxima with |phi-hat|^2 > 1 - 1e-3, polished by
-    Newton ascent on |phi-hat|^2; converged points within tol of modulus one
-    are kept and deduplicated (radius 1e-6 in the torus metric).
+    Newton ascent on |phi-hat|^2.  Converged endpoints are clustered in seed
+    order (radius ``CLUSTER_RADIUS``) and only the first of each cluster gets
+    the extended-precision polish, plus any member farther than the radius
+    from that polished point.  Polished points within tol of modulus one are
+    kept and deduplicated (radius 1e-6 in the torus metric).
     """
     f = sym.source
     n = grid_n or _default_grid(f.dim)
@@ -268,15 +266,21 @@ def find_omega(sym, grid_n=None, tol=1e-9):
     seeds = seeds[order]
 
     found_pts, found_vals = [], []
+    clusters = []  # (first Newton endpoint, its polished point) per cluster
     for idx in seeds:
         xi0 = _wrap_torus(idx.astype(float) * TWO_PI / n)
-        xi, converged = _newton_polish(sym, xi0)
+        end, converged = _newton_polish(sym, xi0)
         if not converged:
             warnings.warn(f"Newton ascent did not converge from seed {xi0}; dropped",
                           RuntimeWarning)
             continue
-        xi = _mp_polish(f, xi)
-        xi = _wrap_torus(xi)
+        rep = next((c for c in clusters
+                    if _torus_dist(end, c[0]) <= CLUSTER_RADIUS), None)
+        if rep is not None and _torus_dist(end, rep[1]) <= CLUSTER_RADIUS:
+            continue  # it would polish onto rep[1], already kept or rejected
+        xi = _wrap_torus(_mp_polish(f, end))
+        if rep is None:
+            clusters.append((end, xi))
         val = sym.evaluate(xi)
         if abs(val) < 1.0 - tol:
             continue
@@ -284,16 +288,10 @@ def find_omega(sym, grid_n=None, tol=1e-9):
             continue
         found_pts.append(xi)
         found_vals.append(val)
-    if found_pts:
-        pts = np.array(found_pts)
-        vals_arr = np.array(found_vals)
-        order = np.lexsort(pts.T[::-1])
-        pts, vals_arr = pts[order], vals_arr[order]
-    else:
-        pts = np.empty((0, f.dim))
-        vals_arr = np.empty((0,), dtype=np.complex128)
-    phases = np.angle(vals_arr)
-    return OmegaSet(points=pts, values=vals_arr, phases=phases)
+    pts = np.array(found_pts).reshape(-1, f.dim)
+    order = np.lexsort(pts.T[::-1])
+    vals_arr = np.array(found_vals, dtype=np.complex128)[order]
+    return OmegaSet(points=pts[order], values=vals_arr, phases=np.angle(vals_arr))
 
 
 @dataclass(frozen=True)

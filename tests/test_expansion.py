@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import examples
+from latconv import _poly, examples
 from latconv.expansion import (VERDICT_INDETERMINATE, VERDICT_NOT, VERDICT_PHT,
-                               classify, gamma_taylor)
+                               _shifted_series, classify, gamma_taylor)
 from latconv.lattice import LatticeFunction
 from latconv.symbol import SymbolView
 
@@ -227,3 +227,119 @@ def test_ex72_classification(ex72_analysis):
         c02 = cls.poly.coeffs[(0, 2)]
         assert c20 == pytest.approx((1 + 1j * gamma) / 4, abs=1e-8)
         assert c02 == pytest.approx(gamma, abs=1e-8)
+
+
+# -- dense series arithmetic against the dict arithmetic it replaced ---------
+
+def _dict_mul(a, b, max_degree=None):
+    out = {}
+    for ba, ca in a.items():
+        for bb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ba, bb))
+            if max_degree is not None and sum(key) > max_degree:
+                continue
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def _dict_add(a, b, scale=1.0):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0.0) + scale * v
+    return out
+
+
+def _dict_log1p(u, order):
+    out = {}
+    power_u = dict(u)
+    sign = 1.0
+    for k in range(1, order + 1):
+        if k > 1:
+            power_u = _dict_mul(power_u, u, max_degree=order)
+            if not power_u:
+                break
+        out = _dict_add(out, power_u, scale=sign / k)
+        sign = -sign
+    return out
+
+
+def _dict_compose_linear(coeffs, mat):
+    d = mat.shape[0]
+    forms = []
+    for i in range(d):
+        forms.append({tuple(1 if k == j else 0 for k in range(d)): mat[i, j]
+                      for j in range(d) if mat[i, j] != 0.0})
+    out = {}
+    for beta, c in coeffs.items():
+        term = {(0,) * d: complex(c)}
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                term = _dict_mul(term, forms[i])
+        out = _dict_add(out, term)
+    return out
+
+
+def _assert_matches_reference(got, ref):
+    scale = max(abs(v) for v in ref.values())
+    for key in set(got) | set(ref):
+        assert abs(got.get(key, 0.0) - ref.get(key, 0.0)) <= 1e-15 * scale, key
+
+
+def _taylor_u(name):
+    g, _ = latconv.normalize(examples.get(name))
+    sym = SymbolView(g)
+    return _shifted_series(sym, latconv.find_omega(sym).points[0], 12)
+
+
+@pytest.mark.parametrize("name", ["srw:3", "ex73", "intro", "phim:2,3"])
+def test_dense_log1p_matches_dict_reference(name):
+    u = _taylor_u(name)
+    _assert_matches_reference(_poly.from_dense(_poly.log1p_series(u)),
+                              _dict_log1p(_poly.from_dense(u), 12))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dense_log1p_matches_dict_reference_random(dim):
+    rng = np.random.default_rng(100 + dim)
+    m = 12
+    shape = (m + 1,) * dim
+    deg = np.indices(shape).sum(axis=0)
+    u = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.5 ** deg
+    u[(deg == 0) | (deg > m) | (rng.random(shape) < 0.3)] = 0.0
+    _assert_matches_reference(_poly.from_dense(_poly.log1p_series(u)),
+                              _dict_log1p(_poly.from_dense(u), m))
+
+
+# non-orthogonal, with entries of modulus <= 1: both paths round at the size of
+# the terms they sum, which grows as |M|^12 (with a 1.3 entry the two agree
+# only to 4.9e-15 on ex73, each 3e-15 from the exact rational composition)
+@pytest.mark.parametrize("name, mat", [
+    ("ex73", [[0.9, 0.4], [-0.3, 0.8]]),
+    ("intro", [[0.8, -0.6], [0.3, 0.9]]),
+    ("srw:3", [[1.0, 0.4, 0.0], [-0.2, 0.9, 0.3], [0.1, 0.0, 0.8]]),
+])
+def test_dense_compose_linear_matches_dict_reference(name, mat):
+    mat = np.array(mat)
+    coeffs = _poly.from_dense(_poly.log1p_series(_taylor_u(name)))
+    _assert_matches_reference(_poly.poly_compose_linear(coeffs, mat),
+                              _dict_compose_linear(coeffs, mat))
+
+
+# the corpus examples no other test classifies: |Omega|, verdict, weights,
+# mu_phi and the minimal E, as pinned before the dense series arithmetic
+@pytest.mark.parametrize("name, n_omega, weights, mu, E", [
+    ("srw:3", 2, (1, 1, 1), Fraction(3, 2), np.eye(3) / 2),
+    ("phim:2,3", 12, (1, 1), Fraction(1), np.eye(2) / 2),
+    ("phim:1,2", 4, (1, 1), Fraction(1), np.eye(2) / 2),
+    ("ex75:2,3", 1, (2, 3), Fraction(5, 12), np.diag([1 / 4, 1 / 6])),
+])
+def test_classify_rest_of_corpus(name, n_omega, weights, mu, E):
+    ana = latconv.analyze(examples.get(name))
+    assert len(ana.omega) == n_omega
+    assert ana.verdict == VERDICT_PHT
+    for p in ana.points:
+        assert p.classification.diagnostics["weights"] == weights
+    assert ana.mu_phi == mu
+    assert ana.minimal
+    for p in ana.minimal_points():
+        assert_allclose(p.classification.E, E, atol=1e-8)

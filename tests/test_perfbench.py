@@ -72,3 +72,29 @@ def test_spans_install_wraps_conjugate_methods():
     assert metrics["legendre.conjugate.calls"] == 1
     assert metrics["legendre.conjugate_batch.calls"] == 2
     assert metrics["legendre.conjugate_batch.points"] == 4
+
+
+ANALYZE_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import latconv
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer)
+latconv.analyze(latconv.examples.ex71())
+print(json.dumps({k: v for k, (v, _) in spans.layer_metrics(tracer).items()}))
+"""
+
+
+def test_spans_install_wraps_classify_layers():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", ANALYZE_SCRIPT, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["expansion.gamma_taylor.calls"] == 1
+    assert metrics["symbol.find_omega.calls"] == 1
+    assert metrics["symbol.omega_points"] == 1

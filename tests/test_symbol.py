@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import examples
+from latconv import examples, symbol
 from latconv.errors import NotNormalizedError, ZeroFunctionError
 from latconv.lattice import LatticeFunction
 from latconv.symbol import SymbolView, phase_consistency_check
@@ -177,3 +177,82 @@ def test_phim_omega_count():
     expected = {(0.0, 0.0), (1.0, 0.0), (-0.5, 1.0), (0.5, 1.0)}
     got = {tuple(np.round(p / np.pi, 8)) for p in om.points}
     assert got == expected
+
+
+# -- one extended-precision polish per Omega point ---------------------------
+
+CORPUS = ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2", "ex75:2,3",
+          "srw:2", "srw:3", "phim:2,1", "phim:2,3", "phim:1,2", "unstable1d"]
+
+
+def _per_seed_omega(sym, tol=1e-9):
+    """Omega points as find_omega found them before clustering: one polish
+    per converged seed, then the modulus check and the 1e-6 dedupe."""
+    f = sym.source
+    n = symbol._default_grid(f.dim)
+    vals = symbol._grid_abs(f, n)
+    local = np.ones(vals.shape, dtype=bool)
+    for axis in range(f.dim):
+        for shift in (1, -1):
+            local &= vals >= np.roll(vals, shift, axis=axis)
+    seeds = np.argwhere((vals ** 2 > 1.0 - 1e-3) & local)
+    seeds = seeds[np.argsort(-vals[tuple(seeds.T)], kind="stable")]
+    found = []
+    for idx in seeds:
+        xi0 = symbol._wrap_torus(idx.astype(float) * symbol.TWO_PI / n)
+        xi, converged = symbol._newton_polish(sym, xi0)
+        if not converged:
+            continue
+        xi = symbol._wrap_torus(symbol._mp_polish(f, xi))
+        if abs(sym.evaluate(xi)) < 1.0 - tol:
+            continue
+        if any(symbol._torus_dist(xi, p) < symbol.DEDUPE_RADIUS for p in found):
+            continue
+        found.append(xi)
+    pts = np.array(found).reshape(-1, f.dim)
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def _counting_polish(monkeypatch, transform=None):
+    """Count _mp_polish calls; ``transform(k, point)`` edits the k-th result."""
+    calls = []
+    real = symbol._mp_polish
+
+    def polish(f, xi, *args, **kwargs):
+        calls.append(xi)
+        out = real(f, xi, *args, **kwargs)
+        return out if transform is None else transform(len(calls), out)
+
+    monkeypatch.setattr(symbol, "_mp_polish", polish)
+    return calls
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_find_omega_polishes_once_per_point(name, monkeypatch):
+    g, _ = latconv.normalize(examples.get(name))
+    sym = SymbolView(g)
+    reference = _per_seed_omega(sym)
+    calls = _counting_polish(monkeypatch)
+    om = symbol.find_omega(sym)
+    assert len(calls) == len(om)
+    assert np.array_equal(om.points, reference)
+
+
+def test_find_omega_polishes_member_far_from_its_representative(monkeypatch):
+    # the first polish is sent 2e-3 (twice the cluster radius) off its Omega
+    # point; every other endpoint of that cluster must then get its own
+    # polish, which finds the true point again as a separate Omega point
+    g, _ = latconv.normalize(examples.ex73())
+    sym = SymbolView(g)
+    true = symbol.find_omega(sym).points
+    offset = np.array([2 * symbol.CLUSTER_RADIUS, 0.0])
+    calls = _counting_polish(
+        monkeypatch, lambda k, xi: xi + offset if k == 1 else xi)
+    om = symbol.find_omega(sym, tol=0.5)
+    assert len(om) == 3
+    assert len(calls) > 3
+    moved = [p for p in om.points
+             if min(symbol._torus_dist(p, t) for t in true) > 1e-9]
+    assert len(moved) == 1
+    for t in true:
+        assert min(symbol._torus_dist(p, t) for p in om.points) < 1e-9
