@@ -23,8 +23,8 @@ from .lattice import norm_linf, power, read_function, write_function
 from .legendre import ConjugateEvaluator
 from .symbol import SymbolView, check_von_neumann
 from .verify import (gaussian_bound_fit, derivative_bound_fit, llt_error_ladder,
-                     stability_report, subexp_bound_fit, sup_decay_report,
-                     theta, walk_profile)
+                     power_near_drifts, stability_report, subexp_bound_fit,
+                     sup_decay_report, theta, walk_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,11 +207,15 @@ def cmd_analyze(args):
 
 def cmd_power(args):
     f = _load_function(args)
+    window = _parse_window(args.window, f.dim) if args.window else None
+    # a spectral power with a window is computed near the drifts only
+    analysis = analyze(f) if window and args.method != "direct" else None
     for n in _parse_n_list(args.n):
-        g = power(f, n, method=args.method)
-        if args.window:
-            window = _parse_window(args.window, f.dim)
+        if analysis is not None:
+            g = power_near_drifts(f, analysis, n, window)
         else:
+            g = power(f, n, method=args.method)
+        if not args.window:
             lo, hi = g.extent()
             window = list(zip(lo.tolist(), hi.tolist()))
         rows = [tuple(int(c) for c in p) + (v.real, v.imag)

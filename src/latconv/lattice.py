@@ -70,6 +70,16 @@ class LatticeFunction:
         raise AttributeError("LatticeFunction is immutable")
 
     @classmethod
+    def _from_sorted(cls, dim, points, values):
+        """Wrap arrays already in canonical form (lexicographic, unique, no
+        true zeros) without another sort and copy."""
+        self = object.__new__(cls)
+        for name, value in (("dim", dim), ("points", points), ("values", values),
+                            ("_lookup", None)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
     def from_dict(cls, entries, dim=None):
         entries = dict(entries)
         if dim is None:
@@ -172,11 +182,6 @@ def _check_box(shape, complex_arrays=2):
     return cells
 
 
-def _flat_points(flat, shape, lo):
-    """Lattice points of row-major flat indices into a box with corner ``lo``."""
-    return np.stack(np.unravel_index(flat, shape), axis=-1).astype(np.int64) + lo
-
-
 def convolve(f, g):
     """Exact convolution (f*g)(x) = sum_y f(x-y) g(y).
 
@@ -193,14 +198,14 @@ def convolve(f, g):
         f, g = g, f
     (flo, fhi), (glo, ghi) = f.extent(), g.extent()
     shape = tuple(int(s) for s in (fhi - flo + ghi - glo + 1))
-    _check_box(shape, complex_arrays=1)
-    out = np.zeros(shape, dtype=np.complex128).reshape(-1)
+    _check_box(shape, complex_arrays=1 + _sparse_boxes(f.dim, consume=True))
+    out = np.zeros(shape, dtype=np.complex128)
+    flat = out.reshape(-1)
     base = np.ravel_multi_index(tuple((f.points - flo).T), shape)
     shifts = np.ravel_multi_index(tuple((g.points - glo).T), shape)
     for shift, v in zip(shifts, g.values):
-        out[base + shift] += f.values * v
-    nz = np.flatnonzero(np.abs(out) >= ZERO_DROP)
-    return LatticeFunction(f.dim, _flat_points(nz, shape, flo + glo), out[nz])
+        flat[base + shift] += f.values * v
+    return _extract_sparse(f.dim, out, flo + glo, 0.0, consume=True)
 
 
 def sweep(f, n_max):
@@ -255,10 +260,47 @@ def _embed_dense(f, shape, lo):
     return arr
 
 
-def _extract_sparse(dim, arr, lo, floor):
+def _sparse_boxes(dim, consume=False):
+    """Complex boxes of ``arr``'s size that :func:`_extract_sparse` allocates
+    on a dense result: d int64 coordinates per kept cell, the kept values (at
+    most a quarter box when it consumes ``arr``), and the keep mask with the
+    chunk temporaries (0.2)."""
+    return dim / 2 + (0.25 if consume else 1.0) + 0.2
+
+
+def _extract_sparse(dim, arr, lo, floor, consume=False):
+    """The entries of ``arr`` above ``floor`` as a function, ``arr[i]`` at ``lo + i``.
+
+    Row-major order is lexicographic point order, so the entries come out
+    canonical and are copied once, one chunk of cells at a time; entries
+    below ``ZERO_DROP`` are dropped as :func:`_canonical` drops them.  With
+    ``consume`` a complex ``arr`` is overwritten: the kept values move to the
+    front of its buffer, which the result keeps unless fewer than half of
+    the cells are kept.
+    """
     flat = arr.reshape(-1)
-    nz = np.flatnonzero(np.abs(flat) > floor)
-    return LatticeFunction(dim, _flat_points(nz, arr.shape, lo), flat[nz])
+    # |v| > floor, written as |v| >= the next float so that it also covers ZERO_DROP
+    cut = max(np.nextafter(floor, np.inf), ZERO_DROP)
+    step = max(1, -(-flat.size // 64))
+    keep = np.empty(flat.size, dtype=bool)
+    for s in range(0, flat.size, step):
+        np.greater_equal(np.abs(flat[s:s + step]), cut, out=keep[s:s + step])
+    count = int(np.count_nonzero(keep))
+    in_place = consume and flat.dtype == np.complex128
+    points = np.empty((count, dim), dtype=np.int64)
+    values = flat if in_place else np.empty(count, dtype=np.complex128)
+    pos = 0
+    for s in range(0, flat.size, step):
+        nz = np.flatnonzero(keep[s:s + step]) + s
+        for k, c in enumerate(np.unravel_index(nz, arr.shape)):
+            np.add(c, lo[k], out=points[pos:pos + nz.size, k])
+        # in place, pos + nz.size <= s + step: only cells already read are written
+        values[pos:pos + nz.size] = flat[nz]
+        pos += nz.size
+    values = values[:count]
+    if in_place and 2 * count < flat.size:
+        values = values.copy()
+    return LatticeFunction._from_sorted(dim, points, values)
 
 
 def _fft_noise_floor(n, vmax):
@@ -267,39 +309,114 @@ def _fft_noise_floor(n, vmax):
     return 64.0 * np.finfo(float).eps * max(1.0, math.log2(max(n, 2))) * vmax
 
 
-def power_dense(f, n, pad_to=None):
-    """phi^(n) on its minimal dense box via one spectral transform.
+def _alias_threshold(n, vmax):
+    # raising the symbol to the n-th power multiplies its relative roundoff by
+    # n, so a torus's own noise grows with n past the extraction floor
+    return max(_fft_noise_floor(n, vmax), n * np.finfo(float).eps * vmax)
 
-    Returns ``(array, lo)`` with ``array[i] = phi^(n)(lo + i)``.  Shared by the
-    spectral sparse path and by verification code that wants the dense field
-    without sparsification.
+
+def _is_real(f):
+    return not np.any(f.values.imag)
+
+
+def power_dense(f, n, shape=None):
+    """phi^(n) on a dense torus via one spectral transform.
+
+    Returns ``(array, lo)`` with ``array[i] = sum_k phi^(n)(lo + i + k * shape)``
+    and ``lo = n * min(supp phi)``.  The default shape holds the whole
+    ``n * span + 1`` box, so the sum has the single term ``k = 0``; a smaller
+    shape gives the periodisation of phi^(n) on that torus (Poisson
+    summation), which :func:`power_torus` certifies.  A real phi runs
+    ``rfftn``/``irfftn`` and gives a real array.  This is the only caller of
+    the transform.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not len(f):
         return np.zeros((0,) * f.dim, dtype=np.complex128), np.zeros(f.dim, np.int64)
+    real = _is_real(f)
     flo, fhi = f.extent()
-    ext = n * (fhi - flo) + 1
-    shape = tuple(sfft.next_fast_len(int(e)) for e in ext)
-    if pad_to is not None:
-        shape = tuple(max(s, p) for s, p in zip(shape, pad_to))
-    _check_box(shape, complex_arrays=3)
-    emb = _embed_dense(f, shape, flo)
-    fr = sfft.fftn(emb, workers=_config.FFT_WORKERS)
+    if shape is None:
+        shape = tuple(sfft.next_fast_len(int(e), real) for e in n * (fhi - flo) + 1)
+    shape = tuple(int(s) for s in shape)
+    # the embedding or the output beside the spectrum; a real spectrum is half
+    _check_box(shape, complex_arrays=1 if real else 2)
+    emb = np.zeros(shape, dtype=np.float64 if real else np.complex128)
+    # wrapped on the torus; points of phi that alias onto one cell add up
+    np.add.at(emb, tuple(((f.points - flo) % shape).T),
+              f.values.real if real else f.values)
+    forward, inverse = (sfft.rfftn, sfft.irfftn) if real else (sfft.fftn, sfft.ifftn)
+    fr = forward(emb, workers=_config.FFT_WORKERS)
+    del emb
     np.power(fr, n, out=fr)
-    out = sfft.ifftn(fr, workers=_config.FFT_WORKERS)
-    return out, n * flo
+    return inverse(fr, s=shape, workers=_config.FFT_WORKERS), n * flo
+
+
+def power_torus(f, n, lo, hi):
+    """phi^(n) on the lattice box ``[lo, hi]`` from a certified aliased torus.
+
+    The torus has twice the box's width per axis, a guard band of half the
+    width on each side, and at least phi's span on each side, so that the
+    tail of a phi^(n) that lives on a sublattice shows in it.
+    :func:`power_dense` gives the periodisation of phi^(n) on the torus.  It
+    is accepted only when every entry outside the box is below
+    :func:`_alias_threshold`, so that phi^(n) is at noise level there and the
+    aliases folded into the box are smaller still.  Otherwise the box doubles
+    about its centre; the cap is checked before every transform.  An axis
+    whose torus would reach the full ``n * span + 1`` extent takes that
+    extent and does not alias; when every axis does, this is the
+    exact-extent :func:`power_dense`.
+
+    Returns ``(array, lo)`` like :func:`power_dense`, covering every point of
+    ``[lo, hi]`` where phi^(n) can be non-zero.
+    """
+    n = int(n)
+    if not len(f):
+        return power_dense(f, n)
+    real = _is_real(f)
+    flo, fhi = f.extent()
+    slo, shi = n * flo, n * fhi
+    full = np.array([sfft.next_fast_len(int(e), real) for e in shi - slo + 1])
+    lo = np.clip(np.asarray(lo, dtype=np.int64), slo, shi)
+    hi = np.clip(np.asarray(hi, dtype=np.int64), lo, shi)
+    span = fhi - flo
+    while True:
+        width = hi - lo + 1
+        shape = np.array([sfft.next_fast_len(int(max(2 * w, w + 2 * s)), real)
+                          for w, s in zip(width, span)])
+        exact = shape >= full
+        if exact.all():
+            return power_dense(f, n)
+        shape = np.where(exact, full, shape)
+        lo, hi = np.where(exact, slo, lo), np.where(exact, shi, hi)
+        width = hi - lo + 1
+        # the transform's boxes, then the torus's magnitudes and the box copy
+        _check_box(tuple(shape), complex_arrays=2.0 if real else 3.0)
+        arr, tlo = power_dense(f, n, tuple(shape))
+        # centre the box on the torus: cell j of axis k holds tlo_k + j (mod N_k)
+        idx = np.ix_(*[(l - t + np.arange(w)) % s
+                       for l, t, w, s in zip(lo, tlo, width, shape)])
+        mag = np.abs(arr)
+        box = arr[idx]
+        vmax = float(mag[idx].max())
+        mag[idx] = 0.0
+        if float(mag.max()) < _alias_threshold(n, vmax):
+            return box, lo
+        grow = (width + 1) // 2
+        lo, hi = np.maximum(lo - grow, slo), np.minimum(hi + grow, shi)
 
 
 def power(f, n, method="spectral"):
-    """n-fold convolution power of f.
+    """n-fold convolution power of f on its full ``n * span + 1`` box.
 
     ``direct`` runs the exact :func:`sweep` (the oracle of record),
-    ``spectral`` samples phi-hat^n on a torus grid covering the support box
-    and inverts, dropping entries below the transform-noise floor; ``fast``
-    is an alias of ``spectral``.  The paths agree entrywise within 1e-10 at
-    desk scale.
+    ``spectral`` samples phi-hat^n on a torus grid covering the whole box
+    (``rfftn`` when phi is real) and inverts, dropping entries below the
+    transform-noise floor; ``fast`` is an alias of ``spectral``.  The paths
+    agree entrywise within 1e-10 at desk scale.  The memory cap covers the
+    path's arrays and the sparse copy of a dense result.  For phi^(n) near
+    its drifts only, see :func:`power_torus`.
     """
     n = int(n)
     if n < 1:
@@ -308,13 +425,31 @@ def power(f, n, method="spectral"):
         raise ValueError(f"unknown method {method!r}")
     if not len(f) or n == 1:
         return f
+    flo, fhi = f.extent()
     if method == "direct":
+        # the sweep's three boxes, then the result beside its sparse copy
+        _check_box(tuple(int(e) for e in n * (fhi - flo) + 1),
+                   complex_arrays=max(3.0, 1.0 + _sparse_boxes(f.dim, consume=True)))
         for arr, lo in sweep(f, n):
             pass
-        return _extract_sparse(f.dim, arr, lo, 0.0)
+        return _extract_sparse(f.dim, arr, lo, 0.0, consume=True)
+    real = _is_real(f)
+    shape = tuple(sfft.next_fast_len(int(e), real) for e in n * (fhi - flo) + 1)
+    held = 0.5 if real else 1.0
+    # the transform, then the result beside its magnitudes or its sparse copy
+    _check_box(shape, complex_arrays=max(2 * held,
+                                         held + _sparse_boxes(f.dim, consume=not real)))
     arr, lo = power_dense(f, n)
+    return _sparse_above_floor(f.dim, arr, lo, n)
+
+
+def _sparse_above_floor(dim, arr, lo, n):
+    """The spectral result ``arr`` without the entries below the noise floor;
+    ``arr`` is consumed, and the cap must hold it beside its sparse copy."""
+    held = arr.itemsize / 16
+    _check_box(arr.shape, complex_arrays=held + _sparse_boxes(dim, consume=held == 1))
     vmax = float(np.abs(arr).max())
-    return _extract_sparse(f.dim, arr, lo, _fft_noise_floor(n, vmax))
+    return _extract_sparse(dim, arr, lo, _fft_noise_floor(n, vmax), consume=True)
 
 
 def read_function(path):

@@ -15,8 +15,10 @@ import numpy as np
 
 from .attractor import llt_approx
 from .errors import DimensionMismatchError
-from .lattice import (LatticeFunction, _embed_dense, _extract_sparse, convolve,
-                      norm_l1, norm_linf, power, power_dense, sweep, translate)
+from .expansion import analyze
+from .lattice import (LatticeFunction, _embed_dense, _extract_sparse,
+                      _sparse_above_floor, convolve, norm_l1, norm_linf, power,
+                      power_torus, sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -70,20 +72,20 @@ def direct_powers(f, n_values):
 
 
 def sup_decay_report(f, analysis, n_values):
-    """Rows (n, ||phi^(n)||_inf, n^mu ||phi^(n)||_inf); band verdict on top octave."""
-    rows = []
+    """Rows (n, ||phi^(n)||_inf, n^mu ||phi^(n)||_inf); band verdict on top octave.
+
+    Each power comes from :func:`power_near_drifts`: a certified torus about
+    the drifts for a positive-homogeneous analysis, the full box otherwise.
+    """
+    sups = [(n, norm_linf(power_near_drifts(f, analysis, n)))
+            for n in sorted(n_values)]
     if analysis.mu_phi is None:
-        for n in sorted(n_values):
-            g = power(f, n, method="spectral")
-            rows.append((n, norm_linf(g), float("nan")))
         return BoundReport(kind="sup-decay", columns=("n", "sup", "scaled"),
-                           rows=rows, verdict="not-applicable",
+                           rows=[(n, sup, float("nan")) for n, sup in sups],
+                           verdict="not-applicable",
                            notes=f"analysis verdict: {analysis.verdict}")
     mu = float(analysis.mu_phi)
-    for n in sorted(n_values):
-        g = power(f, n, method="spectral")
-        sup = norm_linf(g)
-        rows.append((n, sup, n ** mu * sup))
+    rows = [(n, sup, n ** mu * sup) for n, sup in sups]
     n_top = rows[-1][0]
     octave = [r[2] for r in rows if r[0] >= n_top / 2]
     ratio = max(octave) / min(octave)
@@ -93,33 +95,75 @@ def sup_decay_report(f, analysis, n_values):
                        verdict=verdict)
 
 
+def _window_half(analysis, points, n):
+    """6 n^(lambda_max) sqrt(d), lambda_max = max 1/(2m) over the points' weights."""
+    lam_max = max(1.0 / (2 * m) for pa in points
+                  for m in pa.classification.poly.weights)
+    return 6.0 * n ** lam_max * np.sqrt(analysis.function.dim)
+
+
+def _covering_box(centers, half):
+    lo = np.floor(np.min(centers, axis=0) - half).astype(np.int64)
+    hi = np.ceil(np.max(centers, axis=0) + half).astype(np.int64)
+    return lo, hi
+
+
 def default_llt_window(analysis, n):
     """Covering box for |rotated(x - n alpha)| <= 6 n^(lambda_max) per axis."""
-    lam_max = 0.0
-    centers = []
-    for pa in analysis.minimal_points():
-        cls = pa.classification
-        lam_max = max(lam_max, max(1.0 / (2 * m) for m in cls.poly.weights))
-        centers.append(n * cls.alpha)
-    half = 6.0 * n ** lam_max
-    d = analysis.function.dim
-    lo = np.full(d, np.inf)
-    hi = np.full(d, -np.inf)
-    for c in centers:
-        lo = np.minimum(lo, np.floor(c - half * np.sqrt(d)))
-        hi = np.maximum(hi, np.ceil(c + half * np.sqrt(d)))
+    points = analysis.minimal_points()
+    lo, hi = _covering_box([n * pa.classification.alpha for pa in points],
+                           _window_half(analysis, points, n))
     return [(int(a), int(b)) for a, b in zip(lo, hi)]
 
 
+def drift_box(analysis, n):
+    """``(lo, hi)`` covering ``n alpha_q`` plus a margin for every Omega point q.
+
+    The margin is :func:`default_llt_window`'s half-width taken over all the
+    points, times ``max(1, m_max - 1)`` for their largest weight ``m_max``.
+    Along a weight-m axis the decay bound's tail exp(-c |y|^(2m/(2m-1)))
+    flattens as m grows, so phi^(n) reaches further past that window: on the
+    corpus, the entries above the alias threshold reach at most 0.85 of the
+    half-width when every weight is 1 or 2, and 1.91 of it with a weight of
+    3 (ex71).
+    """
+    points = analysis.points
+    m_max = max(m for pa in points for m in pa.classification.poly.weights)
+    return _covering_box([n * pa.classification.alpha for pa in points],
+                         max(1, m_max - 1) * _window_half(analysis, points, n))
+
+
+def power_near_drifts(f, analysis, n, window=None):
+    """phi^(n) above the transform-noise floor, near its drifts.
+
+    ``analysis`` is that of f.  When f is of positive homogeneous type this
+    is :func:`~latconv.lattice.power_torus` on :func:`drift_box`, united with
+    ``window`` (per-axis ``(a, b)`` ranges) if one is given, so only the
+    certified box is transformed; otherwise it is the full-box
+    ``power(f, n, "spectral")``.
+    """
+    if analysis.mu_phi is None:
+        return power(f, n, method="spectral")
+    lo, hi = drift_box(analysis, n)
+    if window is not None:
+        lo = np.minimum(lo, [a for a, _ in window])
+        hi = np.maximum(hi, [b for _, b in window])
+    arr, lo = power_torus(f, n, lo, hi)
+    return _sparse_above_floor(f.dim, arr, lo, n)
+
+
 def llt_error(f, analysis, n, window=None):
-    """(sup error, n^mu * sup error) over supp(phi^(n)) united with the window."""
+    """(sup error, n^mu * sup error) over the drift box united with the window.
+
+    phi^(n) comes from :func:`~latconv.lattice.power_torus` on
+    :func:`drift_box`; outside that box it is certified to be at noise level.
+    """
     if analysis.mu_phi is None:
         raise ValueError(f"analysis verdict is {analysis.verdict}")
     g = analysis.function
-    arr, lo = power_dense(g, n)
+    arr, lo = power_torus(g, n, *drift_box(analysis, n))
     if window is None:
         window = default_llt_window(analysis, n)
-    d = g.dim
     wlo = np.array([w[0] for w in window], dtype=np.int64)
     whi = np.array([w[1] for w in window], dtype=np.int64)
     box_lo = np.minimum(lo, wlo)
@@ -373,15 +417,21 @@ def stability_report(f, n_max, method="auto"):
     most 2 percent; unstable when the final l^1 at n_max is at least twice
     the value at n_max / 32.  ``method`` picks the power path: the exact
     direct sweep (mass conservation holds to the last bit) or per-n spectral
-    powers; ``auto`` uses direct when the sweep is cheap.
+    powers; ``auto`` uses direct when the sweep is cheap.  The spectral path
+    analyzes f and takes :func:`power_near_drifts`: a certified torus about
+    the drifts when f is of positive homogeneous type, the full box
+    otherwise.
     """
     n_values = _dyadic_ns(n_max)
     if method == "auto":
         method = "direct" if _direct_work_estimate(f, n_max) <= 3e8 else "spectral"
     if method == "direct":
         powers = direct_powers(f, n_values)
+    elif method not in ("fast", "spectral"):
+        raise ValueError(f"unknown method {method!r}")
     else:
-        powers = {n: power(f, n, method=method) for n in n_values}
+        analysis = analyze(f)
+        powers = {n: power_near_drifts(f, analysis, n) for n in n_values}
     rows = [(n, norm_l1(powers[n]), norm_linf(powers[n])) for n in n_values]
     l1 = {n: r for n, r, _ in rows}
     top = max(v for n, v in l1.items() if n > n_max / 2)

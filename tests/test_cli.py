@@ -209,3 +209,60 @@ def test_legendre_grid_matches_closed_form_and_batch(tmp_path, capsys):
     vals, args = latconv.ConjugateEvaluator(P).conjugate_batch(xs)
     assert np.array_equal(got, vals)
     assert np.array_equal(argmax, args)
+
+
+HEADLINE = ["power", "--example", "ex71", "--n", "10000", "--window=-50:50,-50:50"]
+
+
+def _csv_table(path):
+    lines = path.read_text().splitlines()[1:]
+    table = {}
+    for line in lines:
+        x1, x2, re, im = line.split(",")
+        table[(int(x1), int(x2))] = complex(float(re), float(im))
+    return table
+
+
+def test_readme_headline_runs(tmp_path, capsys, monkeypatch):
+    # the full n * span box would need ~144 GiB; the drift torus is 720 x 720
+    # and certifies at the first transform
+    from latconv import lattice
+    shapes = []
+    dense = lattice.power_dense
+    monkeypatch.setattr(
+        lattice, "power_dense",
+        lambda f, n, shape=None: shapes.append(shape) or dense(f, n, shape))
+    code, out = run(tmp_path, *HEADLINE, "--pgm")
+    text = capsys.readouterr().out
+    assert code == 0 and len(shapes) == 1
+    assert "sup |phi^n| = 0.00863" in text
+    assert len(_csv_table(out / "power_n10000.csv")) == 101 * 101
+    assert (out / "power_n10000_abs.pgm").read_bytes().startswith(b"P5\n101 101\n255\n")
+
+
+def test_power_window_agrees_with_full_box(tmp_path, capsys, monkeypatch):
+    argv = ["power", "--example", "ex71", "--n", "512", "--window=-50:50,-50:50"]
+    code, out = run(tmp_path / "torus", *argv)
+    near = _csv_table(out / "power_n512.csv")
+    monkeypatch.setattr(
+        "latconv.cli.power_near_drifts",
+        lambda f, ana, n, window: latconv.power(f, n, method="spectral"))
+    code_full, out_full = run(tmp_path / "full", *argv)
+    full = _csv_table(out_full / "power_n512.csv")
+    capsys.readouterr()
+    assert code == code_full == 0 and len(near) > 9000
+    for key in near.keys() | full.keys():
+        assert abs(near.get(key, 0.0) - full.get(key, 0.0)) < 1e-10
+
+
+def test_power_window_cap_refuses_the_first_torus(tmp_path, capsys, monkeypatch):
+    from latconv import _config, lattice
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", _config.MEMORY_CAP_BYTES)
+    transforms = []
+    monkeypatch.setattr(lattice, "power_dense", lambda *a, **k: transforms.append(a))
+    # 10 MiB is below the first torus's ~16.6 MB; the cap is checked before it
+    code = main(["--memory-cap", str(10 / 1024)] + HEADLINE
+                + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4 and "resource error" in err
+    assert transforms == []

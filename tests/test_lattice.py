@@ -275,3 +275,125 @@ def test_add_sub_merge_shared_points():
     assert (f + g).to_dict() == {(0,): 1.0, (1,): 4.0 + 2j, (3,): 0.5}
     with pytest.raises(DimensionMismatchError):
         f + examples.intro()
+
+
+# -- memory cap, sparse extraction and the certified torus ------------------
+
+def _budget_and_peak(monkeypatch, call):
+    """(largest _check_box request, tracemalloc peak) of ``call()``."""
+    import tracemalloc
+    from latconv import lattice
+    requests = []
+    check = lattice._check_box
+
+    def spy(shape, complex_arrays=2):
+        requests.append(16 * complex_arrays * int(np.prod([int(s) for s in shape])))
+        return check(shape, complex_arrays)
+
+    monkeypatch.setattr(lattice, "_check_box", spy)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return max(requests), peak
+
+
+@pytest.mark.parametrize("name,n,method", [
+    ("intro", 256, "direct"), ("intro", 256, "spectral"), ("ex71", 128, "direct"),
+    ("ex71", 256, "spectral"), ("srw:3", 40, "direct"),
+    ("unstable1d", 2 ** 18, "spectral")])
+def test_power_peak_memory_within_its_budget(monkeypatch, name, n, method):
+    # the cap is checked before anything is allocated, so what a power path
+    # allocates, its dense-to-sparse copy included, must fit in what it asked
+    # the cap for; 256 KiB covers the interpreter's own small objects
+    f = examples.get(name)
+    budget, peak = _budget_and_peak(monkeypatch,
+                                    lambda: latconv.power(f, n, method=method))
+    assert peak <= budget + 2 ** 18, (peak, budget)
+
+
+def test_power_torus_peak_memory_within_its_budget(monkeypatch):
+    f = examples.ex71()
+    budget, peak = _budget_and_peak(
+        monkeypatch, lambda: latconv.power_torus(f, 4096, (-10, -10), (10, 10)))
+    assert peak <= budget + 2 ** 18, (peak, budget)
+
+
+def test_extract_sparse_is_canonical_and_consume_keeps_values():
+    from latconv.lattice import _extract_sparse
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    arr[rng.random((7, 5)) < 0.4] = 0.0
+    arr[0, 0] = 1e-301  # a true zero by the ZERO_DROP rule
+    lo = np.array([-3, 4])
+    pts = np.argwhere(arr) + lo
+    want = LatticeFunction(2, pts, arr[arr != 0])
+    assert _extract_sparse(2, arr.copy(), lo, 0.0) == want
+    assert _extract_sparse(2, arr.copy(), lo, 0.0, consume=True) == want
+    floor = 0.5
+    big = np.abs(arr) > floor
+    assert _extract_sparse(2, arr.copy(), lo, floor) == LatticeFunction(
+        2, np.argwhere(big) + lo, arr[big])
+
+
+def _torus_vs_direct(f, n, lo, hi):
+    arr, alo = latconv.power_torus(f, n, lo, hi)
+    exact = latconv.power(f, n, method="direct")
+    inside = np.all((exact.points >= alo) & (exact.points < alo + arr.shape), axis=1)
+    got = np.zeros(len(exact), dtype=complex)
+    got[inside] = arr[tuple((exact.points[inside] - alo).T)]
+    # every entry phi^(n) has in the returned region agrees with the oracle,
+    # and what lies outside it is at noise level
+    assert np.abs(got - exact.values).max() < 1e-10
+    covered = np.zeros(arr.shape, dtype=bool)
+    covered[tuple((exact.points[inside] - alo).T)] = True
+    assert np.abs(arr[~covered]).max(initial=0.0) < 1e-10
+    return arr, alo
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_torus_matches_direct(data):
+    # a random walk, optionally modulated by a character (complex, same
+    # moduli): one lobe about n * mean, on a box from a point to 3 sqrt(n)
+    dim = data.draw(st.integers(1, 2))
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=2,
+                             max_size=6, unique=True))
+    w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(pts),
+                                    max_size=len(pts))))
+    theta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.7, 2.0]),
+                                        min_size=dim, max_size=dim)))
+    pts = np.array(pts)
+    f = LatticeFunction(dim, pts, w / w.sum() * np.exp(1j * (pts @ theta)))
+    n = data.draw(st.integers(1, 40))
+    half = data.draw(st.floats(0.0, 3.0)) * np.sqrt(n)
+    centre = n * (pts.T @ (w / w.sum()))
+    _torus_vs_direct(f, n, np.floor(centre - half), np.ceil(centre + half))
+
+
+def test_power_torus_doubles_a_box_that_is_too_tight(monkeypatch):
+    # phi^(n) of ex71 at n = 512 is above the alias threshold out to about
+    # +-77; a +-4 box must be rejected and doubled, never returned as is
+    from latconv import lattice
+    shapes = []
+    dense = lattice.power_dense
+
+    def spy(f, n, shape=None):
+        out = dense(f, n, shape)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(lattice, "power_dense", spy)
+    f, n = examples.ex71(), 512
+    arr, lo = latconv.power_torus(f, n, (-4, -4), (4, 4))
+    assert len(shapes) >= 3 and np.all(lo <= -77) and np.all(lo + arr.shape > 77)
+    assert all(np.prod(a) < np.prod(b) for a, b in zip(shapes, shapes[1:]))
+    full, flo = dense(f, n)
+    sl = tuple(slice(int(a - b), int(a - b) + s) for a, b, s in zip(lo, flo, arr.shape))
+    assert np.abs(arr - full[sl]).max() < 1e-13
+    # nothing above the noise floor is left outside the returned region
+    floor = lattice._fft_noise_floor(n, np.abs(full).max())
+    assert np.abs(full).sum(where=np.abs(full) > floor) == pytest.approx(
+        np.abs(arr).sum(where=np.abs(arr) > floor), rel=1e-12)

@@ -353,3 +353,38 @@ def test_conjugate_field_is_not_clamped(srw2_analysis):
     assert got == pytest.approx([1e14, 1e-14], rel=1e-12)
     exact, _ = field.ev.conjugate_batch(xs)
     assert got == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["ex72", "ex74"])
+def test_power_near_drifts_matches_full_box(monkeypatch, name):
+    # ex72 has four Omega points with drifts (0, +-gamma); ex74 has a
+    # non-minimal point.  At n = 512 the drift box aliases the first axis of
+    # both, and l1 and linf must equal those of the full box
+    from latconv import lattice
+    shapes = []
+    dense = lattice.power_dense
+
+    def spy(f, n, shape=None):
+        out = dense(f, n, shape)
+        shapes.append(out[0].shape)
+        return out
+
+    f, n = examples.get(name), 512
+    ana = latconv.analyze(f)
+    full = latconv.power(f, n, method="spectral")
+    monkeypatch.setattr(lattice, "power_dense", spy)
+    near = verify.power_near_drifts(f, ana, n)
+    flo, fhi = f.extent()
+    assert len(shapes) == 1 and shapes[0][0] < n * (fhi - flo)[0] + 1
+    assert latconv.norm_l1(near) == pytest.approx(latconv.norm_l1(full), rel=1e-12)
+    assert latconv.norm_linf(near) == pytest.approx(latconv.norm_linf(full), rel=1e-12)
+
+
+def test_drift_box_covers_every_omega_point():
+    ana = latconv.analyze(examples.ex72())
+    lo, hi = verify.drift_box(ana, 100)
+    for pa in ana.points:
+        centre = 100 * pa.classification.alpha
+        assert np.all(lo < centre) and np.all(centre < hi)
+    win = verify.default_llt_window(ana, 100)
+    assert np.all(lo <= [a for a, _ in win]) and np.all(hi >= [b for _, b in win])
