@@ -5,9 +5,11 @@ R#(x) = sup_xi {x.xi - R(xi)} is computed by multi-start gradient ascent with
 a certified coarse-grid fallback: the grid radius is grown until the objective
 is negative on the boundary, which pins the maximizer inside.  The ascent
 result is always at least the grid value.  ``conjugate_batch`` is the one
-evaluation path: all starts and all query points are advanced simultaneously
-as numpy arrays, and nothing is kept between calls, so a value depends only on
-the batch it was computed in.
+evaluation path: all starts and all query points form one batch of numpy
+rows, and a row leaves the batch once it stops moving, so each step evaluates
+only the rows still in play.  A row's arithmetic does not depend on which rows
+share its step, but the ascent stops for all rows together, and nothing is
+kept between calls, so a value depends only on the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .homogeneous import sphere_samples
+from .lattice import _check_box
 
 _START_SEED = 4242
+# objective cells per block of the grid scan (8 MiB of float64)
+_SCAN_BLOCK_CELLS = 2 ** 20
 
 
 def _batched_solve(H, g):
@@ -52,54 +57,65 @@ class ConjugateEvaluator:
     # -- batched ascent ------------------------------------------------------
 
     def _ascend_batch(self, xs, xis, iters=120, newton_iters=50):
-        """Maximize xi.x - R(xi) from xis (one start per row), vectorized."""
+        """Maximize xi.x - R(xi) from xis (one start per row), vectorized.
+
+        Only the rows still moving are evaluated: a row with no accepted step
+        would repeat the same arithmetic on the next pass, so it leaves.
+        """
         xs = np.asarray(xs, dtype=float)
         xi = np.array(xis, dtype=float)
         val = np.einsum("kd,kd->k", xi, xs) - self.P.real(xi)
         step = np.ones(len(xi))
+        live = np.arange(len(xi))
         for _ in range(iters):
-            g = xs - self.P.real_grad(xi)
+            g = xs[live] - self.P.real_grad(xi[live])
             gn2 = np.einsum("kd,kd->k", g, g)
-            active = gn2 > 1e-16
-            if not active.any():
-                break
-            t = step.copy()
-            accepted = np.zeros(len(xi), dtype=bool)
+            keep = gn2 > 1e-16
+            live, g, gn2 = live[keep], g[keep], gn2[keep]
+            t = step[live]
+            moved = np.zeros(len(live), dtype=bool)
+            todo = np.arange(len(live))  # positions in live not yet accepted
             for _ in range(30):
-                trial = np.where(active & ~accepted, t, 0.0)
-                cand = xi + trial[:, None] * g
-                cval = np.einsum("kd,kd->k", cand, xs) - self.P.real(cand)
-                good = active & ~accepted & (cval >= val + 0.25 * trial * gn2)
-                xi[good] = cand[good]
-                val[good] = cval[good]
-                step[good] = np.minimum(t[good] * 2.0, 1e6)
-                accepted |= good
-                t = t * 0.5
-                if (accepted | ~active).all():
+                if not len(todo):
                     break
-            if not accepted.any():
+                rows = live[todo]
+                cand = xi[rows] + t[todo, None] * g[todo]
+                cval = np.einsum("kd,kd->k", cand, xs[rows]) - self.P.real(cand)
+                good = cval >= val[rows] + 0.25 * t[todo] * gn2[todo]
+                xi[rows[good]] = cand[good]
+                val[rows[good]] = cval[good]
+                step[rows[good]] = np.minimum(t[todo[good]] * 2.0, 1e6)
+                moved[todo[good]] = True
+                todo = todo[~good]
+                t = t * 0.5
+            live = live[moved]
+            if not len(live):
                 break
         # Newton polish towards grad = 0 (descent on -objective)
+        live = np.arange(len(xi))
         for _ in range(newton_iters):
-            g = xs - self.P.real_grad(xi)
-            gn = np.linalg.norm(g, axis=1)
-            active = gn > 1e-10
-            if not active.any():
+            g = xs[live] - self.P.real_grad(xi[live])
+            keep = np.linalg.norm(g, axis=1) > 1e-10
+            live, g = live[keep], g[keep]
+            if not len(live):
                 break
-            H = -self.P.real_hess(xi)
-            delta = _batched_solve(H, -g)
-            cand = xi + delta
-            cval = np.einsum("kd,kd->k", cand, xs) - self.P.real(cand)
-            ok = active & np.isfinite(cval) & (cval >= val - 1e-12)
-            xi[ok] = cand[ok]
-            val[ok] = cval[ok]
-            stuck = active & ~ok
-            if stuck.any():
-                cand = xi + 1e-3 * g
-                cval = np.einsum("kd,kd->k", cand, xs) - self.P.real(cand)
-                better = stuck & (cval > val)
-                xi[better] = cand[better]
-                val[better] = cval[better]
+            cand = xi[live] + _batched_solve(-self.P.real_hess(xi[live]), -g)
+            cval = np.einsum("kd,kd->k", cand, xs[live]) - self.P.real(cand)
+            moved = np.isfinite(cval) & (cval >= val[live] - 1e-12)
+            xi[live[moved]] = cand[moved]
+            val[live[moved]] = cval[moved]
+            stuck = np.flatnonzero(~moved)
+            if len(stuck):
+                rows = live[stuck]
+                cand = xi[rows] + 1e-3 * g[stuck]
+                cval = np.einsum("kd,kd->k", cand, xs[rows]) - self.P.real(cand)
+                better = cval > val[rows]
+                xi[rows[better]] = cand[better]
+                val[rows[better]] = cval[better]
+                moved[stuck[better]] = True
+            live = live[moved]
+            if not len(live):
+                break
         return val, xi
 
     def _certified_radius(self, xmax):
@@ -114,20 +130,30 @@ class ConjugateEvaluator:
         return rho
 
     def _grid_scan_batch(self, xs, rho, n_axis=64):
-        """Best grid point of the objective per query row (chunked)."""
+        """Best grid point of the objective per query row, in blocks of rows.
+
+        A block holds about ``_SCAN_BLOCK_CELLS`` objective cells and at least
+        8 rows: a one-row block takes numpy's matrix-vector product, whose
+        rounding differs from the matrix product's.
+        """
+        cells = n_axis ** self.dim
+        block = max(8, _SCAN_BLOCK_CELLS // cells)
+        n_blocks = max(1, len(xs) // block)
+        # float arrays: the mesh and the points (d each), Re P and one block
+        _check_box((n_axis,) * self.dim,
+                   complex_arrays=(2 * self.dim + 1 + min(len(xs), 2 * block)) / 2)
         axes = [np.linspace(-rho, rho, n_axis)] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         rvals = self.P.real(pts)
         out_val = np.empty(len(xs))
         out_arg = np.empty((len(xs), self.dim))
-        chunk = max(1, int(2 ** 24 // max(len(pts), 1)))
-        for s in range(0, len(xs), chunk):
-            e = min(len(xs), s + chunk)
-            obj = pts @ xs[s:e].T - rvals[:, None]
+        for rows in np.array_split(np.arange(len(xs)), n_blocks):
+            obj = pts @ xs[rows].T
+            obj -= rvals[:, None]
             best = np.argmax(obj, axis=0)
-            out_val[s:e] = obj[best, np.arange(e - s)]
-            out_arg[s:e] = pts[best]
+            out_val[rows] = obj[best, np.arange(len(rows))]
+            out_arg[rows] = pts[best]
         return out_val, out_arg
 
     # -- public API -----------------------------------------------------------

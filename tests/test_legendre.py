@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,22 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import latconv
-from latconv import examples
+from latconv import _config, examples, legendre
+from latconv.errors import ResourceLimitError
 from latconv.homogeneous import HomogeneousPolynomial
-from latconv.legendre import (ConjugateEvaluator, conjugate_bounds_check,
-                              conjugate_compare, weighted_norm)
+from latconv.legendre import (ConjugateEvaluator, _batched_solve,
+                              conjugate_bounds_check, conjugate_compare,
+                              weighted_norm)
+
+
+@pytest.fixture(scope="module")
+def ex73_poly(ex73_analysis):
+    return ex73_analysis.points[0].classification.poly
+
+
+@pytest.fixture(scope="module")
+def srw3_poly():
+    return latconv.analyze(examples.srw(3)).points[0].classification.poly
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +189,156 @@ def test_conjugate_independent_of_call_history(fixture, request):
     after = np.array([used.conjugate(x) for x in xs])
     fresh = np.array([ConjugateEvaluator(P).conjugate(x) for x in xs])
     assert np.array_equal(after, fresh)
+
+
+def _full_batch_ascend(ev, xs, xis, iters=120, newton_iters=50):
+    """Reference: every row is evaluated on every step, masked by np.where."""
+    P = ev.P
+    xs = np.asarray(xs, dtype=float)
+    xi = np.array(xis, dtype=float)
+    val = np.einsum("kd,kd->k", xi, xs) - P.real(xi)
+    step = np.ones(len(xi))
+    for _ in range(iters):
+        g = xs - P.real_grad(xi)
+        gn2 = np.einsum("kd,kd->k", g, g)
+        active = gn2 > 1e-16
+        if not active.any():
+            break
+        t = step.copy()
+        accepted = np.zeros(len(xi), dtype=bool)
+        for _ in range(30):
+            trial = np.where(active & ~accepted, t, 0.0)
+            cand = xi + trial[:, None] * g
+            cval = np.einsum("kd,kd->k", cand, xs) - P.real(cand)
+            good = active & ~accepted & (cval >= val + 0.25 * trial * gn2)
+            xi[good] = cand[good]
+            val[good] = cval[good]
+            step[good] = np.minimum(t[good] * 2.0, 1e6)
+            accepted |= good
+            t = t * 0.5
+            if (accepted | ~active).all():
+                break
+        if not accepted.any():
+            break
+    for _ in range(newton_iters):
+        g = xs - P.real_grad(xi)
+        gn = np.linalg.norm(g, axis=1)
+        active = gn > 1e-10
+        if not active.any():
+            break
+        cand = xi + _batched_solve(-P.real_hess(xi), -g)
+        cval = np.einsum("kd,kd->k", cand, xs) - P.real(cand)
+        ok = active & np.isfinite(cval) & (cval >= val - 1e-12)
+        xi[ok] = cand[ok]
+        val[ok] = cval[ok]
+        stuck = active & ~ok
+        if stuck.any():
+            cand = xi + 1e-3 * g
+            cval = np.einsum("kd,kd->k", cand, xs) - P.real(cand)
+            better = stuck & (cval > val)
+            xi[better] = cand[better]
+            val[better] = cval[better]
+    return val, xi
+
+
+def _unit_circle(n):
+    th = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    return np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+
+def _assert_same_ascent(ev, xs, starts, **kw):
+    vals, args = ev._ascend_batch(xs, starts, **kw)
+    ref_vals, ref_args = _full_batch_ascend(ev, xs, starts, **kw)
+    assert np.array_equal(vals.view(np.uint64), ref_vals.view(np.uint64))
+    assert np.array_equal(args, ref_args)
+
+
+def _refine_rows(ev, xs):
+    """The multi-start rows of conjugate_batch's refinement for xs."""
+    rho = ev._certified_radius(float(np.linalg.norm(xs, axis=1).max()))
+    _, grid_arg = ev._grid_scan_batch(xs, rho)
+    scale = np.maximum(np.linalg.norm(grid_arg, axis=1), 1e-2)
+    starts = (scale[:, None, None] * ev._starts[None, :, :]).reshape(-1, ev.dim)
+    return np.repeat(xs, len(ev._starts), axis=0), starts
+
+
+@pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis",
+                                     "ex73_analysis", "ex75_analysis"])
+def test_live_row_ascent_matches_full_batch_on_tables(fixture, request):
+    # the shell table of _ConjugateField: 4,096 unit directions, grid starts
+    ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
+    dirs = _unit_circle(4096)
+    _, grid_arg = ev._grid_scan_batch(dirs, ev._certified_radius(1.0))
+    _assert_same_ascent(ev, dirs, grid_arg)
+
+
+def test_live_row_ascent_matches_full_batch_on_refined_batches(ex71_analysis, srw3_poly):
+    ev = ConjugateEvaluator(ex71_analysis.points[0].classification.poly)
+    window = np.mgrid[-8:9, -8:9].reshape(2, -1).T.astype(float)
+    _assert_same_ascent(ev, *_refine_rows(ev, window))
+    ev = ConjugateEvaluator(srw3_poly)
+    xs = np.random.default_rng(17).uniform(-6, 6, size=(40, 3))
+    _assert_same_ascent(ev, *_refine_rows(ev, xs))
+
+
+@pytest.mark.parametrize("fixture", ["intro_analysis", "ex73_analysis"])
+def test_live_row_newton_matches_full_batch_from_raw_starts(fixture, request):
+    # Newton from random starts, without the gradient phase, takes the
+    # 1e-3 gradient fallback on tens of thousands of steps, and on ex73 a
+    # few rows find no better point at all
+    ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
+    rng = np.random.default_rng(1)
+    _assert_same_ascent(ev, rng.uniform(-6, 6, size=(2000, 2)),
+                        rng.uniform(-4, 4, size=(2000, 2)), iters=0)
+
+
+def test_ascent_evaluates_live_rows_only(ex71_analysis, monkeypatch):
+    # the full-batch ascent evaluated Re P at 17.4M points on this window
+    points = [0]
+    real = HomogeneousPolynomial.real
+
+    def counted(self, xi):
+        points[0] += np.asarray(xi).size // self.dim
+        return real(self, xi)
+
+    monkeypatch.setattr(HomogeneousPolynomial, "real", counted)
+    ev = ConjugateEvaluator(ex71_analysis.points[0].classification.poly)
+    ev.conjugate_batch(np.mgrid[-4:5, -4:5].reshape(2, -1).T.astype(float))
+    assert points[0] < 1_000_000
+
+
+@pytest.mark.parametrize("fixture,counts", [
+    ("ex73_poly", (1, 7, 9, 300, 515, 777)), ("srw3_poly", (1, 7, 9, 17, 26))])
+def test_grid_scan_blocks_match_one_block(fixture, counts, request, monkeypatch):
+    # row counts about the block sizes (256 rows in d = 2, 8 in d = 3)
+    ev = ConjugateEvaluator(request.getfixturevalue(fixture))
+    rng = np.random.default_rng(23)
+    for rows in counts:
+        xs = rng.uniform(-6, 6, size=(rows, ev.dim))
+        rho = ev._certified_radius(float(np.linalg.norm(xs, axis=1).max()))
+        vals, args = ev._grid_scan_batch(xs, rho)
+        with monkeypatch.context() as m:
+            m.setattr(legendre, "_SCAN_BLOCK_CELLS", 2 ** 40)
+            one_vals, one_args = ev._grid_scan_batch(xs, rho)
+        assert np.array_equal(vals.view(np.uint64), one_vals.view(np.uint64))
+        assert np.array_equal(args, one_args)
+
+
+def test_shell_table_memory(ex73_poly):
+    # the grid scan's objective blocks are 8 MiB; one 4,096-row block
+    # peaked at 256 MiB
+    ev = ConjugateEvaluator(ex73_poly)
+    tracemalloc.start()
+    try:
+        ev.conjugate_batch(_unit_circle(4096), refine_starts=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+def test_grid_scan_respects_memory_cap(intro_analysis, monkeypatch):
+    ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 64 * 1024)
+    with pytest.raises(ResourceLimitError, match=r"box \(64, 64\)"):
+        ev.conjugate_batch(np.array([[1.0, 2.0]]))

@@ -295,6 +295,42 @@ def test_direct_powers_match_oracle():
         assert abs(powers[5].value_at(k) - v) < 1e-14
 
 
+def test_direct_powers_cap_counts_kept_powers(monkeypatch):
+    # the earlier powers are kept while the sweep runs on: tracemalloc measured
+    # 3.53 boxes of the final size here, so a cap of 3.25 boxes must either
+    # refuse the run or hold it
+    import tracemalloc
+
+    from latconv import _config
+    from latconv.errors import ResourceLimitError
+    f, ns = examples.intro(), [1, 2, 4, 8, 16, 32, 64, 128, 256]
+    lo, hi = f.extent()
+    cap = int(3.25 * 16 * np.prod(ns[-1] * (hi - lo) + 1))
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
+    tracemalloc.start()
+    try:
+        verify.direct_powers(f, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    except ResourceLimitError:
+        peak = 0
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap
+
+
+@pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis", "ex71_analysis",
+                                     "ex73_analysis", "ex75_analysis"])
+def test_conjugate_field_interpolation_error(fixture, request):
+    # halfway between table directions, where linear interpolation is
+    # furthest from its nodes (measured 4.4e-16 to 2.7e-5)
+    P = request.getfixturevalue(fixture).points[0].classification.poly
+    field = verify._ConjugateField(P)
+    th = np.linspace(-np.pi, np.pi, field.n_angles, endpoint=False) + np.pi / field.n_angles
+    mid = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    exact, _ = field.ev.conjugate_batch(mid, refine_starts=False)
+    assert np.max(np.abs(field.values(mid) / exact - 1.0)) <= 1e-4
+
+
 def test_conjugate_field_rejects_non_orthogonal_basis():
     from types import SimpleNamespace
 
