@@ -25,7 +25,7 @@ from .errors import NotNormalizedError
 from .homogeneous import (HomogeneousPolynomial, _canonical_signs,
                           sphere_samples)
 from .lattice import LatticeFunction
-from .symbol import OmegaSet, SymbolView, find_omega, normalize
+from .symbol import OmegaSet, SymbolView, _normalize, find_omega
 
 from . import _poly
 
@@ -298,8 +298,10 @@ def analyze(f, m_max=12, grid_n=None, basis=None):
     A single-point support (c delta_y) has |phi-hat| constant equal to one, so
     Omega is the whole torus; the analysis reports the canonical representative
     0 with the pure-translation diagnostic instead of enumerating a continuum.
+    ``find_omega`` works from the Newton endpoints of the scan that
+    normalized f, so f is scanned once.
     """
-    g, scale = normalize(f, grid_n=grid_n)
+    g, scale, scan = _normalize(f, grid_n=grid_n)
     sym = SymbolView(g)
     if len(g) == 1:
         xi = np.zeros(g.dim)
@@ -314,7 +316,7 @@ def analyze(f, m_max=12, grid_n=None, basis=None):
                          phases=np.array([float(np.angle(val))]))
         return SpectralAnalysis(function=g, scale=scale, omega=omega,
                                 points=[pa], mu_phi=None, minimal=[])
-    omega = find_omega(sym, grid_n=grid_n)
+    omega = find_omega(sym, scan=scan)
     points = []
     for xi, val, ph in zip(omega.points, omega.values, omega.phases):
         cls = classify(sym, xi, m_max=m_max, basis=basis)

@@ -4,10 +4,20 @@ and location of the unit-modulus set Omega(phi).
 phi-hat(xi) = sum_x phi(x) e^{i x.xi} is evaluated term by term (exact to
 rounding, valid for complex arguments); derivatives come from the moment
 formula d^beta phi-hat(xi) = sum_x (ix)^beta phi(x) e^{i x.xi}, never from
-finite differences.  The global maximum of |phi-hat| is located by a uniform
-torus grid scan (FFT-sampled, adaptively refined) followed by Newton ascent on
-|phi-hat|^2 using exact derivatives.  Grid density is a practical choice, not
-a certificate; pathologically narrow peaks would need a finer starting grid.
+finite differences.  The global maximum of |phi-hat| and the set Omega(phi)
+come from one uniform torus grid scan (FFT-sampled) and one Newton ascent on
+|phi-hat|^2, using exact derivatives, from each of its seeds.
+
+The grid is sized by Bernstein's inequality for exponential sums.  Let K be
+the Euclidean radius of supp phi about the centre c of its bounding box.
+Along any line, e^{-i c.xi} phi-hat is an exponential sum whose frequencies
+are at most K in modulus, so |(|phi-hat|^2)''| <= 4 K^2 sup^2.  A global
+maximiser has zero gradient and lies at most sqrt(d) pi / n from a point of
+the n-per-axis grid, where therefore |phi-hat|^2 >= (1 - s) sup^2 with slack
+s = 2 K^2 d (pi / n)^2.  The grid doubles while s > ``SLACK_MAX``, and
+Newton starts from every cyclic grid local maximum with |phi-hat|^2 >=
+(1 - max(1e-3, s)) times the grid maximum squared: the grid point next to
+every global maximiser clears that threshold, however narrow its peak.
 """
 
 from __future__ import annotations
@@ -20,10 +30,17 @@ from scipy import fft as sfft
 
 from . import _config
 from .errors import NotNormalizedError, ZeroFunctionError
-from .lattice import LatticeFunction
+from .lattice import LatticeFunction, _check_box
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 DEDUPE_RADIUS = 1e-6
+# the scan grid doubles while its Bernstein slack s exceeds this; no corpus
+# input needs a doubling (the largest s is srw:3's 1.45e-2)
+SLACK_MAX = 0.05
+# grid local maxima this deep below the grid maximum (relative, in
+# |phi-hat|^2) always seed Newton, even where s is smaller
+SEED_DEPTH = 1e-3
 # Newton endpoints this close share one extended-precision polish: on the
 # corpus the worst endpoint lies 7.9e-5 from its Omega point (ex73), and
 # distinct Omega points lie at least 1.9 apart
@@ -93,13 +110,39 @@ class OmegaSet:
 
 
 def _grid_abs(f, n):
-    """|phi-hat| sampled on the uniform torus grid xi_k = 2 pi k / n (exact FFT)."""
+    """|phi-hat| sampled on the uniform torus grid xi_k = 2 pi k / n (exact FFT).
+
+    The embedding is transformed in place, so the grid costs one complex and
+    one real array; the cap budgets two complex arrays before any is made.
+    """
     shape = (n,) * f.dim
+    _check_box(shape, complex_arrays=2)
     emb = np.zeros(shape, dtype=np.complex128)
     idx = tuple(np.mod(f.points[:, k], n) for k in range(f.dim))
     np.add.at(emb, idx, f.values)
-    vals = sfft.ifftn(emb, workers=_config.FFT_WORKERS) * (n ** f.dim)
+    vals = sfft.ifftn(emb, norm="forward", overwrite_x=True,
+                      workers=_config.FFT_WORKERS)
     return np.abs(vals)
+
+
+def _slack(f, n):
+    """Bernstein slack s = 2 K^2 d (pi / n)^2 of an n-per-axis grid."""
+    lo, hi = f.extent()
+    radius2 = ((f.points - (lo + hi) / 2.0) ** 2).sum(axis=1).max()
+    return 2.0 * float(radius2) * f.dim * (np.pi / n) ** 2
+
+
+def _grid_seeds(vals, depth):
+    """Grid indices of the cyclic local maxima with vals^2 >= (1 - depth)
+    vals.max()^2, by value descending (stable in row-major order)."""
+    keep = vals ** 2 >= (1.0 - depth) * float(vals.max()) ** 2
+    # only cyclic local maxima: each peak/plateau contributes a handful of
+    # starts instead of its whole basin
+    for axis in range(vals.ndim):
+        for shift in (1, -1):
+            keep &= vals >= np.roll(vals, shift, axis=axis)
+    seeds = np.argwhere(keep)
+    return seeds[np.argsort(-vals[tuple(seeds.T)], kind="stable")]
 
 
 def _default_grid(dim):
@@ -107,12 +150,18 @@ def _default_grid(dim):
 
 
 def _newton_polish(sym, xi0, max_iter=100):
-    """Ascend |phi-hat|^2 to a stationary point; returns (xi, converged)."""
+    """Ascend |phi-hat|^2 to a stationary point; returns (xi, converged).
+
+    The tolerances are relative to |phi-hat(xi0)|^2, so a positive multiple
+    of phi ascends the same way as phi: ``locate_sup`` runs this on the
+    input before it is normalized.
+    """
     xi = np.array(xi0, dtype=float)
+    unit = sym.abs2_grad_hess(xi)[0] or 1.0
     for _ in range(max_iter):
         g, grad, hess = sym.abs2_grad_hess(xi)
         gn = np.linalg.norm(grad)
-        if gn < 1e-12:
+        if gn < 1e-12 * unit:
             return xi, True
         step = None
         try:
@@ -120,16 +169,18 @@ def _newton_polish(sym, xi0, max_iter=100):
         except np.linalg.LinAlgError:
             pass
         if step is None or not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
-            step = grad / max(gn, 1.0) * 0.1
-        # backtrack on the ascent condition
+            step = grad / max(gn, unit) * 0.1
+        # backtrack on the ascent condition, up to the rounding of g: at the
+        # top, the last Newton step can lower the computed g by an ulp, and
+        # refusing it would leave the gradient above tolerance for good
         t = 1.0
         for _ in range(30):
             g_new = sym.abs2_grad_hess(xi + t * step)[0]
-            if g_new >= g - 1e-18:
+            if g_new >= g - 4 * EPS * unit:
                 break
             t *= 0.5
         xi = xi + t * step
-    return xi, np.linalg.norm(sym.abs2_grad_hess(xi)[1]) < 1e-12
+    return xi, np.linalg.norm(sym.abs2_grad_hess(xi)[1]) < 1e-12 * unit
 
 
 def _mp_polish(f, xi, digits=60, max_iter=250):
@@ -192,84 +243,109 @@ def _torus_dist(a, b):
     return np.linalg.norm(np.minimum(d, TWO_PI - d))
 
 
-def locate_sup(sym, grid_n=None):
-    """Global maximum of |phi-hat|: adaptive grid scan plus Newton polish.
+@dataclass(frozen=True)
+class TorusScan:
+    """One grid scan of |phi-hat| and the Newton ascent from each of its seeds.
 
-    The scan is doubled until the polished maximum moves by < 1e-12 (the raw
-    grid maximum only converges quadratically in the spacing, so the polished
-    value is the stable quantity).  Returns (sup value, argmax point).
+    Unpacks as ``(sup, argmax)``.
+    """
+
+    sup: float              # largest |phi-hat| over the endpoints
+    argmax: np.ndarray      # (d,) that endpoint, in (-pi, pi]^d
+    seeds: np.ndarray       # (k, d) seed grid points, by grid value descending
+    endpoints: np.ndarray   # (k, d) Newton endpoint of each seed, not wrapped
+    converged: np.ndarray   # (k,) whether Newton converged there
+    grid: int               # points per axis; 0 when nothing was scanned
+    slack: float            # Bernstein slack s of that grid
+
+    def __iter__(self):
+        return iter((self.sup, self.argmax))
+
+
+def locate_sup(sym, grid_n=None):
+    """Global maximum of |phi-hat|: one certified grid scan plus Newton ascent.
+
+    The grid has n = ``grid_n`` (default 512 per axis, 64 for d >= 3) points
+    per axis, doubled while the Bernstein slack s = 2 K^2 d (pi/n)^2 exceeds
+    ``SLACK_MAX`` (see the module docstring), and is checked against the
+    memory cap before it is allocated: ``ResourceLimitError`` when the
+    certified density does not fit.  Newton ascent on |phi-hat|^2 runs once
+    from every cyclic grid local maximum with |phi-hat|^2 >=
+    (1 - max(1e-3, s)) times the grid maximum squared; the supremum is the
+    largest |phi-hat| over the endpoints, which ``analyze`` hands on to
+    ``find_omega``.  A single-point support c delta_y has the flat symbol
+    |phi-hat| = |c|, so it gets |c| at 0 with no scan and no ascent.
+
+    Returns a ``TorusScan``, which unpacks as (sup value, argmax point).
     """
     f = sym.source
+    if len(f) == 1:
+        zero = np.zeros((1, f.dim))
+        return TorusScan(sup=float(abs(f.values[0])), argmax=zero[0], seeds=zero,
+                         endpoints=zero, converged=np.ones(1, dtype=bool),
+                         grid=0, slack=0.0)
     n = grid_n or _default_grid(f.dim)
-    prev = -np.inf
-    best = (0.0, np.zeros(f.dim))
-    while True:
-        vals = _grid_abs(f, n)
-        flat = int(np.argmax(vals))
-        idx = np.unravel_index(flat, vals.shape)
-        xi0 = _wrap_torus(np.array(idx, dtype=float) * TWO_PI / n)
-        xi, _ = _newton_polish(sym, xi0)
-        xi = _wrap_torus(xi)
-        cur = abs(sym.evaluate(xi))
-        if cur > best[0]:
-            best = (cur, xi)
-        if abs(cur - prev) < 1e-12:
-            break
-        cells = (2 * n) ** f.dim
-        if cells * 16 > _config.MEMORY_CAP_BYTES:
-            break
-        prev = cur
+    while _slack(f, n) > SLACK_MAX:
         n *= 2
-    return best
+    slack = _slack(f, n)
+    idx = _grid_seeds(_grid_abs(f, n), max(SEED_DEPTH, slack))
+    seeds = _wrap_torus(idx.astype(float) * TWO_PI / n)
+    endpoints = np.empty_like(seeds)
+    converged = np.empty(len(seeds), dtype=bool)
+    for k, xi0 in enumerate(seeds):
+        endpoints[k], converged[k] = _newton_polish(sym, xi0)
+    tops = [_wrap_torus(end) for end in endpoints]
+    values = [abs(sym.evaluate(xi)) for xi in tops]
+    best = int(np.argmax(values))
+    return TorusScan(sup=values[best], argmax=tops[best], seeds=seeds,
+                     endpoints=endpoints, converged=converged, grid=n, slack=slack)
+
+
+def _normalize(f, grid_n=None):
+    """``normalize``, plus the ``TorusScan`` of f that found the supremum."""
+    if not len(f):
+        raise ZeroFunctionError("cannot normalize the zero function")
+    scan = locate_sup(SymbolView(f), grid_n=grid_n)
+    if scan.sup < 1e-300:
+        raise ZeroFunctionError("symbol has vanishing supremum")
+    scale = 1.0 / scan.sup
+    return f.scale(scale), scale, scan
 
 
 def normalize(f, grid_n=None):
     """Rescale so sup |phi-hat| = 1; returns (function, applied scale).
 
-    The scale is the real positive multiplier 1 / sup |phi-hat|.
+    The scale is the real positive multiplier 1 / sup |phi-hat|, with the
+    supremum from ``locate_sup``.
     """
-    if not len(f):
-        raise ZeroFunctionError("cannot normalize the zero function")
-    sup, _ = locate_sup(SymbolView(f), grid_n=grid_n)
-    if sup < 1e-300:
-        raise ZeroFunctionError("symbol has vanishing supremum")
-    scale = 1.0 / sup
-    return f.scale(scale), scale
+    g, scale, _ = _normalize(f, grid_n=grid_n)
+    return g, scale
 
 
-def find_omega(sym, grid_n=None, tol=1e-9):
+def find_omega(sym, grid_n=None, tol=1e-9, scan=None):
     """Locate Omega(phi) = {xi : |phi-hat(xi)| = 1} for a normalized symbol.
 
-    Seeds are grid local maxima with |phi-hat|^2 > 1 - 1e-3, polished by
-    Newton ascent on |phi-hat|^2.  Converged endpoints are clustered in seed
-    order (radius ``CLUSTER_RADIUS``) and only the first of each cluster gets
-    the extended-precision polish, plus any member farther than the radius
-    from that polished point.  Polished points within tol of modulus one are
-    kept and deduplicated (radius 1e-6 in the torus metric).
+    The Newton endpoints come from ``scan``, a ``locate_sup`` result for phi
+    or a positive multiple of it (``analyze`` passes the scan that normalized
+    its input); without one, ``locate_sup(sym, grid_n)`` runs here.  Its
+    seeds are the cyclic grid local maxima with |phi-hat|^2 >=
+    (1 - max(1e-3, s)) times the grid maximum squared, s the grid's Bernstein
+    slack.  Converged endpoints are clustered in seed order (radius
+    ``CLUSTER_RADIUS``) and only the first of each cluster gets the
+    extended-precision polish, plus any member farther than the radius from
+    that polished point.  Polished points within tol of modulus one are kept
+    and deduplicated (radius 1e-6 in the torus metric).
     """
     f = sym.source
-    n = grid_n or _default_grid(f.dim)
-    vals = _grid_abs(f, n)
-    sup = float(vals.max())
+    if scan is None:
+        scan = locate_sup(sym, grid_n=grid_n)
+    sup = abs(sym.evaluate(scan.argmax))
     if abs(sup - 1.0) > 1e-3:
-        raise NotNormalizedError(
-            f"grid sup |phi-hat| = {sup:.6g}; normalize first")
-    mask = vals ** 2 > 1.0 - 1e-3
-    # keep only seeds that are cyclic local maxima: each peak/plateau
-    # contributes a handful of starts instead of its whole basin
-    local = np.ones_like(mask)
-    for axis in range(f.dim):
-        for shift in (1, -1):
-            local &= vals >= np.roll(vals, shift, axis=axis)
-    seeds = np.argwhere(mask & local)
-    order = np.argsort(-vals[tuple(seeds.T)], kind="stable")
-    seeds = seeds[order]
+        raise NotNormalizedError(f"sup |phi-hat| = {sup:.6g}; normalize first")
 
     found_pts, found_vals = [], []
     clusters = []  # (first Newton endpoint, its polished point) per cluster
-    for idx in seeds:
-        xi0 = _wrap_torus(idx.astype(float) * TWO_PI / n)
-        end, converged = _newton_polish(sym, xi0)
+    for xi0, end, converged in zip(scan.seeds, scan.endpoints, scan.converged):
         if not converged:
             warnings.warn(f"Newton ascent did not converge from seed {xi0}; dropped",
                           RuntimeWarning)
@@ -305,7 +381,7 @@ class VonNeumannResult:
 
 
 def check_von_neumann(sym, grid_n=None):
-    """sup |phi-hat| <= 1 + 1e-9, with the located maximum."""
+    """sup |phi-hat| <= 1 + 1e-9, with the maximum ``locate_sup`` found."""
     sup, arg = locate_sup(sym, grid_n=grid_n)
     return VonNeumannResult(satisfied=sup <= 1.0 + 1e-9, maximum=sup, argmax=arg)
 

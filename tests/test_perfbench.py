@@ -98,3 +98,36 @@ def test_spans_install_wraps_classify_layers():
     assert metrics["expansion.gamma_taylor.calls"] == 1
     assert metrics["symbol.find_omega.calls"] == 1
     assert metrics["symbol.omega_points"] == 1
+
+
+SCAN_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import latconv
+from latconv import symbol
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer)
+scans = []
+grid_abs = symbol._grid_abs
+symbol._grid_abs = lambda *a, **k: scans.append(a) or grid_abs(*a, **k)
+latconv.analyze(latconv.examples.ex71())
+out = {k: v for k, (v, _) in spans.layer_metrics(tracer).items()}
+out["scans"] = len(scans)
+print(json.dumps(out))
+"""
+
+
+def test_analyze_scans_the_torus_once():
+    # normalize's scan and Newton ascent are the ones find_omega works from
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SCAN_SCRIPT, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["symbol.locate_sup.calls"] == 1
+    assert metrics["symbol.find_omega.calls"] == 1
+    assert metrics["scans"] == 1

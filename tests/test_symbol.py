@@ -1,12 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import examples, symbol
-from latconv.errors import NotNormalizedError, ZeroFunctionError
+from latconv import _config, examples, symbol
+from latconv.cli import main
+from latconv.errors import NotNormalizedError, ResourceLimitError, ZeroFunctionError
 from latconv.lattice import LatticeFunction
 from latconv.symbol import SymbolView, phase_consistency_check
 
@@ -256,3 +260,108 @@ def test_find_omega_polishes_member_far_from_its_representative(monkeypatch):
     assert len(moved) == 1
     for t in true:
         assert min(symbol._torus_dist(p, t) for p in om.points) < 1e-9
+
+
+# -- one certified scan -------------------------------------------------------
+
+def _two_grid_sup(sym):
+    """The scan ``locate_sup`` used to make, kept as the reference: the best
+    grid point's Newton endpoint, on the default grid and then on grids of
+    doubling density, until two successive maxima agree to 1e-12."""
+    f = sym.source
+    n = symbol._default_grid(f.dim)
+    prev = -np.inf
+    best = 0.0
+    while True:
+        vals = symbol._grid_abs(f, n)
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        xi0 = symbol._wrap_torus(np.array(idx, dtype=float) * symbol.TWO_PI / n)
+        xi, _ = symbol._newton_polish(sym, xi0)
+        cur = abs(sym.evaluate(symbol._wrap_torus(xi)))
+        best = max(best, cur)
+        if abs(cur - prev) < 1e-12:
+            return best
+        prev = cur
+        n *= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_locate_sup_matches_two_grid_reference(data):
+    # criterion-11 style: up to 12 points of [-2, 2]^d ([-1, 1]^3 in d = 3)
+    dim = data.draw(st.integers(1, 3))
+    radius = 2 if dim < 3 else 1
+    entry = st.tuples(
+        st.tuples(*[st.integers(-radius, radius)] * dim),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                           allow_nan=False, allow_infinity=False))
+    f = LatticeFunction.from_dict(
+        dict(data.draw(st.lists(entry, min_size=1, max_size=12))), dim=dim)
+    sym = SymbolView(f)
+    sup, _ = latconv.locate_sup(sym)
+    ref = _two_grid_sup(sym)
+    assert abs(sup - ref) <= 1e-12 * ref
+
+
+def _lazy_product(K):
+    """Product of step-K lazy walks on {-K, 0, K}^2, modulated so that each of
+    its K^2 peaks sits half a 512-grid cell off the grid in both axes."""
+    w = {-K: 0.25, 0: 0.5, K: 0.25}
+    pts = np.array([(a, b) for a in w for b in w])
+    vals = np.array([w[a] * w[b] for a, b in pts.tolist()])
+    return LatticeFunction(2, pts, vals * np.exp(-1j * pts.sum(axis=1) * np.pi / 512))
+
+
+@pytest.mark.parametrize("K", [6, 8, 12])
+def test_narrow_peaks_are_all_found(K):
+    # the 512 grid used to see no peak above 1 - 1e-3 at K = 8 and only 32
+    # of 36 at K = 6; K = 12 needs Newton's last, rounding-level step
+    ana = latconv.analyze(_lazy_product(K))
+    assert len(ana.omega) == K * K
+    assert ana.mu_phi == 1
+    shift = np.pi / 512
+    lattice = np.mod(ana.omega.points - shift, 2 * np.pi / K)
+    assert np.all(np.minimum(lattice, 2 * np.pi / K - lattice) < 1e-9)
+
+
+def test_scan_grid_doubles_until_the_slack_is_small():
+    # K = 50 about the box centre: s = 0.188 on 512 points, 0.047 on 1024
+    f = LatticeFunction.from_dict({(0,): 1.0, (100,): 1.0})
+    scan = latconv.locate_sup(SymbolView(f))
+    assert scan.grid == 1024 and scan.slack <= symbol.SLACK_MAX
+    assert scan.sup == pytest.approx(2.0, abs=1e-12)
+
+
+def test_point_mass_needs_no_scan(monkeypatch):
+    # |phi-hat| is flat for c delta_y: every grid point would seed Newton
+    ascents, grids = [], []
+    newton, grid_abs = symbol._newton_polish, symbol._grid_abs
+    monkeypatch.setattr(symbol, "_newton_polish",
+                        lambda *a, **k: ascents.append(a) or newton(*a, **k))
+    monkeypatch.setattr(symbol, "_grid_abs",
+                        lambda *a, **k: grids.append(a) or grid_abs(*a, **k))
+    ana = latconv.analyze(latconv.delta((3, 1)))
+    assert len(ana.omega) == 1
+    sup, arg = latconv.locate_sup(SymbolView(latconv.delta((3, 1)).scale(-2.5j)))
+    assert sup == 2.5 and np.array_equal(arg, [0.0, 0.0])
+    assert ascents == [] and grids == []
+
+
+def test_scan_grid_is_checked_against_the_cap(monkeypatch, capsys):
+    # ex71's 512^2 grid is budgeted at two complex arrays, 8 MiB
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 4 * 2 ** 20)
+    with pytest.raises(ResourceLimitError):
+        latconv.locate_sup(SymbolView(examples.ex71()))
+    assert main(["--memory-cap", str(4 / 1024),
+                 "analyze", "--example", "ex71"]) == 4
+    assert "resource error" in capsys.readouterr().err
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 10 * 2 ** 20)
+    ana = latconv.analyze(examples.ex71())
+    assert len(ana.omega) == 1 and ana.mu_phi == Fraction(5, 12)
+
+
+def test_scan_grid_that_cannot_fit_is_refused_before_allocation():
+    # radius 8 in d = 3 needs 512^3 points (4 GiB) for s <= SLACK_MAX
+    f = LatticeFunction.from_dict({(-8, 0, 0): 0.5, (8, 0, 0): 0.5})
+    with pytest.raises(ResourceLimitError, match=r"\(512, 512, 512\)"):
+        latconv.locate_sup(SymbolView(f))
