@@ -134,14 +134,17 @@ def _write_pgm(path, field, label):
                  "window lower corner\n")
 
 
+def _in_window(f, window):
+    """Boolean mask of the points of f inside the per-axis ``(a, b)`` ranges."""
+    lo, hi = np.array(window, dtype=np.int64).T
+    return np.all((f.points >= lo) & (f.points <= hi), axis=1)
+
+
 def _grid_field(f, window):
-    lo = np.array([w[0] for w in window])
-    shape = tuple(w[1] - w[0] + 1 for w in window)
-    out = np.zeros(shape, dtype=np.complex128)
-    for p, v in zip(f.points, f.values):
-        idx = tuple(int(c - l) for c, l in zip(p, lo))
-        if all(0 <= i < s for i, s in zip(idx, shape)):
-            out[idx] = v
+    lo, hi = np.array(window, dtype=np.int64).T
+    out = np.zeros(tuple(hi - lo + 1), dtype=np.complex128)
+    inside = _in_window(f, window)
+    out[tuple((f.points[inside] - lo).T)] = f.values[inside]
     return out
 
 
@@ -218,9 +221,9 @@ def cmd_power(args):
         if not args.window:
             lo, hi = g.extent()
             window = list(zip(lo.tolist(), hi.tolist()))
-        rows = [tuple(int(c) for c in p) + (v.real, v.imag)
-                for p, v in zip(g.points, g.values)
-                if all(a <= c <= b for c, (a, b) in zip(p, window))]
+        inside = _in_window(g, window)
+        rows = [tuple(p) + (v.real, v.imag)
+                for p, v in zip(g.points[inside].tolist(), g.values[inside].tolist())]
         header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["re", "im"])
         _write_csv(_out_path(args, f"power_n{n}.csv"), header, rows)
         print(f"n = {n}: support {len(g)}, sup |phi^n| = {_fmt(norm_linf(g))}")

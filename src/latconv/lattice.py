@@ -6,8 +6,9 @@ with entries of magnitude below 1e-300 (true zeros) dropped.  All operations
 are pure; results are new canonical functions.
 
 Powers take one of two paths: the exact dense :func:`sweep` (the oracle of
-record, bit-identical to iterated pairwise :func:`convolve`) or one spectral
-transform (:func:`power_dense`).
+record, bit-identical to iterated pairwise :func:`convolve`; float64 when phi
+is real) or one spectral transform (:func:`power_dense`), which raises the
+spectrum to the n-th power by binary powering.
 """
 
 from __future__ import annotations
@@ -208,6 +209,15 @@ def convolve(f, g):
     return _extract_sparse(f.dim, out, flo + glo, 0.0, consume=True)
 
 
+def _sweep_boxes(real):
+    """Complex boxes of the final size that a :func:`sweep` step holds:
+    phi^(n-1) and phi^(n), then the product ``phi(y) * phi^(n-1)`` or the
+    float magnitudes of phi^(n) with their mask.  A real sweep's arrays are
+    half a box each."""
+    held = 0.5 if real else 1.0
+    return 2 * held + max(held, 0.5 + 1 / 16)
+
+
 def sweep(f, n_max):
     """Yield ``(array, lo)`` with ``array[i] = phi^(n)(lo + i)`` for n = 1..n_max.
 
@@ -216,17 +226,23 @@ def sweep(f, n_max):
     :func:`convolve` drops them.  Every cell then receives the same non-zero
     products, multiplied in the same operand order and added in the same
     order as iterated ``convolve(phi^(n-1), phi)``, so the values are
-    bit-identical to that oracle.  The yielded arrays are fresh each step.
+    bit-identical to that oracle.  A real phi sweeps in float64 and yields
+    float64 arrays: with zero imaginary parts a complex product's real part
+    is ``ar * br - 0`` and its imaginary part accumulates to +0, so the real
+    arithmetic gives the same bits.  The yielded arrays are fresh each step.
     """
+    real = _is_real(f)
     flo, fhi = f.extent()
     span = fhi - flo
-    # a step holds phi^(n-1), phi^(n) and the product phi(y) * phi^(n-1)
-    _check_box(tuple(int(n_max * s + 1) for s in span), complex_arrays=3)
+    _check_box(tuple(int(n_max * s + 1) for s in span),
+               complex_arrays=_sweep_boxes(real))
     offsets = f.points - flo
-    cur = _embed_dense(f, tuple(int(s + 1) for s in span), flo)
+    values = f.values.real if real else f.values
+    cur = np.zeros(tuple(int(s + 1) for s in span), dtype=values.dtype)
+    cur[tuple(offsets.T)] = values
     yield cur, flo
     for n in range(2, n_max + 1):
-        nxt = np.zeros(tuple(int(n * s + 1) for s in span), dtype=np.complex128)
+        nxt = np.zeros(tuple(int(n * s + 1) for s in span), dtype=cur.dtype)
         # mirror convolve(phi^(n-1), phi): when supp phi^(n-1) is the smaller
         # support it loops over that, which reaches each cell in reverse order
         # of y, with the factors of the product swapped
@@ -234,7 +250,7 @@ def sweep(f, n_max):
         order = range(len(f)) if forward else range(len(f) - 1, -1, -1)
         for j in order:
             sl = tuple(slice(o, o + s) for o, s in zip(offsets[j], cur.shape))
-            v = f.values[j]
+            v = values[j]
             nxt[sl] += cur * v if forward else v * cur
         nxt[np.abs(nxt) < ZERO_DROP] = 0.0
         cur = nxt
@@ -327,8 +343,9 @@ def power_dense(f, n, shape=None):
     ``n * span + 1`` box, so the sum has the single term ``k = 0``; a smaller
     shape gives the periodisation of phi^(n) on that torus (Poisson
     summation), which :func:`power_torus` certifies.  A real phi runs
-    ``rfftn``/``irfftn`` and gives a real array.  This is the only caller of
-    the transform.
+    ``rfftn``/``irfftn`` and gives a real array.  The spectrum is raised by
+    :func:`_binary_power` once ``emb`` is freed, so the peak stays the
+    embedding beside the spectrum.  This is the only caller of the transform.
     """
     n = int(n)
     if n < 1:
@@ -349,8 +366,26 @@ def power_dense(f, n, shape=None):
     forward, inverse = (sfft.rfftn, sfft.irfftn) if real else (sfft.fftn, sfft.ifftn)
     fr = forward(emb, workers=_config.FFT_WORKERS)
     del emb
-    np.power(fr, n, out=fr)
+    fr = _binary_power(fr, n)
     return inverse(fr, s=shape, workers=_config.FFT_WORKERS), n * flo
+
+
+def _binary_power(z, n):
+    """``z ** n`` elementwise for an integer n >= 1, in one new array.
+
+    Left-to-right binary powering (Knuth, TAOCP vol. 2, 4.6.3): one in-place
+    squaring per bit of n after the leading one, and one multiply by ``z``
+    per set bit.  Its relative error stays within ``n * eps / 2`` near
+    ``|z| = 1``, where numpy's complex ``power`` switches to
+    ``exp(n log z)`` for n >= 100, which is slower than a transform and less
+    accurate.
+    """
+    out = z.copy()
+    for bit in bin(n)[3:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, z, out=out)
+    return out
 
 
 def power_torus(f, n, lo, hi):
@@ -426,16 +461,18 @@ def power(f, n, method="spectral"):
     if not len(f) or n == 1:
         return f
     flo, fhi = f.extent()
+    real = _is_real(f)
+    held = 0.5 if real else 1.0
     if method == "direct":
-        # the sweep's three boxes, then the result beside its sparse copy
+        # the sweep's boxes, then the result beside its sparse copy; a real
+        # result is copied into new complex values, not in place
         _check_box(tuple(int(e) for e in n * (fhi - flo) + 1),
-                   complex_arrays=max(3.0, 1.0 + _sparse_boxes(f.dim, consume=True)))
+                   complex_arrays=max(_sweep_boxes(real),
+                                      held + _sparse_boxes(f.dim, consume=not real)))
         for arr, lo in sweep(f, n):
             pass
         return _extract_sparse(f.dim, arr, lo, 0.0, consume=True)
-    real = _is_real(f)
     shape = tuple(sfft.next_fast_len(int(e), real) for e in n * (fhi - flo) + 1)
-    held = 0.5 if real else 1.0
     # the transform, then the result beside its magnitudes or its sparse copy
     _check_box(shape, complex_arrays=max(2 * held,
                                          held + _sparse_boxes(f.dim, consume=not real)))

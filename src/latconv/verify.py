@@ -16,8 +16,8 @@ import numpy as np
 from .attractor import llt_approx
 from .errors import DimensionMismatchError
 from .expansion import analyze
-from .lattice import (LatticeFunction, _check_box, _embed_dense,
-                      _extract_sparse, _sparse_above_floor, _sparse_boxes,
+from .lattice import (LatticeFunction, _check_box, _embed_dense, _extract_sparse,
+                      _is_real, _sparse_above_floor, _sparse_boxes, _sweep_boxes,
                       convolve, norm_l1, norm_linf, power, power_torus, sweep,
                       translate)
 from .legendre import ConjugateEvaluator
@@ -70,11 +70,15 @@ def direct_powers(f, n_values):
     flo, fhi = f.extent()
     span = fhi - flo
     cells = [np.prod(n * span + 1, dtype=float) for n in n_values]
-    # the sweep's boxes or the last extraction, beside the sparse copies
+    # the sweep's boxes or the last extraction (the sweep goes on from the
+    # array, so it is copied, not consumed), beside the sparse copies
     # (values and d coordinates per cell) of the powers already kept
     kept = (1.0 + f.dim / 2) * sum(cells[:-1]) / cells[-1]
+    real = _is_real(f)
+    held = 0.5 if real else 1.0
     _check_box(n_values[-1] * span + 1,
-               complex_arrays=max(3.0, 1.0 + _sparse_boxes(f.dim)) + kept)
+               complex_arrays=max(_sweep_boxes(real), held + _sparse_boxes(f.dim))
+               + kept)
     return {n: _extract_sparse(f.dim, arr, lo, 0.0)
             for n, (arr, lo) in enumerate(sweep(f, n_values[-1]), start=1)
             if n in n_values}

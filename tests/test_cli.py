@@ -266,3 +266,57 @@ def test_power_window_cap_refuses_the_first_torus(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert code == 4 and "resource error" in err
     assert transforms == []
+
+
+def _reference_grid_field(f, window):
+    """The per-point grid fill that the numpy masks replaced."""
+    lo = np.array([w[0] for w in window])
+    shape = tuple(w[1] - w[0] + 1 for w in window)
+    out = np.zeros(shape, dtype=np.complex128)
+    for p, v in zip(f.points, f.values):
+        idx = tuple(int(c - l) for c, l in zip(p, lo))
+        if all(0 <= i < s for i, s in zip(idx, shape)):
+            out[idx] = v
+    return out
+
+
+def _reference_power_files(g, n, window, out):
+    """CSV and graymaps of ``power --pgm`` written by the per-point filter."""
+    from latconv import cli
+    os.makedirs(out)
+    rows = [tuple(int(c) for c in p) + (v.real, v.imag)
+            for p, v in zip(g.points, g.values)
+            if all(a <= c <= b for c, (a, b) in zip(p, window))]
+    cli._write_csv(str(out / f"power_n{n}.csv"), "x_1,x_2,re,im", rows)
+    field = _reference_grid_field(g, window)
+    cli._write_pgm(str(out / f"power_n{n}_re.pgm"), field.real, "Re phi^n")
+    cli._write_pgm(str(out / f"power_n{n}_abs.pgm"), np.abs(field), "abs phi^n")
+
+
+@pytest.mark.parametrize("method", ["direct", "spectral"])
+@pytest.mark.parametrize("window", [[(-15, 13), (-14, 16)], [(-30, 27), (-26, 31)]])
+def test_power_window_files_byte_identical_to_per_point_reference(
+        tmp_path, capsys, monkeypatch, method, window):
+    # ex73^(12) lives on [-24, 24]^2: the first window clips it on every
+    # side, the second reaches past it on every side
+    from latconv import cli
+    powers = []
+
+    def spy(call):
+        def recorded(*args, **kwargs):
+            powers.append(call(*args, **kwargs))
+            return powers[-1]
+        return recorded
+
+    for name in ("power", "power_near_drifts"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    spec = ",".join(f"{a}:{b}" for a, b in window)
+    code, out = run(tmp_path, "power", "--example", "ex73", "--n", "12",
+                    f"--window={spec}", "--method", method, "--pgm")
+    capsys.readouterr()
+    assert code == 0 and len(powers) == 1
+    _reference_power_files(powers[0], 12, window, tmp_path / "ref")
+    names = sorted(os.listdir(tmp_path / "ref"))
+    assert sorted(os.listdir(out)) == names and len(names) == 5
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()

@@ -397,3 +397,104 @@ def test_power_torus_doubles_a_box_that_is_too_tight(monkeypatch):
     floor = lattice._fft_noise_floor(n, np.abs(full).max())
     assert np.abs(full).sum(where=np.abs(full) > floor) == pytest.approx(
         np.abs(arr).sum(where=np.abs(arr) > floor), rel=1e-12)
+
+
+# -- power kernels: binary powering and the real sweep ----------------------
+
+@pytest.mark.parametrize("n", [2, 99, 100, 512, 10000])
+def test_binary_power_accurate_near_the_unit_circle(n):
+    # against 40 digits, on the annulus where a symbol's powers are taken;
+    # numpy's complex power leaves repeated squaring for exp(n log z) at
+    # n >= 100 and misses the same bound there (1.36 n eps at n = 100)
+    import mpmath
+    from latconv.lattice import _binary_power
+    rng = np.random.default_rng(10)
+    z = rng.uniform(0.97, 1.0, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    with mpmath.workdps(40):
+        exact = [mpmath.mpc(complex(v)) ** n for v in z]
+
+        def max_rel_err(w):
+            return max(float(abs(mpmath.mpc(complex(a)) - e) / abs(e))
+                       for a, e in zip(w, exact))
+
+        bound = 0.5 * n * np.finfo(float).eps
+        assert max_rel_err(_binary_power(z, n)) <= bound
+        if n == 100:
+            assert max_rel_err(np.power(z, n)) > bound
+
+
+def _complex_sweep_reference(f, n_max):
+    """The sweep in complex arithmetic for every phi, as it was before real
+    phi swept in float64."""
+    from latconv.lattice import ZERO_DROP
+    flo, fhi = f.extent()
+    span = fhi - flo
+    offsets = f.points - flo
+    cur = np.zeros(tuple(int(s + 1) for s in span), dtype=np.complex128)
+    cur[tuple(offsets.T)] = f.values
+    yield cur, flo
+    for n in range(2, n_max + 1):
+        nxt = np.zeros(tuple(int(n * s + 1) for s in span), dtype=np.complex128)
+        forward = np.count_nonzero(cur) >= len(f)
+        order = range(len(f)) if forward else range(len(f) - 1, -1, -1)
+        for j in order:
+            sl = tuple(slice(o, o + s) for o, s in zip(offsets[j], cur.shape))
+            v = f.values[j]
+            nxt[sl] += cur * v if forward else v * cur
+        nxt[np.abs(nxt) < ZERO_DROP] = 0.0
+        cur = nxt
+        yield cur, n * flo
+
+
+def _check_real_sweep(f, n):
+    from latconv import verify
+    from latconv.lattice import _extract_sparse
+    ns = sorted({1, n // 3, n - 1, n})
+    want = {k: _extract_sparse(f.dim, arr.copy(), lo, 0.0)
+            for k, (arr, lo) in enumerate(_complex_sweep_reference(f, n), start=1)
+            if k in ns}
+    _assert_bit_identical(latconv.power(f, n, method="direct"), want[n])
+    for k, g in verify.direct_powers(f, ns).items():
+        _assert_bit_identical(g, want[k])
+    return want[n]
+
+
+@pytest.mark.parametrize("name,n", [("ex73", 128), ("ex71", 64), ("srw:3", 24),
+                                    ("phim:2,3", 40)])
+def test_real_sweep_bit_identical_to_complex_sweep(name, n):
+    _check_real_sweep(examples.get(name), n)
+
+
+def test_real_sweep_bit_identical_random_mixed_signs():
+    rng = np.random.default_rng(31)
+    cancelled = 0
+    for dim, radius, n in ((1, 3, 40), (2, 2, 16), (3, 1, 10)):
+        for _ in range(4):
+            k = int(rng.integers(3, 9))
+            pts = rng.integers(-radius, radius + 1, size=(k, dim))
+            _check_real_sweep(LatticeFunction(dim, pts, rng.standard_normal(k)), n)
+            # small integers: products and sums are exact, so opposite signs
+            # cancel to true zeros inside the support's box
+            f = LatticeFunction(dim, pts, rng.choice([-2.0, -1.0, 1.0, 2.0], size=k))
+            got = _check_real_sweep(f, n)
+            reach = latconv.power(LatticeFunction(dim, f.points, np.abs(f.values)),
+                                  n, method="direct")
+            cancelled += len(reach) - len(got)
+    assert cancelled > 0
+
+
+def test_sweep_dtype_follows_phi():
+    from latconv.lattice import sweep
+    assert all(arr.dtype == np.float64 for arr, _ in sweep(examples.ex73(), 4))
+    assert all(arr.dtype == np.complex128 for arr, _ in sweep(examples.intro(), 4))
+
+
+def test_real_direct_power_peak_memory_within_its_budget(monkeypatch):
+    # a dense real result is copied into new complex values beside its float
+    # array, where a complex one is compacted in place
+    rng = np.random.default_rng(3)
+    pts = np.argwhere(np.ones((3, 3, 3))) - 1
+    f = LatticeFunction(3, pts, rng.uniform(0.5, 1.0, len(pts)))
+    budget, peak = _budget_and_peak(monkeypatch,
+                                    lambda: latconv.power(f, 40, method="direct"))
+    assert peak <= budget + 2 ** 18, (peak, budget)
