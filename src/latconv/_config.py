@@ -11,7 +11,8 @@ OMEGA_GRID_DEFAULT = 512
 # d >= 3 full-product grids at 512 per axis do not fit in memory.
 OMEGA_GRID_HIGH_DIM = 64
 
-# Worker count handed to scipy.fft; results are reproducible at a fixed value.
+# numpy.fft runs every transform on one thread.  Not a setting: the benchmark
+# reports it beside the BLAS thread count.
 FFT_WORKERS = 1
 
 
@@ -20,8 +21,3 @@ def set_memory_cap(nbytes):
     if nbytes <= 0:
         raise ValueError("memory cap must be positive")
     MEMORY_CAP_BYTES = int(nbytes)
-
-
-def set_fft_workers(n):
-    global FFT_WORKERS
-    FFT_WORKERS = max(1, int(n))

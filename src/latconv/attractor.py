@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from . import _config
+from . import _config, _fft
 from .errors import ResourceLimitError
 from .homogeneous import sphere_samples
 from .lattice import LatticeFunction
@@ -179,7 +178,7 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
     L = box_halfwidths(P, t)
     K = np.maximum(1, np.ceil(L / np.pi).astype(int))
     reach = np.maximum(np.abs(lo + np.floor(shift)), np.abs(hi + np.ceil(shift)))
-    N = [int(sfft.next_fast_len(int(max(256, oversample * K[j] * (reach[j] + 16)))))
+    N = [_fft.next_fast_len(max(256, oversample * K[j] * (reach[j] + 16)))
          for j in range(d)]
     cells = int(np.prod(N, dtype=np.int64))
     if cells * 16 * 2 > _config.MEMORY_CAP_BYTES:
@@ -193,7 +192,7 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
         sl = [None] * d
         sl[j] = slice(None)
         W = W * ph[tuple(sl)]
-    spec = sfft.fftn(W, workers=_config.FFT_WORKERS)
+    spec = _fft.fftn(W)
     hstep = np.array([2.0 * np.pi * K[j] / N[j] for j in range(d)])
     vol = float(np.prod(hstep)) / (2.0 * np.pi) ** d
     idx = []

@@ -406,8 +406,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="latconv",
         description="convolution powers of finitely supported functions on Z^d")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="FFT worker count (results reproducible per value)")
     parser.add_argument("--memory-cap", type=float, default=None,
                         help="dense box cap in GiB (default 2)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -478,9 +476,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # the run configuration is module state; restore it for in-process callers
-    saved = _config.MEMORY_CAP_BYTES, _config.FFT_WORKERS
+    saved = _config.MEMORY_CAP_BYTES
     try:
-        _config.set_fft_workers(args.threads)
         if args.memory_cap is not None:
             if args.memory_cap * 2 ** 30 < 1:
                 raise SystemExit2("--memory-cap must be positive")
@@ -498,7 +495,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        _config.MEMORY_CAP_BYTES, _config.FFT_WORKERS = saved
+        _config.MEMORY_CAP_BYTES = saved
 
 
 if __name__ == "__main__":

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
-from . import _config
+from . import _config, _fft
 from .errors import DimensionMismatchError, ResourceLimitError
 
 ZERO_DROP = 1e-300
@@ -343,9 +342,10 @@ def power_dense(f, n, shape=None):
     ``n * span + 1`` box, so the sum has the single term ``k = 0``; a smaller
     shape gives the periodisation of phi^(n) on that torus (Poisson
     summation), which :func:`power_torus` certifies.  A real phi runs
-    ``rfftn``/``irfftn`` and gives a real array.  The spectrum is raised by
-    :func:`_binary_power` once ``emb`` is freed, so the peak stays the
-    embedding beside the spectrum.  This is the only caller of the transform.
+    ``rfftn``/``irfftn`` and gives a real array.  A complex embedding is
+    transformed in place, and the spectrum is raised by :func:`_binary_power`
+    once ``emb`` is freed, so the peak stays two arrays of the spectrum's
+    size.  This is the only caller of the transform.
     """
     n = int(n)
     if n < 1:
@@ -355,7 +355,7 @@ def power_dense(f, n, shape=None):
     real = _is_real(f)
     flo, fhi = f.extent()
     if shape is None:
-        shape = tuple(sfft.next_fast_len(int(e), real) for e in n * (fhi - flo) + 1)
+        shape = tuple(_fft.next_fast_len(e, real) for e in n * (fhi - flo) + 1)
     shape = tuple(int(s) for s in shape)
     # the embedding or the output beside the spectrum; a real spectrum is half
     _check_box(shape, complex_arrays=1 if real else 2)
@@ -363,11 +363,10 @@ def power_dense(f, n, shape=None):
     # wrapped on the torus; points of phi that alias onto one cell add up
     np.add.at(emb, tuple(((f.points - flo) % shape).T),
               f.values.real if real else f.values)
-    forward, inverse = (sfft.rfftn, sfft.irfftn) if real else (sfft.fftn, sfft.ifftn)
-    fr = forward(emb, workers=_config.FFT_WORKERS)
+    fr = _fft.rfftn(emb) if real else _fft.fftn(emb)
     del emb
     fr = _binary_power(fr, n)
-    return inverse(fr, s=shape, workers=_config.FFT_WORKERS), n * flo
+    return (_fft.irfftn(fr, shape) if real else _fft.ifftn(fr)), n * flo
 
 
 def _binary_power(z, n):
@@ -412,13 +411,13 @@ def power_torus(f, n, lo, hi):
     real = _is_real(f)
     flo, fhi = f.extent()
     slo, shi = n * flo, n * fhi
-    full = np.array([sfft.next_fast_len(int(e), real) for e in shi - slo + 1])
+    full = np.array([_fft.next_fast_len(e, real) for e in shi - slo + 1])
     lo = np.clip(np.asarray(lo, dtype=np.int64), slo, shi)
     hi = np.clip(np.asarray(hi, dtype=np.int64), lo, shi)
     span = fhi - flo
     while True:
         width = hi - lo + 1
-        shape = np.array([sfft.next_fast_len(int(max(2 * w, w + 2 * s)), real)
+        shape = np.array([_fft.next_fast_len(max(2 * w, w + 2 * s), real)
                           for w, s in zip(width, span)])
         exact = shape >= full
         if exact.all():
@@ -472,7 +471,7 @@ def power(f, n, method="spectral"):
         for arr, lo in sweep(f, n):
             pass
         return _extract_sparse(f.dim, arr, lo, 0.0, consume=True)
-    shape = tuple(sfft.next_fast_len(int(e), real) for e in n * (fhi - flo) + 1)
+    shape = tuple(_fft.next_fast_len(e, real) for e in n * (fhi - flo) + 1)
     # the transform, then the result beside its magnitudes or its sparse copy
     _check_box(shape, complex_arrays=max(2 * held,
                                          held + _sparse_boxes(f.dim, consume=not real)))

@@ -26,9 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from . import _config
+from . import _config, _fft
 from .errors import NotNormalizedError, ZeroFunctionError
 from .lattice import LatticeFunction, _check_box
 
@@ -120,9 +119,7 @@ def _grid_abs(f, n):
     emb = np.zeros(shape, dtype=np.complex128)
     idx = tuple(np.mod(f.points[:, k], n) for k in range(f.dim))
     np.add.at(emb, idx, f.values)
-    vals = sfft.ifftn(emb, norm="forward", overwrite_x=True,
-                      workers=_config.FFT_WORKERS)
-    return np.abs(vals)
+    return np.abs(_fft.ifftn(emb, norm="forward"))
 
 
 def _slack(f, n):
@@ -149,6 +146,33 @@ def _default_grid(dim):
     return _config.OMEGA_GRID_DEFAULT if dim <= 2 else _config.OMEGA_GRID_HIGH_DIM
 
 
+def _ascent_step(hess, grad):
+    """The Newton step ``-hess^-1 grad`` when it is finite and at most 0.5
+    long; else the minimum-norm least-squares step (singular values below
+    1e-8 of the largest cut), cut to 0.5 long, when it is finite and uphill;
+    else None, and the caller takes a short gradient step.
+
+    A degenerate maximum (a support on a line, say) makes the Hessian
+    singular along a flat direction: ``solve`` then fails or steps far
+    along it, while the least-squares step still climbs the other
+    directions at Newton's rate.
+    """
+    try:
+        step = np.linalg.solve(hess, -grad)
+        if np.all(np.isfinite(step)) and np.linalg.norm(step) <= 0.5:
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        step = np.linalg.lstsq(hess, -grad, rcond=1e-8)[0]
+    except np.linalg.LinAlgError:
+        return None
+    length = np.linalg.norm(step)
+    if not np.isfinite(length) or step @ grad <= 0:
+        return None
+    return step if length <= 0.5 else step * (0.5 / length)
+
+
 def _newton_polish(sym, xi0, max_iter=100):
     """Ascend |phi-hat|^2 to a stationary point; returns (xi, converged).
 
@@ -163,12 +187,8 @@ def _newton_polish(sym, xi0, max_iter=100):
         gn = np.linalg.norm(grad)
         if gn < 1e-12 * unit:
             return xi, True
-        step = None
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            pass
-        if step is None or not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
+        step = _ascent_step(hess, grad)
+        if step is None:
             step = grad / max(gn, unit) * 0.1
         # backtrack on the ascent condition, up to the rounding of g: at the
         # top, the last Newton step can lower the computed g by an ulp, and

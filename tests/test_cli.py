@@ -151,12 +151,10 @@ def test_cli_restores_run_configuration(capsys, monkeypatch):
     from latconv import _config
     # register the current values for restoration should main() leak them
     monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", _config.MEMORY_CAP_BYTES)
-    monkeypatch.setattr(_config, "FFT_WORKERS", _config.FFT_WORKERS)
-    before = (_config.MEMORY_CAP_BYTES, _config.FFT_WORKERS)
-    assert main(["--memory-cap", "0.0001", "--threads", "2",
-                 "examples", "list"]) == 0
+    before = _config.MEMORY_CAP_BYTES
+    assert main(["--memory-cap", "0.0001", "examples", "list"]) == 0
     capsys.readouterr()
-    assert (_config.MEMORY_CAP_BYTES, _config.FFT_WORKERS) == before
+    assert _config.MEMORY_CAP_BYTES == before
     latconv.power(latconv.examples.intro(), 64, method="spectral")
 
 

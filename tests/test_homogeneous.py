@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import examples
+from latconv import examples, homogeneous
 from latconv.homogeneous import (HomogeneousPolynomial, contraction_check,
                                  from_quadratic_form, is_exponent,
                                  matrix_power_t, p_fitted,
@@ -274,6 +274,25 @@ def test_operator_norm_bound(ex73_analysis, rng):
     ts2 = np.geomspace(1e4, 1e6, 10)
     for t in ts2:
         assert np.linalg.norm(matrix_power_t(E, t), 2) <= (C + 1e-9) * t ** lam_max
+
+
+def test_expm_matches_extended_precision_and_scipy(corpus_polys):
+    # t^E for t in [1e-3, 1e6]: the Taylor expm against a 40-digit expm of
+    # the same matrix; scipy's Pade expm is itself up to 5.7e-13 off there
+    mp = pytest.importorskip("mpmath")
+    slinalg = pytest.importorskip("scipy.linalg")
+
+    def rel(a, b):
+        return np.linalg.norm(a - b, 1) / np.linalg.norm(b, 1)
+
+    for P in corpus_polys:
+        for t in np.geomspace(1e-3, 1e6, 19):
+            A = np.log(t) * P.E
+            with mp.workdps(40):
+                ref = np.array(mp.expm(mp.matrix(A.tolist())).tolist(), dtype=float)
+            got = homogeneous.expm(A)
+            assert rel(got, ref) <= 1e-13
+            assert rel(got, slinalg.expm(A)) <= 1e-12
 
 
 def test_sphere_to_space_coverage(intro_analysis, rng):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -285,20 +285,39 @@ def _two_grid_sup(sym):
         n *= 2
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_locate_sup_matches_two_grid_reference(data):
+@st.composite
+def _small_functions(draw):
     # criterion-11 style: up to 12 points of [-2, 2]^d ([-1, 1]^3 in d = 3)
-    dim = data.draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
     radius = 2 if dim < 3 else 1
     entry = st.tuples(
         st.tuples(*[st.integers(-radius, radius)] * dim),
         st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
                            allow_nan=False, allow_infinity=False))
-    f = LatticeFunction.from_dict(
-        dict(data.draw(st.lists(entry, min_size=1, max_size=12))), dim=dim)
+    return dim, dict(draw(st.lists(entry, min_size=1, max_size=12)))
+
+
+# Degenerate maxima: |phi-hat| is maximal along a whole line, where the
+# Hessian of |phi-hat|^2 is singular, so a Newton solve fails or steps far
+# along the line.  The first must give |a| + |b|; on the second, an ascent
+# that stalls short of the top sends the reference doubling its grid to a
+# 512^3 one that the memory cap refuses.
+@settings(max_examples=30, deadline=None)
+@given(_small_functions())
+@example((3, {(0, 1, 1): 0.16351699901963146 + 0.7475562875551698j,
+              (-1, 1, 1): 0.6879541991729652 - 1.5728990584508225j}))
+@example((3, {(-1, 1, 1): 0.16245597856115435 - 1.0755990117304364j,
+              (1, 0, 0): 0.16245597856115435 - 1.2621894807715153j,
+              (0, 0, 0): 0.1}))
+def test_locate_sup_matches_two_grid_reference(spec):
+    dim, entries = spec
+    f = LatticeFunction.from_dict(entries, dim=dim)
     sym = SymbolView(f)
     sup, _ = latconv.locate_sup(sym)
+    if len(f) <= 2:
+        # two exponentials always come into phase: sup = |a| + |b|
+        closed = float(np.abs(f.values).sum())
+        assert abs(sup - closed) <= 1e-12 * closed
     ref = _two_grid_sup(sym)
     assert abs(sup - ref) <= 1e-12 * ref
 
