@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _config, _fft
-from .errors import ResourceLimitError
 from .homogeneous import sphere_samples
-from .lattice import LatticeFunction
+from .lattice import LatticeFunction, _check_box
 
 _BOUNDARY_DIRS_SEED = 777
 
@@ -180,9 +179,7 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
     reach = np.maximum(np.abs(lo + np.floor(shift)), np.abs(hi + np.ceil(shift)))
     N = [_fft.next_fast_len(max(256, oversample * K[j] * (reach[j] + 16)))
          for j in range(d)]
-    cells = int(np.prod(N, dtype=np.int64))
-    if cells * 16 * 2 > _config.MEMORY_CAP_BYTES:
-        raise ResourceLimitError(f"attractor grid {tuple(N)} exceeds the memory cap")
+    _check_box(N, complex_arrays=2)
     nodes = [(-np.pi * K[j] + 2.0 * np.pi * K[j] * np.arange(N[j]) / N[j])
              for j in range(d)]
     W = _weight_grid(P, t, nodes)

@@ -22,9 +22,9 @@ from .expansion import analyze
 from .lattice import norm_linf, power, read_function, write_function
 from .legendre import ConjugateEvaluator
 from .symbol import SymbolView, check_von_neumann
-from .verify import (gaussian_bound_fit, derivative_bound_fit, llt_error_ladder,
-                     power_near_drifts, stability_report, subexp_bound_fit,
-                     sup_decay_report, theta, walk_profile)
+from .verify import (default_llt_window, derivative_bound_fit, gaussian_bound_fit,
+                     llt_error_ladder, power_near_drifts, stability_report,
+                     subexp_bound_fit, sup_decay_report, theta, walk_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -252,24 +252,19 @@ def cmd_llt(args):
         print(f"n={n}: sup error = {_fmt(err)}, scaled = {_fmt(scaled)}")
     print(f"verdict: {rep.verdict}")
     n_last = n_values[-1]
-    win = window or _default_window(ana, n_last)
+    win = window or default_llt_window(ana, n_last)
     approx = llt_approx(ana, n_last, win)
     rows = [tuple(int(c) for c in p) + (v.real, v.imag)
             for p, v in zip(approx.points, approx.values)]
     header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["re", "im"])
     _write_csv(_out_path(args, f"llt_approx_n{n_last}.csv"), header, rows)
-    if getattr(args, "pgm", False) and f.dim == 2:
+    if args.pgm and f.dim == 2:
         field = _grid_field(approx, win)
         _write_pgm(_out_path(args, f"llt_approx_n{n_last}_re.pgm"),
                    field.real, "Re llt approximation")
         _write_pgm(_out_path(args, f"llt_approx_n{n_last}_abs.pgm"),
                    np.abs(field), "abs llt approximation")
     return EXIT_OK
-
-
-def _default_window(ana, n):
-    from .verify import default_llt_window
-    return default_llt_window(ana, n)
 
 
 def cmd_attractor(args):
@@ -280,7 +275,7 @@ def cmd_attractor(args):
         return EXIT_VERDICT
     n = _parse_n_list(args.n)[-1]
     window = (_parse_window(args.window, f.dim) if args.window
-              else _default_window(ana, n))
+              else default_llt_window(ana, n))
     pa = ana.minimal_points()[0]
     grid = attractor_grid(pa.classification.poly, n, window)
     lo = grid.lo
@@ -414,7 +409,6 @@ def build_parser():
         p.add_argument("--example", help="builtin example name")
         p.add_argument("--input", help="function file path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=1e-9)
         if needs_n:
             p.add_argument("--n", required=True,
                            help="n values: comma list and a:b[:step] ranges")

@@ -292,7 +292,7 @@ class SpectralAnalysis:
         return [self.points[i] for i in self.minimal]
 
 
-def analyze(f, m_max=12, grid_n=None, basis=None):
+def analyze(f, m_max=12, basis=None):
     """Normalize, locate Omega, classify every point, take the rational minimum.
 
     A single-point support (c delta_y) has |phi-hat| constant equal to one, so
@@ -301,7 +301,7 @@ def analyze(f, m_max=12, grid_n=None, basis=None):
     ``find_omega`` works from the Newton endpoints of the scan that
     normalized f, so f is scanned once.
     """
-    g, scale, scan = _normalize(f, grid_n=grid_n)
+    g, scale, scan = _normalize(f)
     sym = SymbolView(g)
     if len(g) == 1:
         xi = np.zeros(g.dim)

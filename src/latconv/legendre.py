@@ -18,27 +18,11 @@ import numpy as np
 
 from .homogeneous import sphere_samples
 from .lattice import _check_box
+from .symbol import newton_ascent
 
 _START_SEED = 4242
 # objective cells per block of the grid scan (8 MiB of float64)
 _SCAN_BLOCK_CELLS = 2 ** 20
-
-
-def _batched_solve(H, g):
-    """Solve H s = g for stacked (k, d, d); singular systems fall back to g."""
-    k, d = g.shape
-    ridge = 1e-14 * (1.0 + np.abs(np.trace(H, axis1=1, axis2=2)))[:, None, None]
-    Hr = H + ridge * np.eye(d)[None, :, :]
-    try:
-        return np.linalg.solve(Hr, g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(g)
-        for i in range(k):
-            try:
-                out[i] = np.linalg.solve(Hr[i], g[i])
-            except np.linalg.LinAlgError:
-                out[i] = g[i]
-        return out
 
 
 class ConjugateEvaluator:
@@ -57,7 +41,9 @@ class ConjugateEvaluator:
     # -- batched ascent ------------------------------------------------------
 
     def _ascend_batch(self, xs, xis, iters=120, newton_iters=50):
-        """Maximize xi.x - R(xi) from xis (one start per row), vectorized.
+        """Maximize xi.x - R(xi) from xis (one start per row), vectorized:
+        gradient ascent, then ``newton_ascent`` (|grad| < 1e-10, steps of
+        any length) from where it stopped.
 
         Only the rows still moving are evaluated: a row with no accepted step
         would repeat the same arithmetic on the next pass, so it leaves.
@@ -91,31 +77,11 @@ class ConjugateEvaluator:
             live = live[moved]
             if not len(live):
                 break
-        # Newton polish towards grad = 0 (descent on -objective)
-        live = np.arange(len(xi))
-        for _ in range(newton_iters):
-            g = xs[live] - self.P.real_grad(xi[live])
-            keep = np.linalg.norm(g, axis=1) > 1e-10
-            live, g = live[keep], g[keep]
-            if not len(live):
-                break
-            cand = xi[live] + _batched_solve(-self.P.real_hess(xi[live]), -g)
-            cval = np.einsum("kd,kd->k", cand, xs[live]) - self.P.real(cand)
-            moved = np.isfinite(cval) & (cval >= val[live] - 1e-12)
-            xi[live[moved]] = cand[moved]
-            val[live[moved]] = cval[moved]
-            stuck = np.flatnonzero(~moved)
-            if len(stuck):
-                rows = live[stuck]
-                cand = xi[rows] + 1e-3 * g[stuck]
-                cval = np.einsum("kd,kd->k", cand, xs[rows]) - self.P.real(cand)
-                better = cval > val[rows]
-                xi[rows[better]] = cand[better]
-                val[rows[better]] = cval[better]
-                moved[stuck[better]] = True
-            live = live[moved]
-            if not len(live):
-                break
+        def objective(rows, x):
+            value = np.einsum("kd,kd->k", x, xs[rows]) - self.P.real(x)
+            return value, xs[rows] - self.P.real_grad(x), -self.P.real_hess(x)
+
+        xi, val, _ = newton_ascent(objective, xi, 1e-10, max_iter=newton_iters)
         return val, xi
 
     def _certified_radius(self, xmax):

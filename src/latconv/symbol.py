@@ -5,8 +5,9 @@ phi-hat(xi) = sum_x phi(x) e^{i x.xi} is evaluated term by term (exact to
 rounding, valid for complex arguments); derivatives come from the moment
 formula d^beta phi-hat(xi) = sum_x (ix)^beta phi(x) e^{i x.xi}, never from
 finite differences.  The global maximum of |phi-hat| and the set Omega(phi)
-come from one uniform torus grid scan (FFT-sampled) and one Newton ascent on
-|phi-hat|^2, using exact derivatives, from each of its seeds.
+come from one uniform torus grid scan (FFT-sampled) and one batched Newton
+ascent on |phi-hat|^2, using exact derivatives, from all of its seeds
+(``newton_ascent``, which the Legendre transform's Newton phase shares).
 
 The grid is sized by Bernstein's inequality for exponential sums.  Let K be
 the Euclidean radius of supp phi about the centre c of its bounding box.
@@ -77,22 +78,23 @@ class SymbolView:
     # -- gradient / hessian of g = |phi-hat|^2 (exact) -----------------------
 
     def abs2_grad_hess(self, xi):
-        """(g, grad g, hess g) for g = |phi-hat|^2 at a real point."""
-        f = self.source
-        phase = f.points.astype(float) @ np.asarray(xi, dtype=float)
-        e = np.exp(1j * phase)
-        val = e @ f.values
-        grad = np.array([(1j * f.points[:, j] * e) @ f.values
-                         for j in range(self.dim)])
-        hess = np.empty((self.dim, self.dim), dtype=np.complex128)
-        for j in range(self.dim):
-            for k in range(j, self.dim):
-                hjk = (-(f.points[:, j] * f.points[:, k]).astype(float) * e) @ f.values
-                hess[j, k] = hess[k, j] = hjk
-        g = (val * val.conjugate()).real
-        gg = 2.0 * (np.conjugate(val) * grad).real
-        gh = 2.0 * (np.outer(np.conjugate(grad), grad)
-                    + np.conjugate(val) * hess).real
+        """(g, grad g, hess g) for g = |phi-hat|^2 at real points xi (k, d),
+        one row each.
+
+        Terms are formed elementwise and summed along the support axis, not
+        by matrix products, so a row rounds the same in any batch.
+        """
+        pts = self.source.points.T.astype(float)           # (d, m)
+        xi = np.asarray(xi, dtype=float)
+        terms = np.exp(1j * (xi[:, :, None] * pts).sum(axis=1)) * self.source.values
+        val = terms.sum(axis=-1)
+        grad = (terms[:, None, :] * (1j * pts)).sum(axis=-1)
+        hess = (terms[:, None, None, :] * -(pts[:, None, :] * pts)).sum(axis=-1)
+        cval = val.conjugate()
+        g = (val * cval).real
+        gg = 2.0 * (cval[:, None] * grad).real
+        gh = 2.0 * (grad.conjugate()[:, :, None] * grad[:, None, :]
+                    + cval[:, None, None] * hess).real
         return g, gg, gh
 
 
@@ -146,61 +148,91 @@ def _default_grid(dim):
     return _config.OMEGA_GRID_DEFAULT if dim <= 2 else _config.OMEGA_GRID_HIGH_DIM
 
 
-def _ascent_step(hess, grad):
-    """The Newton step ``-hess^-1 grad`` when it is finite and at most 0.5
-    long; else the minimum-norm least-squares step (singular values below
-    1e-8 of the largest cut), cut to 0.5 long, when it is finite and uphill;
-    else None, and the caller takes a short gradient step.
+def _newton_steps(hess, grad, gn, unit, max_step):
+    """One ascent step per row: the Newton step ``-hess^-1 grad`` when it is
+    finite and at most ``max_step`` long; else the minimum-norm
+    least-squares step (singular values below 1e-8 of the largest cut), cut
+    to ``max_step`` long, when it is finite and uphill; else the gradient
+    step ``0.1 grad / max(|grad|, unit)``.
 
     A degenerate maximum (a support on a line, say) makes the Hessian
-    singular along a flat direction: ``solve`` then fails or steps far
-    along it, while the least-squares step still climbs the other
-    directions at Newton's rate.
+    singular along a flat direction: Newton then fails or steps far along
+    it, while the least-squares step still climbs the other directions at
+    Newton's rate.  The determinant is zero whenever the LU factorisation
+    meets a zero pivot, so ``solve`` only sees systems it can solve, and a
+    row's step does not depend on the rows beside it.
     """
-    try:
-        step = np.linalg.solve(hess, -grad)
-        if np.all(np.isfinite(step)) and np.linalg.norm(step) <= 0.5:
-            return step
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        step = np.linalg.lstsq(hess, -grad, rcond=1e-8)[0]
-    except np.linalg.LinAlgError:
-        return None
-    length = np.linalg.norm(step)
-    if not np.isfinite(length) or step @ grad <= 0:
-        return None
-    return step if length <= 0.5 else step * (0.5 / length)
+    step = np.full_like(grad, np.nan)
+    with np.errstate(all="ignore"):
+        ok = np.linalg.det(hess) != 0.0
+        step[ok] = np.linalg.solve(hess[ok], -grad[ok, :, None])[..., 0]
+        length = np.linalg.norm(step, axis=1)
+        bad = ~(length <= max_step)
+        if bad.any():
+            lsq = (np.linalg.pinv(hess[bad], rtol=1e-8) @ -grad[bad, :, None])[..., 0]
+            length = np.linalg.norm(lsq, axis=1)
+            uphill = np.isfinite(length) & (np.einsum("kd,kd->k", lsq, grad[bad]) > 0)
+            cut = lsq * np.minimum(1.0, max_step / length)[:, None]
+            short = grad[bad] / np.maximum(gn[bad], unit[bad])[:, None] * 0.1
+            step[bad] = np.where(uphill[:, None], cut, short)
+    return step
 
 
-def _newton_polish(sym, xi0, max_iter=100):
-    """Ascend |phi-hat|^2 to a stationary point; returns (xi, converged).
+def newton_ascent(fun, x0, tol, max_step=np.inf, relative=False, max_iter=100):
+    """Damped Newton ascent of one objective per row of x0.
 
-    The tolerances are relative to |phi-hat(xi0)|^2, so a positive multiple
-    of phi ascends the same way as phi: ``locate_sup`` runs this on the
-    input before it is normalized.
+    ``fun(rows, x)`` gives the value (k,), gradient (k, d) and Hessian
+    (k, d, d) of the objectives of ``rows`` (indices into x0) at the points
+    x (k, d).  A row has converged once |grad| < ``tol`` times its unit: 1,
+    or with ``relative`` its value at x0 (1 where that is 0), so that a
+    positive multiple of the objective ascends the same way.  Each step (see
+    ``_newton_steps``) is halved, up to 29 times, until the value falls by
+    at most the rounding slack 4 eps max(|value|, unit): at the top, the
+    last Newton step can lower the computed value by an ulp, and refusing it
+    would leave the gradient above tolerance for good.  A row also leaves
+    when its step gains nothing, that is when no length is accepted or when
+    the accepted one is shortened and does not raise the value.  Only live
+    rows are evaluated, and the evaluation at an accepted point serves the
+    next step, so a row's arithmetic does not depend on the rows beside it
+    when ``fun``'s does not.
+
+    Returns (x, value, converged) after at most ``max_iter`` steps per row.
     """
-    xi = np.array(xi0, dtype=float)
-    unit = sym.abs2_grad_hess(xi)[0] or 1.0
-    for _ in range(max_iter):
-        g, grad, hess = sym.abs2_grad_hess(xi)
-        gn = np.linalg.norm(grad)
-        if gn < 1e-12 * unit:
-            return xi, True
-        step = _ascent_step(hess, grad)
-        if step is None:
-            step = grad / max(gn, unit) * 0.1
-        # backtrack on the ascent condition, up to the rounding of g: at the
-        # top, the last Newton step can lower the computed g by an ulp, and
-        # refusing it would leave the gradient above tolerance for good
+    x = np.array(x0, dtype=float)
+    rows = np.arange(len(x))
+    val, grad, hess = fun(rows, x)
+    unit = np.where(val != 0.0, np.abs(val), 1.0) if relative else np.ones(len(x))
+    converged = np.zeros(len(x), dtype=bool)
+    for it in range(max_iter + 1):
+        gn = np.linalg.norm(grad, axis=1)
+        done = gn < tol * unit[rows]
+        converged[rows[done]] = True
+        live = ~done
+        rows, grad, hess, gn = rows[live], grad[live], hess[live], gn[live]
+        if it == max_iter or not len(rows):
+            break
+        step = _newton_steps(hess, grad, gn, unit[rows], max_step)
+        cur = val[rows]
+        slack = 4 * EPS * np.maximum(np.abs(cur), unit[rows])
+        moved = np.zeros(len(rows), dtype=bool)
+        todo = np.arange(len(rows))  # positions in rows with no accepted length
         t = 1.0
         for _ in range(30):
-            g_new = sym.abs2_grad_hess(xi + t * step)[0]
-            if g_new >= g - 4 * EPS * unit:
+            cand = x[rows[todo]] + t * step[todo]
+            cval, cgrad, chess = fun(rows[todo], cand)
+            ok = cval >= cur[todo] - slack[todo]
+            gain = ok & ((t == 1.0) | (cval > cur[todo]))
+            hit = todo[gain]
+            x[rows[hit]] = cand[gain]
+            val[rows[hit]] = cval[gain]
+            grad[hit], hess[hit] = cgrad[gain], chess[gain]
+            moved[hit] = True
+            todo = todo[~ok]
+            if not len(todo):
                 break
             t *= 0.5
-        xi = xi + t * step
-    return xi, np.linalg.norm(sym.abs2_grad_hess(xi)[1]) < 1e-12 * unit
+        rows, grad, hess = rows[moved], grad[moved], hess[moved]
+    return x, val, converged
 
 
 def _mp_polish(f, xi, digits=60, max_iter=250):
@@ -282,15 +314,15 @@ class TorusScan:
         return iter((self.sup, self.argmax))
 
 
-def locate_sup(sym, grid_n=None):
+def locate_sup(sym):
     """Global maximum of |phi-hat|: one certified grid scan plus Newton ascent.
 
-    The grid has n = ``grid_n`` (default 512 per axis, 64 for d >= 3) points
-    per axis, doubled while the Bernstein slack s = 2 K^2 d (pi/n)^2 exceeds
+    The grid has n = 512 points per axis (64 for d >= 3), doubled while the Bernstein slack s = 2 K^2 d (pi/n)^2 exceeds
     ``SLACK_MAX`` (see the module docstring), and is checked against the
     memory cap before it is allocated: ``ResourceLimitError`` when the
-    certified density does not fit.  Newton ascent on |phi-hat|^2 runs once
-    from every cyclic grid local maximum with |phi-hat|^2 >=
+    certified density does not fit.  One batched ``newton_ascent`` on
+    |phi-hat|^2 (gradient tolerance 1e-12 relative, steps at most 0.5 long)
+    runs from every cyclic grid local maximum with |phi-hat|^2 >=
     (1 - max(1e-3, s)) times the grid maximum squared; the supremum is the
     largest |phi-hat| over the endpoints, which ``analyze`` hands on to
     ``find_omega``.  A single-point support c delta_y has the flat symbol
@@ -304,16 +336,15 @@ def locate_sup(sym, grid_n=None):
         return TorusScan(sup=float(abs(f.values[0])), argmax=zero[0], seeds=zero,
                          endpoints=zero, converged=np.ones(1, dtype=bool),
                          grid=0, slack=0.0)
-    n = grid_n or _default_grid(f.dim)
+    n = _default_grid(f.dim)
     while _slack(f, n) > SLACK_MAX:
         n *= 2
     slack = _slack(f, n)
     idx = _grid_seeds(_grid_abs(f, n), max(SEED_DEPTH, slack))
     seeds = _wrap_torus(idx.astype(float) * TWO_PI / n)
-    endpoints = np.empty_like(seeds)
-    converged = np.empty(len(seeds), dtype=bool)
-    for k, xi0 in enumerate(seeds):
-        endpoints[k], converged[k] = _newton_polish(sym, xi0)
+    endpoints, _, converged = newton_ascent(
+        lambda rows, xi: sym.abs2_grad_hess(xi), seeds, 1e-12, max_step=0.5,
+        relative=True)
     tops = [_wrap_torus(end) for end in endpoints]
     values = [abs(sym.evaluate(xi)) for xi in tops]
     best = int(np.argmax(values))
@@ -321,33 +352,33 @@ def locate_sup(sym, grid_n=None):
                      endpoints=endpoints, converged=converged, grid=n, slack=slack)
 
 
-def _normalize(f, grid_n=None):
+def _normalize(f):
     """``normalize``, plus the ``TorusScan`` of f that found the supremum."""
     if not len(f):
         raise ZeroFunctionError("cannot normalize the zero function")
-    scan = locate_sup(SymbolView(f), grid_n=grid_n)
+    scan = locate_sup(SymbolView(f))
     if scan.sup < 1e-300:
         raise ZeroFunctionError("symbol has vanishing supremum")
     scale = 1.0 / scan.sup
     return f.scale(scale), scale, scan
 
 
-def normalize(f, grid_n=None):
+def normalize(f):
     """Rescale so sup |phi-hat| = 1; returns (function, applied scale).
 
     The scale is the real positive multiplier 1 / sup |phi-hat|, with the
     supremum from ``locate_sup``.
     """
-    g, scale, _ = _normalize(f, grid_n=grid_n)
+    g, scale, _ = _normalize(f)
     return g, scale
 
 
-def find_omega(sym, grid_n=None, tol=1e-9, scan=None):
+def find_omega(sym, tol=1e-9, scan=None):
     """Locate Omega(phi) = {xi : |phi-hat(xi)| = 1} for a normalized symbol.
 
     The Newton endpoints come from ``scan``, a ``locate_sup`` result for phi
     or a positive multiple of it (``analyze`` passes the scan that normalized
-    its input); without one, ``locate_sup(sym, grid_n)`` runs here.  Its
+    its input); without one, ``locate_sup(sym)`` runs here.  Its
     seeds are the cyclic grid local maxima with |phi-hat|^2 >=
     (1 - max(1e-3, s)) times the grid maximum squared, s the grid's Bernstein
     slack.  Converged endpoints are clustered in seed order (radius
@@ -358,7 +389,7 @@ def find_omega(sym, grid_n=None, tol=1e-9, scan=None):
     """
     f = sym.source
     if scan is None:
-        scan = locate_sup(sym, grid_n=grid_n)
+        scan = locate_sup(sym)
     sup = abs(sym.evaluate(scan.argmax))
     if abs(sup - 1.0) > 1e-3:
         raise NotNormalizedError(f"sup |phi-hat| = {sup:.6g}; normalize first")
@@ -400,9 +431,9 @@ class VonNeumannResult:
         return self.satisfied
 
 
-def check_von_neumann(sym, grid_n=None):
+def check_von_neumann(sym):
     """sup |phi-hat| <= 1 + 1e-9, with the maximum ``locate_sup`` found."""
-    sup, arg = locate_sup(sym, grid_n=grid_n)
+    sup, arg = locate_sup(sym)
     return VonNeumannResult(satisfied=sup <= 1.0 + 1e-9, maximum=sup, argmax=arg)
 
 

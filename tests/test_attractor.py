@@ -9,6 +9,8 @@ import latconv
 from latconv import _config, attractor, examples
 from latconv.attractor import (attractor_eval, attractor_grid, box_halfwidths,
                                llt_approx)
+from latconv.cli import main
+from latconv.errors import ResourceLimitError
 from latconv.homogeneous import (HomogeneousPolynomial, from_quadratic_form,
                                  sphere_samples)
 
@@ -63,6 +65,20 @@ def test_grid_matches_pointwise(intro_analysis):
     direct = attractor_eval(P, t, pts.astype(float))
     for p, v in zip(pts, direct):
         assert abs(grid.value_at(p) - v) < 1e-7
+
+
+def test_grid_is_checked_against_the_cap(intro_analysis, monkeypatch, tmp_path, capsys):
+    # a +-600 window at t = 100 takes a 1232^2 grid, 46 MiB in two complex
+    # arrays; a 16 MiB cap still admits intro's 8 MiB torus scan
+    P = intro_analysis.points[0].classification.poly
+    window = [(-600, 600)] * 2
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 16 * 2 ** 20)
+    with pytest.raises(ResourceLimitError, match=r"box \(1232, 1232\)"):
+        attractor_grid(P, 100.0, window)
+    assert main(["--memory-cap", str(16 / 1024), "attractor", "--example", "intro",
+                 "--n", "100", "--window=-600:600,-600:600",
+                 "--out", str(tmp_path)]) == 4
+    assert "box (1232, 1232)" in capsys.readouterr().err
 
 
 def test_grid_gaussian_window():

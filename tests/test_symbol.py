@@ -189,6 +189,56 @@ CORPUS = ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2", "ex75:2,3",
           "srw:2", "srw:3", "phim:2,1", "phim:2,3", "phim:1,2", "unstable1d"]
 
 
+def _abs2_grad_hess(sym, xi):
+    g, grad, hess = sym.abs2_grad_hess(np.asarray(xi, dtype=float)[None])
+    return g[0], grad[0], hess[0]
+
+
+def _ascent_step(hess, grad):
+    """Scalar reference of ``symbol._newton_steps`` with max_step 0.5: the
+    Newton step when finite and at most 0.5 long; else the minimum-norm
+    least-squares step, cut to 0.5 long, when finite and uphill; else None,
+    and the caller takes a short gradient step."""
+    try:
+        step = np.linalg.solve(hess, -grad)
+        if np.all(np.isfinite(step)) and np.linalg.norm(step) <= 0.5:
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        step = np.linalg.lstsq(hess, -grad, rcond=1e-8)[0]
+    except np.linalg.LinAlgError:
+        return None
+    length = np.linalg.norm(step)
+    if not np.isfinite(length) or step @ grad <= 0:
+        return None
+    return step if length <= 0.5 else step * (0.5 / length)
+
+
+def _newton_polish(sym, xi0, max_iter=100):
+    """Scalar reference of the ascent ``locate_sup`` makes from one seed:
+    Newton on |phi-hat|^2 with tolerances relative to |phi-hat(xi0)|^2,
+    backtracking up to the rounding of g; returns (xi, converged)."""
+    xi = np.array(xi0, dtype=float)
+    unit = _abs2_grad_hess(sym, xi)[0] or 1.0
+    for _ in range(max_iter):
+        g, grad, hess = _abs2_grad_hess(sym, xi)
+        gn = np.linalg.norm(grad)
+        if gn < 1e-12 * unit:
+            return xi, True
+        step = _ascent_step(hess, grad)
+        if step is None:
+            step = grad / max(gn, unit) * 0.1
+        t = 1.0
+        for _ in range(30):
+            g_new = _abs2_grad_hess(sym, xi + t * step)[0]
+            if g_new >= g - 4 * symbol.EPS * unit:
+                break
+            t *= 0.5
+        xi = xi + t * step
+    return xi, np.linalg.norm(_abs2_grad_hess(sym, xi)[1]) < 1e-12 * unit
+
+
 def _per_seed_omega(sym, tol=1e-9):
     """Omega points as find_omega found them before clustering: one polish
     per converged seed, then the modulus check and the 1e-6 dedupe."""
@@ -204,7 +254,7 @@ def _per_seed_omega(sym, tol=1e-9):
     found = []
     for idx in seeds:
         xi0 = symbol._wrap_torus(idx.astype(float) * symbol.TWO_PI / n)
-        xi, converged = symbol._newton_polish(sym, xi0)
+        xi, converged = _newton_polish(sym, xi0)
         if not converged:
             continue
         xi = symbol._wrap_torus(symbol._mp_polish(f, xi))
@@ -276,7 +326,7 @@ def _two_grid_sup(sym):
         vals = symbol._grid_abs(f, n)
         idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
         xi0 = symbol._wrap_torus(np.array(idx, dtype=float) * symbol.TWO_PI / n)
-        xi, _ = symbol._newton_polish(sym, xi0)
+        xi, _ = _newton_polish(sym, xi0)
         cur = abs(sym.evaluate(symbol._wrap_torus(xi)))
         best = max(best, cur)
         if abs(cur - prev) < 1e-12:
@@ -343,6 +393,39 @@ def test_narrow_peaks_are_all_found(K):
     assert np.all(np.minimum(lattice, 2 * np.pi / K - lattice) < 1e-9)
 
 
+# -- one batched ascent -------------------------------------------------------
+
+@pytest.mark.parametrize("make,count", [(examples.ex73, 30),
+                                        (lambda: _lazy_product(12), 240)],
+                         ids=["ex73", "lazy12"])
+def test_newton_ascent_rows_do_not_depend_on_the_batch(make, count):
+    sym = SymbolView(make())
+    scan = latconv.locate_sup(sym)
+    assert len(scan.seeds) == count
+
+    def ascend(x0):
+        return symbol.newton_ascent(lambda rows, xi: sym.abs2_grad_hess(xi),
+                                    x0, 1e-12, max_step=0.5, relative=True)
+
+    x, val, converged = ascend(scan.seeds)
+    assert np.array_equal(x, scan.endpoints) and converged.all()
+    for k, xi0 in enumerate(scan.seeds):
+        xk, vk, ck = ascend(xi0[None])
+        assert np.array_equal(xk[0].view(np.uint64), x[k].view(np.uint64))
+        assert vk[0] == val[k] and ck[0] == converged[k]
+
+
+def test_locate_sup_batches_its_ascent(monkeypatch):
+    # one Newton loop per seed made 996 calls on ex73's 30 seeds
+    calls = []
+    real = SymbolView.abs2_grad_hess
+    monkeypatch.setattr(SymbolView, "abs2_grad_hess",
+                        lambda self, xi: calls.append(len(xi)) or real(self, xi))
+    scan = latconv.locate_sup(SymbolView(examples.ex73()))
+    assert len(scan.seeds) == 30 and scan.converged.all()
+    assert len(calls) < 100
+
+
 def test_scan_grid_doubles_until_the_slack_is_small():
     # K = 50 about the box centre: s = 0.188 on 512 points, 0.047 on 1024
     f = LatticeFunction.from_dict({(0,): 1.0, (100,): 1.0})
@@ -354,8 +437,8 @@ def test_scan_grid_doubles_until_the_slack_is_small():
 def test_point_mass_needs_no_scan(monkeypatch):
     # |phi-hat| is flat for c delta_y: every grid point would seed Newton
     ascents, grids = [], []
-    newton, grid_abs = symbol._newton_polish, symbol._grid_abs
-    monkeypatch.setattr(symbol, "_newton_polish",
+    newton, grid_abs = symbol.newton_ascent, symbol._grid_abs
+    monkeypatch.setattr(symbol, "newton_ascent",
                         lambda *a, **k: ascents.append(a) or newton(*a, **k))
     monkeypatch.setattr(symbol, "_grid_abs",
                         lambda *a, **k: grids.append(a) or grid_abs(*a, **k))
