@@ -428,7 +428,15 @@ def build_parser():
            needs_n=True, pgm=True)
     common(sub.add_parser("attractor", help="attractor grid"), needs_n=True,
            pgm=True)
-    common(sub.add_parser("legendre", help="Legendre-Fenchel transform grid"))
+    common(sub.add_parser(
+        "legendre", help="Legendre-Fenchel transform grid",
+        description="Writes legendre.csv: R#(x) = sup_xi {x.xi - Re P(xi)} and "
+        "a maximiser xi at each window point.  The argmax columns carry 17 "
+        "digits but are fixed only as far as the ascent's gradient tolerance "
+        "(1e-10) fixes them: to about (1e-10)^(1/(2m-1)) along an axis where "
+        "Re P is flat to degree 2m at the maximiser (5e-4 for quartic, 1e-2 "
+        "for sextic flatness), and where maximisers tie, either may be "
+        "printed.  The value column does not depend on those digits."))
     p = sub.add_parser("bounds", help="gaussian/subexp/derivative bound fits")
     common(p, needs_n=True, window=False)
     p.add_argument("--kind", choices=("gaussian", "subexp", "derivative"),

@@ -208,13 +208,16 @@ def convolve(f, g):
     return _extract_sparse(f.dim, out, flo + glo, 0.0, consume=True)
 
 
-def _sweep_boxes(real):
-    """Complex boxes of the final size that a :func:`sweep` step holds:
-    phi^(n-1) and phi^(n), then the product ``phi(y) * phi^(n-1)`` or the
-    float magnitudes of phi^(n) with their mask.  A real sweep's arrays are
-    half a box each."""
+def _sweep_boxes(real, cells):
+    """Complex boxes of the final size (``cells`` cells) that a :func:`sweep`
+    step holds: phi^(n-1) and phi^(n), then the product ``phi(y) *
+    phi^(n-1)`` with the buffers numpy's add takes for its two strided
+    operands (up to ``np.getbufsize()`` items each, whatever the box), or
+    the float magnitudes of phi^(n) with their mask.  A real sweep's arrays
+    are half a box each."""
     held = 0.5 if real else 1.0
-    return 2 * held + max(held, 0.5 + 1 / 16)
+    buffers = 2 * held * min(np.getbufsize(), cells) / cells
+    return 2 * held + max(held + buffers, 0.5 + 1 / 16)
 
 
 def sweep(f, n_max):
@@ -233,8 +236,8 @@ def sweep(f, n_max):
     real = _is_real(f)
     flo, fhi = f.extent()
     span = fhi - flo
-    _check_box(tuple(int(n_max * s + 1) for s in span),
-               complex_arrays=_sweep_boxes(real))
+    shape = tuple(int(n_max * s + 1) for s in span)
+    _check_box(shape, complex_arrays=_sweep_boxes(real, math.prod(shape)))
     offsets = f.points - flo
     values = f.values.real if real else f.values
     cur = np.zeros(tuple(int(s + 1) for s in span), dtype=values.dtype)
@@ -248,7 +251,10 @@ def sweep(f, n_max):
         forward = np.count_nonzero(cur) >= len(f)
         order = range(len(f)) if forward else range(len(f) - 1, -1, -1)
         for j in order:
-            sl = tuple(slice(o, o + s) for o, s in zip(offsets[j], cur.shape))
+            # a list, not a generator: tuple() of a generator allocates a new
+            # tuple each time, and the discarded ones pile up on the
+            # interpreter's free list, where tracemalloc still counts them
+            sl = tuple([slice(o, o + s) for o, s in zip(offsets[j], cur.shape)])
             v = values[j]
             nxt[sl] += cur * v if forward else v * cur
         nxt[np.abs(nxt) < ZERO_DROP] = 0.0
@@ -465,9 +471,9 @@ def power(f, n, method="spectral"):
     if method == "direct":
         # the sweep's boxes, then the result beside its sparse copy; a real
         # result is copied into new complex values, not in place
-        _check_box(tuple(int(e) for e in n * (fhi - flo) + 1),
-                   complex_arrays=max(_sweep_boxes(real),
-                                      held + _sparse_boxes(f.dim, consume=not real)))
+        shape = tuple(int(e) for e in n * (fhi - flo) + 1)
+        _check_box(shape, complex_arrays=max(_sweep_boxes(real, math.prod(shape)),
+                                             held + _sparse_boxes(f.dim, consume=not real)))
         for arr, lo in sweep(f, n):
             pass
         return _extract_sparse(f.dim, arr, lo, 0.0, consume=True)

@@ -46,17 +46,27 @@ class ConjugateEvaluator:
         any length) from where it stopped.
 
         Only the rows still moving are evaluated: a row with no accepted step
-        would repeat the same arithmetic on the next pass, so it leaves.
+        would repeat the same arithmetic on the next pass, so it leaves.  A
+        row also leaves for Newton once a gradient step has not halved
+        |grad|^2 and R is convex at its point (``real_hess`` positive
+        definite): Newton started where R is not convex can stop on a saddle,
+        as it does from the grid points alone for 2 of ex73's 4,096 shell
+        table directions.
         """
         xs = np.asarray(xs, dtype=float)
         xi = np.array(xis, dtype=float)
         val = np.einsum("kd,kd->k", xi, xs) - self.P.real(xi)
         step = np.ones(len(xi))
         live = np.arange(len(xi))
+        last = np.inf  # each live row's |grad|^2 before its last step
         for _ in range(iters):
             g = xs[live] - self.P.real_grad(xi[live])
             gn2 = np.einsum("kd,kd->k", g, g)
             keep = gn2 > 1e-16
+            stalled = np.flatnonzero(keep & (gn2 > 0.5 * last))
+            if len(stalled):
+                hess = self.P.real_hess(xi[live[stalled]])
+                keep[stalled[np.linalg.eigvalsh(hess)[:, 0] > 0]] = False
             live, g, gn2 = live[keep], g[keep], gn2[keep]
             t = step[live]
             moved = np.zeros(len(live), dtype=bool)
@@ -74,7 +84,7 @@ class ConjugateEvaluator:
                 moved[todo[good]] = True
                 todo = todo[~good]
                 t = t * 0.5
-            live = live[moved]
+            live, last = live[moved], gn2[moved]
             if not len(live):
                 break
         def objective(rows, x):
@@ -110,16 +120,19 @@ class ConjugateEvaluator:
                    complex_arrays=(2 * self.dim + 1 + min(len(xs), 2 * block)) / 2)
         axes = [np.linspace(-rho, rho, n_axis)] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        rvals = self.P.real(pts)
+        # the points as contiguous coordinate rows (d, cells), so that a
+        # block's objective is row-major (rows, cells) and each row's argmax
+        # runs along contiguous memory
+        pts_t = np.stack([m.reshape(-1) for m in mesh])
+        rvals = self.P.real(pts_t.T)
         out_val = np.empty(len(xs))
         out_arg = np.empty((len(xs), self.dim))
         for rows in np.array_split(np.arange(len(xs)), n_blocks):
-            obj = pts @ xs[rows].T
-            obj -= rvals[:, None]
-            best = np.argmax(obj, axis=0)
-            out_val[rows] = obj[best, np.arange(len(rows))]
-            out_arg[rows] = pts[best]
+            obj = xs[rows] @ pts_t
+            obj -= rvals
+            best = np.argmax(obj, axis=1)
+            out_val[rows] = obj[np.arange(len(rows)), best]
+            out_arg[rows] = pts_t[:, best].T
         return out_val, out_arg
 
     # -- public API -----------------------------------------------------------

@@ -77,8 +77,8 @@ def direct_powers(f, n_values):
     real = _is_real(f)
     held = 0.5 if real else 1.0
     _check_box(n_values[-1] * span + 1,
-               complex_arrays=max(_sweep_boxes(real), held + _sparse_boxes(f.dim))
-               + kept)
+               complex_arrays=max(_sweep_boxes(real, cells[-1]),
+                                  held + _sparse_boxes(f.dim)) + kept)
     return {n: _extract_sparse(f.dim, arr, lo, 0.0)
             for n, (arr, lo) in enumerate(sweep(f, n_values[-1]), start=1)
             if n in n_values}

@@ -112,10 +112,10 @@ def test_memory_cap(monkeypatch):
 
 
 def test_direct_power_cap_counts_what_a_step_holds(monkeypatch):
-    # a complex sweep step holds three complex boxes of the final size
-    # (tracemalloc on intro's sweep: 3.02 boxes at n = 256, and three boxes
-    # plus 267 KiB at n = 64), so a cap just under three boxes must refuse
-    # the run; a real phi sweeps in half boxes and would not test this
+    # a complex sweep step holds three complex boxes of the final size and
+    # numpy's buffers for its strided add (two of np.getbufsize() items), so
+    # a cap just under three boxes must refuse the run; a real phi sweeps in
+    # half boxes and would not test this
     from latconv import _config
     f, n = examples.intro(), 64
     lo, hi = f.extent()
@@ -123,8 +123,28 @@ def test_direct_power_cap_counts_what_a_step_holds(monkeypatch):
     monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", int(2.8 * box_bytes))
     with pytest.raises(ResourceLimitError):
         latconv.power(f, n, method="direct")
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 3 * box_bytes)
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES",
+                        3 * box_bytes + 2 * 16 * np.getbufsize())
     assert len(latconv.power(f, n, method="direct"))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_sweep_peak_memory_within_its_budget(n):
+    # without numpy's add buffers in the budget, tracemalloc read 4.93 boxes
+    # at n = 16, 3.52 at 64 and 3.02 at 256 against the 3 boxes budgeted
+    import tracemalloc
+    from latconv.lattice import _sweep_boxes, sweep
+    f = examples.intro()
+    lo, hi = f.extent()
+    cells = int(np.prod(n * (hi - lo) + 1))
+    tracemalloc.start()
+    try:
+        for _ in sweep(f, n):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * cells * _sweep_boxes(False, cells) + 2 ** 14, peak / (16 * cells)
 
 
 @settings(max_examples=40, deadline=None)
