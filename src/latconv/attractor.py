@@ -209,12 +209,13 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
                          box_halfwidths=L, grid_sizes=tuple(N))
 
 
-def llt_approx(analysis, n, window):
-    """Local-limit approximation over an integer window.
+def _llt_dense(analysis, n, window):
+    """Local-limit approximation as a dense array over an integer window.
 
     Sums e^{-i x.xi_q} phi-hat(xi_q)^n H_{P_q}^n(x - n alpha_q) over the
     mu-minimal points of the analysis; unit-modulus powers are taken as
-    e^{i n omega_q} for stability.
+    e^{i n omega_q} for stability.  Entry i is the value at ``lo + i`` for
+    the window's lower corner ``lo``.
     """
     if analysis.mu_phi is None:
         raise ValueError(f"analysis verdict is {analysis.verdict}; no local limit")
@@ -236,5 +237,13 @@ def llt_approx(analysis, n, window):
             sl[j] = slice(None)
             vals = vals * ph[tuple(sl)]
         total += vals
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return LatticeFunction(d, pts, total.reshape(-1))
+    return total
+
+
+def llt_approx(analysis, n, window):
+    """Local-limit approximation over an integer window as a function; see
+    :func:`_llt_dense`."""
+    total = _llt_dense(analysis, n, window)
+    axes = [np.arange(int(a), int(b) + 1) for a, b in window]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, total.ndim)
+    return LatticeFunction(total.ndim, pts, total.reshape(-1))

@@ -143,12 +143,9 @@ def _split_by_weight(coeffs, weights):
     return survivors, kept
 
 
-def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
+def classify(sym, xi0, m_max=12, reverse_search=False):
     """Classify xi0 in Omega(phi) as positive-homogeneous type or not.
 
-    ``basis`` optionally overrides the orthogonal change of coordinates from
-    the Hessian eigendecomposition (escape hatch for polynomials needing a
-    non-orthogonal normal form, which the automatic search cannot find).
     ``reverse_search`` flips the null-axis order search direction; the result
     must not depend on it (uniqueness of the leading polynomial).
     """
@@ -172,20 +169,16 @@ def classify(sym, xi0, m_max=12, basis=None, reverse_search=False):
         return Classification(verdict, alpha=alpha, diagnostics=diagnostics)
 
     H = _quadratic_hessian(q, d)
-    if basis is not None:
-        A = np.asarray(basis, dtype=float).reshape(d, d)
-        evals = np.diag(A.T @ H @ A)
+    # off-diagonal mass below the sub-homogeneity tolerance is
+    # indistinguishable from zero: keep the natural axis order then
+    off = np.abs(H - np.diag(np.diag(H))).max() if d > 1 else 0.0
+    if off <= 1e-9 * max(1.0, np.abs(H).max()):
+        A = np.eye(d)
+        evals = np.diag(H).copy()
     else:
-        # off-diagonal mass below the sub-homogeneity tolerance is
-        # indistinguishable from zero: keep the natural axis order then
-        off = np.abs(H - np.diag(np.diag(H))).max() if d > 1 else 0.0
-        if off <= 1e-9 * max(1.0, np.abs(H).max()):
-            A = np.eye(d)
-            evals = np.diag(H).copy()
-        else:
-            evals, A = np.linalg.eigh(H)
-            A = _canonical_signs(A)
-            evals = np.diag(A.T @ H @ A)
+        evals, A = np.linalg.eigh(H)
+        A = _canonical_signs(A)
+        evals = np.diag(A.T @ H @ A)
     if evals.min() < -1e-6:
         diagnostics["reason"] = "quadratic real part is indefinite"
         return Classification(VERDICT_NOT, alpha=alpha, diagnostics=diagnostics)
@@ -292,7 +285,7 @@ class SpectralAnalysis:
         return [self.points[i] for i in self.minimal]
 
 
-def analyze(f, m_max=12, basis=None):
+def analyze(f, m_max=12):
     """Normalize, locate Omega, classify every point, take the rational minimum.
 
     A single-point support (c delta_y) has |phi-hat| constant equal to one, so
@@ -319,7 +312,7 @@ def analyze(f, m_max=12, basis=None):
     omega = find_omega(sym, scan=scan)
     points = []
     for xi, val, ph in zip(omega.points, omega.values, omega.phases):
-        cls = classify(sym, xi, m_max=m_max, basis=basis)
+        cls = classify(sym, xi, m_max=m_max)
         points.append(PointAnalysis(xi=xi, value=complex(val), phase=float(ph),
                                     classification=cls))
     mu_phi = None

@@ -274,13 +274,6 @@ def tensor(f, g):
     return LatticeFunction(f.dim + g.dim, pts, vals)
 
 
-def _embed_dense(f, shape, lo):
-    arr = np.zeros(shape, dtype=np.complex128)
-    idx = tuple((f.points[:, k] - lo[k]) for k in range(f.dim))
-    arr[idx] = f.values
-    return arr
-
-
 def _sparse_boxes(dim, consume=False):
     """Complex boxes of ``arr``'s size that :func:`_extract_sparse` allocates
     on a dense result: d int64 coordinates per kept cell, the kept values (at

@@ -13,13 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .attractor import llt_approx
+from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
-from .lattice import (LatticeFunction, _check_box, _embed_dense, _extract_sparse,
-                      _is_real, _sparse_above_floor, _sparse_boxes, _sweep_boxes,
-                      convolve, norm_l1, norm_linf, power, power_torus, sweep,
-                      translate)
+from .lattice import (LatticeFunction, _check_box, _extract_sparse, _is_real,
+                      _sparse_above_floor, _sparse_boxes, _sweep_boxes, convolve,
+                      norm_l1, norm_linf, power, power_torus, sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -62,26 +61,36 @@ def _dyadic_ns(n_max, extra=()):
     return sorted(ns)
 
 
-def direct_powers(f, n_values):
-    """{n: phi^(n)} via one exact :func:`~latconv.lattice.sweep` (oracle of record)."""
+def _direct_stream(f, n_values, beside=0.0):
+    """Yield ``(n, phi^(n))`` for each requested n from one exact sweep.
+
+    Each power is extracted when the sweep reaches it, and the sweep waits
+    while the caller reduces it.  The cap covers the sweep's boxes or the
+    box beside one extraction, plus ``beside`` complex boxes of the final
+    size: the powers that the caller keeps, or what it allocates to reduce one.
+    """
     n_values = sorted(set(int(n) for n in n_values))
     if n_values[0] < 1:
         raise ValueError("n values must be >= 1")
     flo, fhi = f.extent()
-    span = fhi - flo
-    cells = [np.prod(n * span + 1, dtype=float) for n in n_values]
-    # the sweep's boxes or the last extraction (the sweep goes on from the
-    # array, so it is copied, not consumed), beside the sparse copies
-    # (values and d coordinates per cell) of the powers already kept
-    kept = (1.0 + f.dim / 2) * sum(cells[:-1]) / cells[-1]
+    shape = n_values[-1] * (fhi - flo) + 1
     real = _is_real(f)
-    held = 0.5 if real else 1.0
-    _check_box(n_values[-1] * span + 1,
-               complex_arrays=max(_sweep_boxes(real, cells[-1]),
-                                  held + _sparse_boxes(f.dim)) + kept)
-    return {n: _extract_sparse(f.dim, arr, lo, 0.0)
-            for n, (arr, lo) in enumerate(sweep(f, n_values[-1]), start=1)
-            if n in n_values}
+    _check_box(shape, complex_arrays=beside + max(
+        _sweep_boxes(real, np.prod(shape, dtype=float)),
+        (0.5 if real else 1.0) + _sparse_boxes(f.dim)))
+    for n, (arr, lo) in enumerate(sweep(f, n_values[-1]), start=1):
+        if n in n_values:
+            yield n, _extract_sparse(f.dim, arr, lo, 0.0)
+
+
+def direct_powers(f, n_values):
+    """{n: phi^(n)} from :func:`_direct_stream`, every power kept (oracle of record)."""
+    ns = sorted(set(int(n) for n in n_values))
+    flo, fhi = f.extent()
+    cells = [np.prod(n * (fhi - flo) + 1, dtype=float) for n in ns]
+    # the sparse copies (values and d coordinates per cell) of the powers kept
+    # while the sweep goes on
+    return dict(_direct_stream(f, ns, (1.0 + f.dim / 2) * sum(cells[:-1]) / cells[-1]))
 
 
 def sup_decay_report(f, analysis, n_values):
@@ -186,10 +195,8 @@ def llt_error(f, analysis, n, window=None):
     sl = tuple(slice(int(l - bl), int(l - bl) + s)
                for l, bl, s in zip(lo, box_lo, arr.shape))
     full[sl] = arr
-    approx = llt_approx(analysis, n, list(zip(box_lo, box_hi)))
-    approx_arr = approx.values.reshape(full.shape) if len(approx) == full.size \
-        else _embed_dense(approx, full.shape, box_lo)
-    err = float(np.abs(full - approx_arr).max())
+    approx = _llt_dense(analysis, n, list(zip(box_lo, box_hi)))
+    err = float(np.abs(full - approx).max())
     return err, float(analysis.mu_phi and n ** float(analysis.mu_phi) * err)
 
 
@@ -293,37 +300,48 @@ def _eigh_symmetric(M):
     return np.linalg.eigh((M + M.T) / 2.0)
 
 
-def _envelope_fit(fields, mu_exponent, conj_field, alpha, normalizer=1.0):
-    """Largest M on a halving grid with octave-stable C(M); see gaussian fit.
+# the halving grid of the envelope fits' M: 1, 1/2, ..., 2^-12
+_M_GRID = tuple(0.5 ** k for k in range(13))
+# complex boxes per cell of the final box that a fit step allocates beside
+# the power; tracemalloc read, per point of the power: the gaussian fit's
+# magnitudes and _envelope_peaks, mostly _ConjugateField.values, 9.07 in
+# d = 2 (intro, srw:2, ex71, ex75:3,2) and at most 6.8 in d = 1 from
+# n = 2048 on (d >= 3 runs conjugate_batch, which this does not cover); a
+# subexp step 6.1 to 6.5 (intro, srw:2, ex71, ex72, ex75:3,2); a derivative
+# step, whose prefactored power and differences are each sorted anew, 19.8
+# on ex75:3,2 with |beta| = 1 and at most 22.6 with |beta| up to 6
+_ENVELOPE_BOXES = 9.25
+_SUBEXP_BOXES = 6.75
+_DERIVATIVE_BOXES = 23.0
 
-    ``fields`` maps n to (points, |values|) arrays of the bounded quantity.
+
+def _envelope_peaks(points, mags, n, exponent, conj_field, alpha, normalizer=1.0):
+    """max_x(log|v(x)| + exponent log n - log normalizer + M n R#((x - n alpha)/n))
+    for each M on :data:`_M_GRID`, with ``mags`` the |v| at ``points`` (-inf
+    when there are none)."""
+    if not mags.size:
+        return [-np.inf] * len(_M_GRID)
+    r = n * conj_field.values((points - n * alpha) / n)
+    logs = np.log(mags) + exponent * np.log(n) - np.log(normalizer)
+    return [np.max(logs + M * r) for M in _M_GRID]
+
+
+def _envelope_fit(peaks):
+    """Largest M on the halving grid with octave-stable C(M); see gaussian fit.
+
+    ``peaks`` maps n to the :func:`_envelope_peaks` of the bounded quantity.
     """
-    ns = sorted(fields)
-    logs = {}
-    for n, (pts, mags) in fields.items():
-        keep = mags > 0.0
-        pts, mags = pts[keep], mags[keep]
-        y = (pts - n * alpha) / n
-        r = conj_field.values(y)
-        logs[n] = (np.log(mags) + mu_exponent * np.log(n)
-                   - np.log(normalizer), n * r)
+    ns = sorted(peaks)
     n_top = ns[-1]
     oct1 = [n for n in ns if n > n_top / 2]
     oct2 = [n for n in ns if n_top / 4 < n <= n_top / 2]
-    best = None
-    M = 1.0
-    for _ in range(13):
-        def s_over(sub):
-            vals = [np.max(logs[n][0] + M * logs[n][1]) for n in sub if len(logs[n][0])]
-            return max(vals) if vals else -np.inf
-        s1, s2 = s_over(oct1), s_over(oct2)
+    for k, M in enumerate(_M_GRID):
+        s1, s2, s_all = (max((peaks[n][k] for n in sub), default=-np.inf)
+                         for sub in (oct1, oct2, ns))
         ratio = float(np.exp(abs(s1 - s2)))
         if np.isfinite(s1) and np.isfinite(s2) and ratio <= 1.5:
-            c_all = float(np.exp(max(s_over(ns), s1)))
-            best = {"M": M, "C": c_all, "octave_ratio": ratio}
-            break
-        M *= 0.5
-    return best
+            return {"M": M, "C": float(np.exp(s_all)), "octave_ratio": ratio}
+    return None
 
 
 def gaussian_bound_fit(f, analysis, n_values):
@@ -349,27 +367,20 @@ def gaussian_bound_fit(f, analysis, n_values):
                 verdict="hypothesis-violated",
                 notes="Omega points carry distinct drifts or polynomials; "
                       "use subexp_bound_fit")
-    g = analysis.function
     mu = float(analysis.mu_phi)
     conj_field = _ConjugateField(poly0)
+    rows, peaks = [], {}
     # the exact direct path carries true zeros outside the reachable support;
     # transform noise there would otherwise dominate the envelope max
-    powers = direct_powers(g, sorted(n_values))
-    fields = {}
-    rows = []
-    for n in sorted(n_values):
-        pn = powers[n]
+    for n, pn in _direct_stream(analysis.function, n_values, _ENVELOPE_BOXES):
         mags = np.abs(pn.values)
-        fields[n] = (pn.points.astype(float), mags)
         sup = float(mags.max())
         rows.append((n, sup, n ** mu * sup))
-    fit = _envelope_fit(fields, mu, conj_field, alpha0)
-    if fit is None:
-        return BoundReport(kind="gaussian-bound",
-                           columns=("n", "sup", "scaled"), rows=rows,
-                           verdict="no-stable-fit")
+        peaks[n] = _envelope_peaks(pn.points, mags, n, mu, conj_field, alpha0)
+    fit = _envelope_fit(peaks)
     return BoundReport(kind="gaussian-bound", columns=("n", "sup", "scaled"),
-                       rows=rows, constants=fit, verdict="fit")
+                       rows=rows, constants=fit or {},
+                       verdict="fit" if fit else "no-stable-fit")
 
 
 def _poly_differs(p1, p2, tol=1e-8):
@@ -384,18 +395,13 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
         return BoundReport(kind="subexp-bound", columns=(), rows=[],
                            verdict="not-applicable",
                            notes=f"analysis verdict: {analysis.verdict}")
-    g = analysis.function
     terms = []
     for pa in analysis.points:
         cls = pa.classification
         evals, vecs = _eigh_symmetric(cls.poly.E)
         terms.append((float(cls.poly.mu), cls.alpha, evals, vecs))
     rows = []
-    worst = {}
-    ns = sorted(n_values)
-    powers = direct_powers(g, ns)
-    for n in ns:
-        pn = powers[n]
+    for n, pn in _direct_stream(analysis.function, n_values, _SUBEXP_BOXES):
         pts = pn.points.astype(float)
         mags = np.abs(pn.values)
         env = np.zeros_like(mags)
@@ -404,16 +410,14 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
             y = y * (float(n) ** (-evals))[None, :]
             r = np.linalg.norm(y @ vecs.T, axis=1)
             env += n ** (-mu_q) * (1.0 + r) ** (-float(N))
-        c = float(np.max(mags / env))
-        worst[n] = c
-        rows.append((n, c))
-    n_top = ns[-1]
-    oct1 = max(worst[n] for n in ns if n > n_top / 2)
-    oct2_vals = [worst[n] for n in ns if n_top / 4 < n <= n_top / 2]
+        rows.append((n, float(np.max(mags / env))))
+    n_top = rows[-1][0]
+    oct1 = max(c for n, c in rows if n > n_top / 2)
+    oct2_vals = [c for n, c in rows if n_top / 4 < n <= n_top / 2]
     ratio = oct1 / max(oct2_vals) if oct2_vals else float("nan")
     stable = np.isfinite(ratio) and max(ratio, 1.0 / ratio) <= 1.5
     return BoundReport(kind="subexp-bound", columns=("n", "C_N"), rows=rows,
-                       constants={"C_N": max(worst.values()), "N": N,
+                       constants={"C_N": max(c for _, c in rows), "N": N,
                                   "octave_ratio": ratio},
                        verdict="fit" if stable else "no-stable-fit")
 
@@ -443,13 +447,14 @@ def stability_report(f, n_max, method="auto"):
     if method == "auto":
         method = "direct" if _direct_work_estimate(f, n_max) <= 3e8 else "spectral"
     if method == "direct":
-        powers = direct_powers(f, n_values)
+        # the magnitudes that each norm takes
+        powers = _direct_stream(f, n_values, beside=0.5)
     elif method not in ("fast", "spectral"):
         raise ValueError(f"unknown method {method!r}")
     else:
         analysis = analyze(f)
-        powers = {n: power_near_drifts(f, analysis, n) for n in n_values}
-    rows = [(n, norm_l1(powers[n]), norm_linf(powers[n])) for n in n_values]
+        powers = ((n, power_near_drifts(f, analysis, n)) for n in n_values)
+    rows = [(n, norm_l1(p), norm_linf(p)) for n, p in powers]
     l1 = {n: r for n, r, _ in rows}
     top = max(v for n, v in l1.items() if n > n_max / 2)
     bottom = max(v for n, v in l1.items() if n <= n_max / 2)
@@ -538,25 +543,18 @@ def derivative_bound_fit(f, analysis, vectors, beta, n_values):
     normalizer = float(np.prod([max(np.linalg.norm(v), 1.0) ** b
                                 for v, b in zip(vectors, beta)]))
     conj_field = _ConjugateField(poly)
-    g = analysis.function
-    powers = direct_powers(g, sorted(n_values))
-    fields = {}
-    rows = []
-    for n in sorted(n_values):
-        base = _prefactor(powers[n], pa, n)
-        diffed = space_diff_multi(base, vectors, beta)
+    rows, peaks = [], {}
+    for n, pn in _direct_stream(analysis.function, n_values, _DERIVATIVE_BOXES):
+        diffed = space_diff_multi(_prefactor(pn, pa, n), vectors, beta)
         mags = np.abs(diffed.values)
-        fields[n] = (diffed.points.astype(float), mags)
         sup = float(mags.max()) if mags.size else 0.0
         rows.append((n, sup, sup * n ** exponent))
-    fit = _envelope_fit(fields, exponent, conj_field, pa.classification.alpha,
-                        normalizer=normalizer)
-    if fit is None:
-        return BoundReport(kind="derivative-bound",
-                           columns=("n", "sup", "scaled"), rows=rows,
-                           verdict="no-stable-fit")
+        peaks[n] = _envelope_peaks(diffed.points, mags, n, exponent, conj_field,
+                                   pa.classification.alpha, normalizer)
+    fit = _envelope_fit(peaks)
     return BoundReport(kind="derivative-bound", columns=("n", "sup", "scaled"),
-                       rows=rows, constants=fit, verdict="fit")
+                       rows=rows, constants=fit or {},
+                       verdict="fit" if fit else "no-stable-fit")
 
 
 # -- random-walk specializations ---------------------------------------------

@@ -318,3 +318,24 @@ def test_power_window_files_byte_identical_to_per_point_reference(
     assert sorted(os.listdir(out)) == names and len(names) == 5
     for name in names:
         assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_readme_commands_parse():
+    # every command in the README's command block parses, and every
+    # subcommand has a line there
+    import shlex
+    from pathlib import Path
+
+    from latconv import cli
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [ln.split("#", 1)[0] for ln in block.splitlines()
+             if ln.startswith("latconv ")]
+    parser = cli.build_parser()
+    seen = set()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        seen.add(argv[0])
+        if "|" not in argv:  # not the `examples list | emit` synopsis
+            assert parser.parse_args(argv).command == argv[0]
+    assert seen == set(cli._COMMANDS)

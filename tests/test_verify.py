@@ -318,6 +318,144 @@ def test_direct_powers_cap_counts_kept_powers(monkeypatch):
     assert peak <= cap
 
 
+@pytest.mark.parametrize("fixture", ["intro_analysis", "srw2_analysis"])
+def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch):
+    # with the shell table built beforehand, tracemalloc read 9.3 boxes of the
+    # final size on intro and 3.3 on srw:2.  A fit that keeps every power
+    # budgets 3.9 and 3.4 boxes here and peaks at 11.5 and 3.7, so it fails
+    # at a cap of 6 and 3.5 boxes; each cap must refuse the fit or hold it,
+    # and the largest must hold it
+    import tracemalloc
+
+    from latconv import _config
+    from latconv.errors import ResourceLimitError
+    ana = request.getfixturevalue(fixture)
+    field = verify._ConjugateField(ana.points[0].classification.poly)
+    monkeypatch.setattr(verify, "_ConjugateField", lambda poly: field)
+    ns = [1, 2, 4, 8, 16, 32, 64, 128]
+    lo, hi = ana.function.extent()
+    box = 16 * np.prod(ns[-1] * (hi - lo) + 1)
+    for boxes in (3.5, 6.0, 13.0):
+        cap = int(boxes * box)
+        monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
+        tracemalloc.start()
+        try:
+            verify.gaussian_bound_fit(ana.function, ana, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        except ResourceLimitError:
+            peak = None
+        finally:
+            tracemalloc.stop()
+        assert peak is None or peak <= cap
+    assert peak is not None
+
+
+def _reference_envelope_fit(fields, mu_exponent, conj_field, alpha, normalizer=1.0):
+    """The envelope fit over every power's points at once, kept as a reference.
+
+    ``fields`` maps n to (points, |values|) arrays of the bounded quantity.
+    """
+    ns = sorted(fields)
+    logs = {}
+    for n, (pts, mags) in fields.items():
+        keep = mags > 0.0
+        pts, mags = pts[keep], mags[keep]
+        y = (pts - n * alpha) / n
+        r = conj_field.values(y)
+        logs[n] = (np.log(mags) + mu_exponent * np.log(n)
+                   - np.log(normalizer), n * r)
+    n_top = ns[-1]
+    oct1 = [n for n in ns if n > n_top / 2]
+    oct2 = [n for n in ns if n_top / 4 < n <= n_top / 2]
+    best = None
+    M = 1.0
+    for _ in range(13):
+        def s_over(sub):
+            vals = [np.max(logs[n][0] + M * logs[n][1]) for n in sub if len(logs[n][0])]
+            return max(vals) if vals else -np.inf
+        s1, s2 = s_over(oct1), s_over(oct2)
+        ratio = float(np.exp(abs(s1 - s2)))
+        if np.isfinite(s1) and np.isfinite(s2) and ratio <= 1.5:
+            c_all = float(np.exp(max(s_over(ns), s1)))
+            best = {"M": M, "C": c_all, "octave_ratio": ratio}
+            break
+        M *= 0.5
+    return best
+
+
+@pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis"])
+def test_gaussian_fit_matches_reference_bitwise(fixture, request):
+    ana = request.getfixturevalue(fixture)
+    ns = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
+    mu = float(ana.mu_phi)
+    cls = ana.points[0].classification
+    fields, rows = {}, []
+    for n, pn in verify.direct_powers(ana.function, ns).items():
+        mags = np.abs(pn.values)
+        fields[n] = (pn.points.astype(float), mags)
+        rows.append((n, float(mags.max()), n ** mu * float(mags.max())))
+    ref = _reference_envelope_fit(fields, mu, verify._ConjugateField(cls.poly),
+                                  cls.alpha)
+    rep = verify.gaussian_bound_fit(ana.function, ana, ns)
+    assert ref is not None and rep.constants == ref and rep.rows == rows
+
+
+def test_derivative_fit_matches_reference_bitwise(ex75_analysis):
+    from latconv.homogeneous import p_fitted
+    vectors, beta, ns = [np.array([1, 0]), np.array([0, 1])], (1, 0), [4, 8, 16, 32, 64]
+    pa = ex75_analysis.points[0]
+    poly = pa.classification.poly
+    _, weights = p_fitted(poly, vectors)
+    exponent = float(poly.mu) + sum(float(Fraction(b, 2 * m))
+                                    for b, m in zip(beta, weights))
+    fields, rows = {}, []
+    for n, pn in verify.direct_powers(ex75_analysis.function, ns).items():
+        diffed = verify.space_diff_multi(verify._prefactor(pn, pa, n), vectors, beta)
+        mags = np.abs(diffed.values)
+        fields[n] = (diffed.points.astype(float), mags)
+        rows.append((n, float(mags.max()), float(mags.max()) * n ** exponent))
+    ref = _reference_envelope_fit(fields, exponent, verify._ConjugateField(poly),
+                                  pa.classification.alpha)
+    rep = verify.derivative_bound_fit(ex75_analysis.function, ex75_analysis,
+                                      vectors, beta, ns)
+    assert ref is not None and rep.constants == ref and rep.rows == rows
+
+
+def test_subexp_fit_matches_reference_bitwise(ex72_analysis):
+    ns, N = [4, 8, 16, 32, 64], 4
+    powers = verify.direct_powers(ex72_analysis.function, ns)
+    rows = []
+    for n in ns:
+        pts = powers[n].points.astype(float)
+        mags = np.abs(powers[n].values)
+        env = np.zeros_like(mags)
+        for pa in ex72_analysis.points:
+            cls = pa.classification
+            evals, vecs = verify._eigh_symmetric(cls.poly.E)
+            y = ((pts - n * cls.alpha) @ vecs) * (float(n) ** (-evals))[None, :]
+            env += n ** (-float(cls.poly.mu)) * (1.0 + np.linalg.norm(y @ vecs.T, axis=1)) ** (-float(N))
+        rows.append((n, float(np.max(mags / env))))
+    ratio = (max(c for n, c in rows if n > ns[-1] / 2)
+             / max(c for n, c in rows if ns[-1] / 4 < n <= ns[-1] / 2))
+    rep = verify.subexp_bound_fit(ex72_analysis.function, ex72_analysis, ns, N=N)
+    assert rep.rows == rows
+    assert rep.constants == {"C_N": max(c for _, c in rows), "N": N,
+                             "octave_ratio": ratio}
+
+
+@pytest.mark.parametrize("name, n_max", [("srw:2", 64), ("ex73", 128),
+                                         ("unstable1d", 512)])
+def test_direct_stability_matches_kept_powers_bitwise(name, n_max, monkeypatch):
+    # the report again, on every power kept at once
+    f = examples.get(name)
+    rep = verify.stability_report(f, n_max, method="direct")
+    powers = verify.direct_powers(f, verify._dyadic_ns(n_max))
+    monkeypatch.setattr(verify, "_direct_stream",
+                        lambda f, ns, beside=0.0: sorted(powers.items()))
+    ref = verify.stability_report(f, n_max, method="direct")
+    assert (rep.rows, rep.constants, rep.verdict) == (ref.rows, ref.constants, ref.verdict)
+
+
 @pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis", "ex71_analysis",
                                      "ex73_analysis", "ex75_analysis"])
 def test_conjugate_field_interpolation_error(fixture, request):
