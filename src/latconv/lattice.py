@@ -128,7 +128,8 @@ class LatticeFunction:
         if not isinstance(other, LatticeFunction):
             return NotImplemented
         # 0 - v, not -v: a zero component gives +0, as a scalar subtraction does
-        return self + LatticeFunction(other.dim, other.points, 0.0 - other.values)
+        return self + LatticeFunction._from_sorted(other.dim, other.points,
+                                                   0.0 - other.values)
 
     def __repr__(self):
         return f"LatticeFunction(dim={self.dim}, support={len(self)})"
@@ -161,7 +162,8 @@ def translate(f, y):
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if y.shape != (f.dim,):
         raise DimensionMismatchError(f"shift has dimension {y.shape}, function {f.dim}")
-    return LatticeFunction(f.dim, f.points + y, f.values)
+    # a shift keeps the canonical order
+    return LatticeFunction._from_sorted(f.dim, f.points + y, f.values)
 
 
 def norm_l1(f):

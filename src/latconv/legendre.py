@@ -23,6 +23,12 @@ from .symbol import newton_ascent
 _START_SEED = 4242
 # objective cells per block of the grid scan (8 MiB of float64)
 _SCAN_BLOCK_CELLS = 2 ** 20
+# complex boxes per ascent row and coordinate that conjugate_batch holds: the
+# row's point and start, the ascent's working set and the polynomial
+# evaluator's share.  tracemalloc read per row, at 100 points without the
+# multi-start refinement (more boxes per row than with it): 20.1 in d = 1
+# (ex75:3), 57.4 in d = 2 (intro) and 80.9 in d = 3 (ex75:3,2,2)
+_ASCENT_BOXES = 30.0
 
 
 class ConjugateEvaluator:
@@ -50,8 +56,8 @@ class ConjugateEvaluator:
         row also leaves for Newton once a gradient step has not halved
         |grad|^2 and R is convex at its point (``real_hess`` positive
         definite): Newton started where R is not convex can stop on a saddle,
-        as it does from the grid points alone for 2 of ex73's 4,096 shell
-        table directions.
+        as it does from the grid points alone for 2 of ex73's 4,096
+        unit-circle directions.
         """
         xs = np.asarray(xs, dtype=float)
         xi = np.array(xis, dtype=float)
@@ -143,10 +149,11 @@ class ConjugateEvaluator:
         norms = np.linalg.norm(xs, axis=1)
         rho = self._certified_radius(float(norms.max()) if len(xs) else 1.0)
         grid_val, grid_arg = self._grid_scan_batch(xs, rho)
+        n_st = len(self._starts) if refine_starts else 1
+        _check_box((len(xs) * n_st, self.dim), complex_arrays=_ASCENT_BOXES)
         vals, args = self._ascend_batch(xs, grid_arg)
         if refine_starts:
             scale = np.maximum(np.linalg.norm(grid_arg, axis=1), 1e-2)
-            n_st = len(self._starts)
             big_x = np.repeat(xs, n_st, axis=0)
             big_s = (scale[:, None, None]
                      * self._starts[None, :, :]).reshape(-1, self.dim)

@@ -211,84 +211,55 @@ def llt_error_ladder(f, analysis, n_values, window=None):
                        rows=rows, verdict=verdict)
 
 
-# -- shell-table conjugate evaluation (vectorized over many x) ---------------
+# -- conjugate evaluation on the E-adapted unit sphere (vectorized) ---------
 
 class _ConjugateField:
     """Vectorized R#((x - n a)/n) evaluation via homogeneity.
 
-    R# scales as t R#(x) = R#(t^F x) with F = (I - E)^T, so values on a shell
-    table of unit directions extend to all of R^d by solving for the scale.
-    d = 1 tabulates the two unit points; d >= 3 has no table and evaluates
-    every point in one ``conjugate_batch``.  In d = 2 the table is
-    interpolated linearly between 4,096 angles: halfway between them the
-    relative error is at most 1e-4 on srw:2, intro, ex71, ex73 and ex75:3,2
-    (measured 4.4e-16 to 2.7e-5, and pinned by a test, not checked at run
-    time, where it would double the cost of the table).
+    R# scales as t R#(x) = R#(t^F x) with F = (I - E)^T.  With y the
+    coordinates of x in F's eigenbasis, l_j its eigenvalues (in [1/2, 1)) and
+    c_j = sign(y_j) |y_j|^(1/(2 l_j)), x = t^F u for t = |c|^2 and u at the
+    angle atan2(c_2, c_1) on the E-adapted unit sphere sum_j |u_j|^(1/l_j) = 1
+    (Folland & Stein's homogeneous norm), so t = 0 at x = 0.  R# is tabulated
+    at 2 (d = 1) or 4,096 (d = 2) equally spaced angles and interpolated
+    linearly: at mid-angles and at 2,000 random x with |x| in [0.05, 20] the
+    relative error was 6.7e-16 on srw:2, 3.6e-6 on intro, 7.1e-8 on ex71,
+    2.0e-7 on ex73, 1.4e-8 on ex75:3,2 and 8.2e-9 on ex74 (a test pins 1e-4).
+    d >= 3 has no table and evaluates every point in one ``conjugate_batch``.
     """
 
-    def __init__(self, poly, n_angles=4096):
+    def __init__(self, poly):
         self.ev = ConjugateEvaluator(poly)
         self.dim = poly.dim
-        E = poly.E
-        self.F = (np.eye(self.dim) - E).T
-        self.evals, self.vecs = _eigh_symmetric(self.F)
-        if self.dim == 1:
-            self.table, _ = self.ev.conjugate_batch(np.array([[-1.0], [1.0]]))
-        elif self.dim == 2:
-            th = np.linspace(-np.pi, np.pi, n_angles, endpoint=False)
-            dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-            # grid + Newton suffices on the unit shell, so the table skips
-            # the multi-start refinement
-            self.table, _ = self.ev.conjugate_batch(dirs, refine_starts=False)
-            self.n_angles = n_angles
-        else:
-            self.table = None
+        self.evals, self.vecs = _eigh_symmetric((np.eye(self.dim) - poly.E).T)
+        self.table = None
+        if self.dim <= 2:
+            self.n_angles = 4096 if self.dim == 2 else 2
+            th = np.linspace(-np.pi, np.pi, self.n_angles, endpoint=False)
+            # grid + Newton meets the multi-start refinement at the nodes
+            # (within 1e-12, pinned by a test), so the table skips it
+            table, _ = self.ev.conjugate_batch(self.sphere(th), refine_starts=False)
+            self.angles = np.append(th, np.pi)
+            self.table = np.append(table, table[0])
 
-    def _solve_scale(self, xs):
-        """t(x) with |t^{-F} x| = 1, by Newton in s = log t.
+    def sphere(self, th):
+        """The points of angle ``th`` on the E-adapted unit sphere."""
+        trig = np.stack([np.cos(th), np.sin(th)], axis=-1)[:, :self.dim]
+        return np.copysign(np.abs(trig) ** (2.0 * self.evals), trig) @ self.vecs.T
 
-        With y the eigen-coordinates of x, h(s) = log sum_j y_j^2 e^{-2 l_j s}
-        is convex and decreasing, and h >= 0 at the start
-        s0 = min(log|y| / l_max, log|y| / l_min), so the iterates rise to the
-        root without overshoot.  s0 is the root when F is scalar.
-        """
+    def polar(self, xs):
+        """(t, th) with x = t^F :meth:`sphere` (th) for each row x of ``xs``."""
         y = xs @ self.vecs
-        lam = self.evals
-        log_y = np.log(np.linalg.norm(y, axis=1))
-        s = np.minimum(log_y / lam.max(), log_y / lam.min())
-        for _ in range(64):
-            u2 = (y * np.exp(s)[:, None] ** -lam) ** 2
-            total = u2.sum(axis=1)
-            step = np.log(total) * total / (2.0 * (u2 * lam).sum(axis=1))
-            s = s + step
-            if np.all(np.abs(step) <= 4e-15 * np.maximum(1.0, np.abs(s))):
-                break
-        return np.exp(s)
+        c = np.copysign(np.abs(y) ** (0.5 / self.evals), y, out=y)
+        return (np.einsum("kd,kd->k", c, c),
+                np.arctan2(c[:, 1] if self.dim == 2 else 0.0, c[:, 0]))
 
     def values(self, xs):
         xs = np.asarray(xs, dtype=float)
-        nz = np.linalg.norm(xs, axis=1) > 1e-300
-        out = np.zeros(xs.shape[0])
-        if not nz.any():
-            return out
-        pts = xs[nz]
         if self.table is None:
-            out[nz], _ = self.ev.conjugate_batch(pts)
-            return out
-        t = self._solve_scale(pts)
-        u = (pts @ self.vecs) * t[:, None] ** (-self.evals[None, :])
-        u = u @ self.vecs.T
-        if self.dim == 1:
-            base = self.table[(u[:, 0] > 0).astype(int)]
-        else:
-            th = np.arctan2(u[:, 1], u[:, 0])
-            pos = (th + np.pi) / (2.0 * np.pi) * self.n_angles
-            i0 = np.floor(pos).astype(int) % self.n_angles
-            i1 = (i0 + 1) % self.n_angles
-            w = pos - np.floor(pos)
-            base = (1.0 - w) * self.table[i0] + w * self.table[i1]
-        out[nz] = t * base
-        return out
+            return self.ev.conjugate_batch(xs)[0]
+        t, th = self.polar(xs)
+        return t * np.interp(th, self.angles, self.table)
 
 
 def _eigh_symmetric(M):
@@ -304,15 +275,16 @@ def _eigh_symmetric(M):
 _M_GRID = tuple(0.5 ** k for k in range(13))
 # complex boxes per cell of the final box that a fit step allocates beside
 # the power; tracemalloc read, per point of the power: the gaussian fit's
-# magnitudes and _envelope_peaks, mostly _ConjugateField.values, 9.07 in
-# d = 2 (intro, srw:2, ex71, ex75:3,2) and at most 6.8 in d = 1 from
-# n = 2048 on (d >= 3 runs conjugate_batch, which this does not cover); a
-# subexp step 6.1 to 6.5 (intro, srw:2, ex71, ex72, ex75:3,2); a derivative
-# step, whose prefactored power and differences are each sorted anew, 19.8
-# on ex75:3,2 with |beta| = 1 and at most 22.6 with |beta| up to 6
-_ENVELOPE_BOXES = 9.25
+# magnitudes and _envelope_peaks, 4.6 to 5.5 in d = 2 (intro, srw:2, ex71,
+# ex73, ex75:3,2 at n = 64 and 128) and 3.0 in d = 1 (ex75:3, srw:1 at
+# n = 2048 and 4096), where d >= 3 adds conjugate_batch, which checks its own
+# rows against the cap; a subexp step 6.1 to 6.5 (intro, srw:2, ex71, ex72,
+# ex75:3,2); a derivative step, whose prefactored power and each difference's
+# sum are sorted anew, 17.1 on ex75:3,2 with |beta| = 1 and at most 19.8 with
+# |beta| up to 6 (n = 64 and 128)
+_ENVELOPE_BOXES = 5.75
 _SUBEXP_BOXES = 6.75
-_DERIVATIVE_BOXES = 23.0
+_DERIVATIVE_BOXES = 20.5
 
 
 def _envelope_peaks(points, mags, n, exponent, conj_field, alpha, normalizer=1.0):
@@ -626,14 +598,29 @@ def theta_cosine(profile, n, x):
 
 
 def support_periodicity_check(f, profile, n_max, tol=1e-8):
-    """Exact inclusion supp(phi^(n)) within supp(Theta(n, .)) for n <= n_max."""
+    """Exact inclusion supp(phi^(n)) within supp(Theta(n, .)) for n <= n_max.
+
+    Theta is summed one Omega point at a time over the support's points.
+    The cap counts the larger of the sweep's boxes and the power beside what
+    the check holds when every cell is in the support: ``np.argwhere``'s
+    coordinates and their stacked copy (d/2 boxes each), or the float
+    coordinates, Theta and one Omega point's phases and exponentials
+    (d/2 + 2.5).
+    """
     if not f.is_probability():
         raise ValueError("support periodicity check requires a probability input")
+    flo, fhi = f.extent()
+    shape = n_max * (fhi - flo) + 1
+    real = _is_real(f)
+    _check_box(shape, complex_arrays=max(_sweep_boxes(real, np.prod(shape, dtype=float)),
+                                         (0.5 if real else 1.0) + max(f.dim, f.dim / 2 + 2.5)))
     for n, (arr, lo) in enumerate(sweep(f, n_max), start=1):
-        points = np.argwhere(arr) + lo
-        phases = (n * profile.omega_phases[None, :]
-                  - points.astype(float) @ profile.omega_points.T)
-        theta_vals = np.exp(1j * phases).sum(axis=1)
+        points = np.argwhere(arr).astype(float)
+        points += lo
+        theta_vals = np.zeros(len(points), dtype=complex)
+        for xi, phase in zip(profile.omega_points, profile.omega_phases):
+            z = 1j * (n * phase - points @ xi)
+            theta_vals += np.exp(z, out=z)
         if np.any(np.abs(theta_vals) <= tol):
             return False
     return True

@@ -314,7 +314,7 @@ def _refine_rows(ev, xs):
 @pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis",
                                      "ex73_analysis", "ex75_analysis"])
 def test_live_row_ascent_matches_full_batch_on_tables(fixture, request):
-    # the shell table of _ConjugateField: 4,096 unit directions, grid starts
+    # 4,096 unit-circle directions, grid starts
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
     dirs = _unit_circle(4096)
     _, grid_arg = ev._grid_scan_batch(dirs, ev._certified_radius(1.0))
@@ -343,7 +343,7 @@ def test_live_row_newton_matches_full_batch_from_raw_starts(fixture, request):
 
 def test_live_row_hand_off_matches_full_batch_where_re_p_is_not_convex(intro_analysis):
     # from these starts the convexity test refuses 36 hand-offs of stalled
-    # rows; on the shell tables it refuses none
+    # rows; on 4,096 unit-circle directions it refuses none
     ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
     rng = np.random.default_rng(1)
     _assert_same_ascent(ev, rng.uniform(-6, 6, size=(2000, 2)),
@@ -354,7 +354,7 @@ def test_live_row_hand_off_matches_full_batch_where_re_p_is_not_convex(intro_ana
                                           ("intro_analysis", None), ("ex71_analysis", 8)])
 def test_hand_off_is_below_the_fixed_gradient_phase_by_rounding_only(fixture, half,
                                                                       request, monkeypatch):
-    # the shell tables (grid starts only) and the ex71 CLI window: handing
+    # 4,096 unit-circle directions (grid starts only) and the ex71 CLI window: handing
     # stalled rows to Newton moved R# by at most 5e-14 relative on the corpus,
     # lower on some rows where Re P is flat at the maximum
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)

@@ -318,6 +318,61 @@ def test_direct_powers_cap_counts_kept_powers(monkeypatch):
     assert peak <= cap
 
 
+def test_conjugate_batch_cap_counts_the_ascent_rows(monkeypatch):
+    # 1,000 points of ex75:3 ascend from 8,000 multi-start rows: tracemalloc
+    # read 1.8 MiB, while the grid scan budgets 0.5 MiB.  Without the rows in
+    # the budget the batch ran to 1.8 MiB under a 1 MiB cap
+    import tracemalloc
+
+    from latconv import _config
+    from latconv.errors import ResourceLimitError
+    from latconv.legendre import ConjugateEvaluator
+    ev = ConjugateEvaluator(latconv.analyze(examples.get("ex75:3")).points[0].classification.poly)
+    xs = np.random.default_rng(7).uniform(-6, 6, size=(1000, 1))
+    for cap, refused in ((2 ** 20, True), (8 * 2 ** 20, False)):
+        monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
+        tracemalloc.start()
+        try:
+            ev.conjugate_batch(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        except ResourceLimitError:
+            peak = None
+        finally:
+            tracemalloc.stop()
+        assert (peak is None) == refused
+        assert peak is None or peak <= cap
+
+
+@pytest.mark.parametrize("f, n", [
+    (examples.srw(2), 96),
+    (LatticeFunction.from_dict({(0, 0): 0.5, (1, 0): 0.125, (-1, 0): 0.125,
+                                (0, 1): 0.125, (0, -1): 0.125}), 96)], ids=["srw:2", "lazy"])
+def test_support_periodicity_cap_counts_theta(f, n, monkeypatch):
+    # beside the power, Theta over the support's points: tracemalloc read 2.45
+    # final boxes on srw:2 (half the cells) and 3.18 on the lazy walk (all of
+    # them), where the sweep alone budgets 1.72.  Each cap must refuse the
+    # check or hold it, and the largest must hold it
+    import tracemalloc
+
+    from latconv import _config
+    from latconv.errors import ResourceLimitError
+    prof = verify.walk_profile(f)
+    lo, hi = f.extent()
+    box = 16 * np.prod(n * (hi - lo) + 1)
+    for boxes in (2.0, 4.25):
+        monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", int(boxes * box))
+        tracemalloc.start()
+        try:
+            assert verify.support_periodicity_check(f, prof, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        except ResourceLimitError:
+            peak = None
+        finally:
+            tracemalloc.stop()
+        assert peak is None or peak <= boxes * box
+    assert peak is not None
+
+
 @pytest.mark.parametrize("fixture", ["intro_analysis", "srw2_analysis"])
 def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch):
     # with the shell table built beforehand, tracemalloc read 9.3 boxes of the
@@ -456,17 +511,41 @@ def test_direct_stability_matches_kept_powers_bitwise(name, n_max, monkeypatch):
     assert (rep.rows, rep.constants, rep.verdict) == (ref.rows, ref.constants, ref.verdict)
 
 
+@pytest.fixture(scope="module")
+def field_of(request):
+    """One _ConjugateField per example fixture, shared by the table tests."""
+    fields = {}
+
+    def get(fixture):
+        if fixture not in fields:
+            P = request.getfixturevalue(fixture).points[0].classification.poly
+            fields[fixture] = verify._ConjugateField(P)
+        return fields[fixture]
+    return get
+
+
 @pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis", "ex71_analysis",
                                      "ex73_analysis", "ex75_analysis"])
-def test_conjugate_field_interpolation_error(fixture, request):
-    # halfway between table directions, where linear interpolation is
-    # furthest from its nodes (measured 4.4e-16 to 2.7e-5)
-    P = request.getfixturevalue(fixture).points[0].classification.poly
-    field = verify._ConjugateField(P)
+def test_conjugate_field_interpolation_error(fixture, field_of):
+    # halfway between table angles, where linear interpolation is furthest
+    # from its nodes, on the unit circle and on the E-adapted sphere
+    # (measured 5.6e-16 to 3.6e-6)
+    field = field_of(fixture)
     th = np.linspace(-np.pi, np.pi, field.n_angles, endpoint=False) + np.pi / field.n_angles
-    mid = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    exact, _ = field.ev.conjugate_batch(mid, refine_starts=False)
-    assert np.max(np.abs(field.values(mid) / exact - 1.0)) <= 1e-4
+    for mid in (np.stack([np.cos(th), np.sin(th)], axis=-1), field.sphere(th)):
+        exact, _ = field.ev.conjugate_batch(mid, refine_starts=False)
+        assert np.max(np.abs(field.values(mid) / exact - 1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis", "ex71_analysis",
+                                     "ex73_analysis", "ex75_analysis"])
+def test_conjugate_field_table_nodes_match_multi_start(fixture, field_of):
+    # the table is built from grid starts alone; every 8th node against the
+    # multi-start refinement (measured at most 7.4e-14)
+    field = field_of(fixture)
+    th = np.linspace(-np.pi, np.pi, field.n_angles, endpoint=False)[::8]
+    exact, _ = field.ev.conjugate_batch(field.sphere(th))
+    assert np.max(np.abs(field.table[:-1:8] / exact - 1.0)) <= 1e-12
 
 
 def test_conjugate_field_rejects_non_orthogonal_basis():
@@ -483,39 +562,31 @@ def test_conjugate_field_rejects_non_orthogonal_basis():
         verify.subexp_bound_fit(analysis.function, analysis, [1, 2])
 
 
-def _bisection_scale(field, xs):
-    """The former fixed-bracket bisection for t, kept as a reference."""
-    y = xs @ field.vecs
-    lo = np.full(xs.shape[0], 1e-12)
-    hi = np.full(xs.shape[0], 1e12)
-    for _ in range(96):
-        mid = np.sqrt(lo * hi)
-        r = np.linalg.norm(y * mid[:, None] ** (-field.evals[None, :]), axis=1)
-        take = r > 1.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return np.sqrt(lo * hi)
-
-
 @pytest.mark.parametrize("fixture", ["intro_analysis", "srw2_analysis"])
-def test_conjugate_field_scale_over_sixteen_decades(fixture, request, monkeypatch):
+def test_conjugate_field_polar_coordinates_over_sixteen_decades(fixture, field_of):
     # intro has a non-scalar F = diag(3/4, 1/2); srw:2 has F = I/2
-    P = request.getfixturevalue(fixture).points[0].classification.poly
-    field = verify._ConjugateField(P)
+    field = field_of(fixture)
     rng = np.random.default_rng(5)
     dirs = np.vstack([np.eye(2), -np.eye(2), rng.standard_normal((12, 2))])
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    xs = (np.geomspace(1e-8, 1e8, 33)[:, None, None] * dirs[None]).reshape(-1, 2)
-    t = field._solve_scale(xs)
-    r = np.linalg.norm((xs @ field.vecs) * t[:, None] ** (-field.evals), axis=1)
-    assert np.abs(r - 1.0).max() <= 1e-14
-    got = field.values(xs)
-    t_old = _bisection_scale(field, xs)
-    inside = (t_old > 1.01e-12) & (t_old < 1e12 / 1.01)
-    assert (~inside).any()
-    monkeypatch.setattr(field, "_solve_scale", lambda pts: _bisection_scale(field, pts))
-    ref = field.values(xs)
-    assert np.abs(got[inside] / ref[inside] - 1.0).max() <= 1e-14
+    norms = np.repeat(np.geomspace(1e-8, 1e8, 33), len(dirs))
+    xs = norms[:, None] * np.tile(dirs, (33, 1))
+    t, th = field.polar(xs)
+    u = (xs @ field.vecs) * t[:, None] ** (-field.evals)
+    assert np.abs((np.abs(u) ** (1.0 / field.evals)).sum(axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(field.sphere(th) - u @ field.vecs.T).max() <= 1e-14
+    # each whole decade against the multi-start conjugate_batch, which
+    # returns the objective at the ascent's end point, a lower bound of R#;
+    # its gradient tolerance (1e-10) is a coarse fraction of x below
+    # |x| = 1e-7, where it reads up to 2% low on intro
+    decade = np.repeat(np.arange(33) % 2 == 0, len(dirs))
+    xs, norms = xs[decade], norms[decade]
+    exact, _ = field.ev.conjugate_batch(xs)
+    rel = field.values(xs) / exact - 1.0
+    if fixture == "srw2_analysis":
+        assert np.abs(rel).max() <= 1e-12
+    else:
+        assert rel.min() >= -1e-4 and np.abs(rel[norms >= 1e-7]).max() <= 1e-4
 
 
 def test_conjugate_field_is_not_clamped(srw2_analysis):
