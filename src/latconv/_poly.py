@@ -67,7 +67,8 @@ class CompiledPoly:
             mono = mono * fac[:, j]
         terms = mono.reshape(mono.shape[:1] + (1,) * (self._coef.ndim - 2)
                              + mono.shape[1:]) * self._coef
-        out = terms[0]
+        # a fresh array: a view of terms[0] would keep all of terms alive
+        out = terms[0].copy()
         for term in terms[1:]:
             out += term
         return out

@@ -102,12 +102,23 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
+def _columns(*columns):
+    """Rows, as tuples of Python scalars, of equal-length arrays."""
+    return zip(*(c.tolist() for c in columns))
+
+
 def _write_csv(path, header, rows):
+    """Row tuples as CSV through one format, set by the first row's types:
+    a float as ``_fmt`` writes it, anything else as ``str`` does."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        if first is not None:
+            fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
+                           for v in first) + "\n"
+            fh.write(fmt % first)
+            fh.writelines(fmt % row for row in rows)
 
 
 def _write_report_csv(path, report):
@@ -153,13 +164,12 @@ def cmd_analyze(args):
     ana = analyze(f)
     print(f"normalization scale = {_fmt(ana.scale)}")
     print(f"omega points: {len(ana.omega)}")
-    rows = []
-    for pa in ana.points:
-        rows.append(tuple(float(c) for c in pa.xi)
-                    + (float(pa.value.real), float(pa.value.imag), pa.phase))
+    om = ana.omega
     d = f.dim
     header = ",".join([f"xi_{j + 1}" for j in range(d)] + ["re", "im", "omega"])
-    _write_csv(_out_path(args, "omega.csv"), header, rows)
+    _write_csv(_out_path(args, "omega.csv"), header,
+               _columns(*om.points.T, om.values.real, om.values.imag,
+                        om.phases))
     cls_rows = []
     coef_rows = []
     for i, pa in enumerate(ana.points):
@@ -222,10 +232,10 @@ def cmd_power(args):
             lo, hi = g.extent()
             window = list(zip(lo.tolist(), hi.tolist()))
         inside = _in_window(g, window)
-        rows = [tuple(p) + (v.real, v.imag)
-                for p, v in zip(g.points[inside].tolist(), g.values[inside].tolist())]
+        vals = g.values[inside]
         header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["re", "im"])
-        _write_csv(_out_path(args, f"power_n{n}.csv"), header, rows)
+        _write_csv(_out_path(args, f"power_n{n}.csv"), header,
+                   _columns(*g.points[inside].T, vals.real, vals.imag))
         print(f"n = {n}: support {len(g)}, sup |phi^n| = {_fmt(norm_linf(g))}")
         if args.pgm:
             if f.dim != 2:
@@ -254,10 +264,10 @@ def cmd_llt(args):
     n_last = n_values[-1]
     win = window or default_llt_window(ana, n_last)
     approx = llt_approx(ana, n_last, win)
-    rows = [tuple(int(c) for c in p) + (v.real, v.imag)
-            for p, v in zip(approx.points, approx.values)]
     header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["re", "im"])
-    _write_csv(_out_path(args, f"llt_approx_n{n_last}.csv"), header, rows)
+    _write_csv(_out_path(args, f"llt_approx_n{n_last}.csv"), header,
+               _columns(*approx.points.T, approx.values.real,
+                        approx.values.imag))
     if args.pgm and f.dim == 2:
         field = _grid_field(approx, win)
         _write_pgm(_out_path(args, f"llt_approx_n{n_last}_re.pgm"),
@@ -278,14 +288,11 @@ def cmd_attractor(args):
               else default_llt_window(ana, n))
     pa = ana.minimal_points()[0]
     grid = attractor_grid(pa.classification.poly, n, window)
-    lo = grid.lo
-    rows = []
-    for idx in np.ndindex(grid.values.shape):
-        v = grid.values[idx]
-        rows.append(tuple(int(lo[j] + idx[j]) for j in range(f.dim))
-                    + (v.real, v.imag))
+    coords = np.indices(grid.values.shape).reshape(f.dim, -1) + grid.lo[:, None]
+    vals = grid.values.reshape(-1)
     header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["re", "im"])
-    _write_csv(_out_path(args, f"attractor_t{n}.csv"), header, rows)
+    _write_csv(_out_path(args, f"attractor_t{n}.csv"), header,
+               _columns(*coords, vals.real, vals.imag))
     print(f"attractor H_P^{n} over {window}: max |H| = "
           f"{_fmt(float(np.abs(grid.values).max()))}")
     if args.pgm and f.dim == 2:
@@ -309,12 +316,11 @@ def cmd_legendre(args):
     axes = [np.arange(a, b + 1) for a, b in window]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
     vals, argmax = ev.conjugate_batch(pts.astype(float))
-    rows = [tuple(int(c) for c in pt) + (float(val),) + tuple(float(a) for a in arg)
-            for pt, val, arg in zip(pts, vals, argmax)]
     header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["value"]
                       + [f"argmax_{j + 1}" for j in range(f.dim)])
-    _write_csv(_out_path(args, "legendre.csv"), header, rows)
-    print(f"legendre transform evaluated at {len(rows)} points")
+    _write_csv(_out_path(args, "legendre.csv"), header,
+               _columns(*pts.T, vals, *argmax.T))
+    print(f"legendre transform evaluated at {len(pts)} points")
     return EXIT_OK
 
 

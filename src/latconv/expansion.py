@@ -10,6 +10,12 @@ real part is positive definite and which scales as t P(xi) = P(t^E xi): the
 quadratic part of Re(-Gamma) fixes the weight-one directions, remaining axes
 are searched over even orders, sub-homogeneous coefficients must vanish, and
 the kept part must have positive real part.
+
+When supp phi - x0 spans a proper sublattice L of Z^d, Omega is a union of
+cosets of 2 pi L*, and Gamma is one function on each coset: xi = xi' + delta
+with e^{i delta.(x - x0)} = 1 on supp phi gives phi-hat(. + xi) =
+e^{i delta.x0} phi-hat(. + xi'), whose ratio to its value at 0 is the same.
+:func:`analyze` therefore classifies one point per coset.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ VERDICT_INDETERMINATE = "indeterminate"
 DRIFT_REAL_TOL = 1e-8
 SUBHOMOGENEOUS_TOL = 1e-8
 NULL_EIGENVALUE_TOL = 1e-9
+# |e^{i (xi - xi').(x - x0)} - 1| on supp phi below which xi and xi' share a
+# classification; the tolerance of symbol.phase_consistency_check
+COSET_TOL = 1e-9
 
 
 @dataclass
@@ -293,6 +302,14 @@ def analyze(f, m_max=12):
     0 with the pure-translation diagnostic instead of enumerating a continuum.
     ``find_omega`` works from the Newton endpoints of the scan that
     normalized f, so f is scanned once.
+
+    A point is classified only when no point classified before it lies in
+    its coset of 2 pi L*, L the lattice spanned by supp phi - x0 (x0 the
+    first support point): xi and xi' share a coset when
+    |e^{i (xi - xi').(x - x0)} - 1| <= ``COSET_TOL`` on supp phi.  Both then
+    hold the same :class:`Classification` object.  This is exact, since
+    phi-hat(eta + xi) = e^{i (xi - xi').x0} phi-hat(eta + xi') for every eta,
+    so Gamma_xi = Gamma_xi'.
     """
     g, scale, scan = _normalize(f)
     sym = SymbolView(g)
@@ -310,9 +327,16 @@ def analyze(f, m_max=12):
         return SpectralAnalysis(function=g, scale=scale, omega=omega,
                                 points=[pa], mu_phi=None, minimal=[])
     omega = find_omega(sym, scan=scan)
+    offsets = (g.points - g.points[0]).astype(float)
+    classified = []  # (xi, classification) of each point classify() saw
     points = []
     for xi, val, ph in zip(omega.points, omega.values, omega.phases):
-        cls = classify(sym, xi, m_max=m_max)
+        cls = next((c for xr, c in classified
+                    if np.max(np.abs(np.exp(1j * (offsets @ (xi - xr))) - 1.0))
+                    <= COSET_TOL), None)
+        if cls is None:
+            cls = classify(sym, xi, m_max=m_max)
+            classified.append((xi, cls))
         points.append(PointAnalysis(xi=xi, value=complex(val), phase=float(ph),
                                     classification=cls))
     mu_phi = None

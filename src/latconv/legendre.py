@@ -139,6 +139,7 @@ class ConjugateEvaluator:
             best = np.argmax(obj, axis=1)
             out_val[rows] = obj[np.arange(len(rows)), best]
             out_arg[rows] = pts_t[:, best].T
+            del obj  # before the next block's product is allocated
         return out_val, out_arg
 
     # -- public API -----------------------------------------------------------

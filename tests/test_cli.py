@@ -339,3 +339,37 @@ def test_readme_commands_parse():
         if "|" not in argv:  # not the `examples list | emit` synopsis
             assert parser.parse_args(argv).command == argv[0]
     assert seen == set(cli._COMMANDS)
+
+
+def _reference_write_csv(path, header, rows):
+    """The per-value writer that cli._write_csv replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def test_write_csv_matches_per_value_reference(tmp_path):
+    from latconv.cli import _columns, _write_csv
+    rng = np.random.default_rng(11)
+    floats = np.concatenate([
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1e300, 5e-324, 1e16, 0.1,
+         2.0 ** 53 + 2.0, 123456789.0],
+        rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)])
+    n = len(floats)
+    columns = [np.arange(-n // 2, n - n // 2, dtype=np.int64),
+               np.array(["positive-homogeneous-type", "", "3/4", "x,y"] * n)[:n],
+               floats, -floats[::-1], rng.integers(0, 2 ** 40, n)]
+    _write_csv(tmp_path / "new.csv", "a,b,c,d,e", _columns(*columns))
+    rows = list(zip(*(c.tolist() for c in columns)))
+    _reference_write_csv(tmp_path / "ref.csv", "a,b,c,d,e", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # numpy scalars in the rows, as the LLT rows once had them
+    rows = list(zip(columns[0], columns[2]))
+    _write_csv(tmp_path / "new.csv", "a,c", rows)
+    _reference_write_csv(tmp_path / "ref.csv", "a,c", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # header only when there are no rows
+    _write_csv(tmp_path / "empty.csv", "a,b", [])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"

@@ -343,3 +343,48 @@ def test_classify_rest_of_corpus(name, n_omega, weights, mu, E):
     assert ana.minimal
     for p in ana.minimal_points():
         assert_allclose(p.classification.E, E, atol=1e-8)
+
+
+# analyze classifies one Omega point per coset of 2 pi L*
+@pytest.mark.parametrize("name, calls", [
+    ("intro", 1), ("ex72", 2), ("ex73", 1), ("ex74", 2), ("srw:2", 1),
+    ("srw:3", 1), ("phim:2,1", 1), ("phim:2,3", 1), ("unstable1d", 2),
+])
+def test_analyze_classifies_once_per_coset(monkeypatch, name, calls):
+    from latconv import expansion
+    seen = []
+
+    def counting(sym, xi0, **kwargs):
+        seen.append(xi0)
+        return classify(sym, xi0, **kwargs)
+
+    monkeypatch.setattr(expansion, "classify", counting)
+    ana = latconv.analyze(examples.get(name))
+    assert len(seen) == calls
+    assert len({id(p.classification) for p in ana.points}) == calls
+
+
+@pytest.mark.parametrize("shift", [False, True])
+@pytest.mark.parametrize("name", ["ex72", "ex73", "srw:2", "srw:3",
+                                  "phim:2,1", "phim:2,3"])
+def test_shared_classification_matches_fresh_classify(name, shift):
+    f = examples.get(name)
+    if shift:
+        f = latconv.translate(f, np.ones(f.dim, dtype=np.int64))
+    ana = latconv.analyze(f)
+    sym = SymbolView(ana.function)
+    for pa in ana.points:
+        got, ref = pa.classification, classify(sym, pa.xi)
+        assert got.verdict == ref.verdict
+        assert got.mu == ref.mu
+        assert_allclose(got.alpha, ref.alpha, rtol=0, atol=1e-12)
+        assert_allclose(got.E, ref.E, rtol=0, atol=1e-12)
+        assert set(got.poly.coeffs) == set(ref.poly.coeffs)
+        for beta, c in ref.poly.coeffs.items():
+            assert abs(got.poly.coeffs[beta] - c) <= 1e-12
+
+
+def test_unrelated_points_keep_their_own_classification(ex74_analysis):
+    a, b = (p.classification for p in ex74_analysis.points)
+    assert a is not b
+    assert not np.allclose(a.E, b.E)

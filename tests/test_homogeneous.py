@@ -373,3 +373,22 @@ def test_evaluator_keeps_leading_shape(corpus_polys, rng):
     assert P.real_hess(pts).shape == (3, 4, P.dim, P.dim)
     assert np.array_equal(P.real_grad(pts).reshape(12, P.dim),
                           P.real_grad(pts.reshape(12, P.dim)))
+
+
+def test_evaluator_peak_is_result_plus_one_block(ex73_analysis):
+    # each block sums its terms into a fresh array, so a block's product of
+    # terms is released when the block ends: ex73's Re P at 200,000 points
+    # peaked at 5.0 MiB for a 1.5 MiB result (14.8 MiB when every block
+    # kept its product)
+    import tracemalloc
+
+    from latconv import _poly
+    P = ex73_analysis.points[0].classification.poly
+    xi = np.random.default_rng(7).standard_normal((200_000, 2))
+    tracemalloc.start()
+    try:
+        out = P.real(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + _poly._BLOCK_CELLS * out.itemsize

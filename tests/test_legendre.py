@@ -435,3 +435,28 @@ def test_grid_scan_respects_memory_cap(intro_analysis, monkeypatch):
     monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 64 * 1024)
     with pytest.raises(ResourceLimitError, match=r"box \(64, 64\)"):
         ev.conjugate_batch(np.array([[1.0, 2.0]]))
+
+
+def test_grid_scan_peak_within_its_budget(intro_analysis, monkeypatch):
+    # one objective block is held at a time: 600 points of intro (two blocks
+    # of 300 rows) peaked at 9.7 MiB against a budget of 16.2 MiB, and at
+    # 19.0 MiB while the next block was built beside the last
+    budget = []
+
+    def check_box(shape, complex_arrays=2):
+        budget.append(int(np.prod(shape)) * 16 * complex_arrays)
+        return check(shape, complex_arrays)
+
+    check = legendre._check_box
+    monkeypatch.setattr(legendre, "_check_box", check_box)
+    ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
+    xs = np.random.default_rng(7).uniform(-8, 8, size=(600, 2))
+    rho = ev._certified_radius(float(np.linalg.norm(xs, axis=1).max()))
+    tracemalloc.start()
+    try:
+        ev._grid_scan_batch(xs, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(budget) == 1
+    assert peak <= budget[0]
