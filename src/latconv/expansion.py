@@ -216,7 +216,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
             continue
         kept = _poly.poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
         poly = HomogeneousPolynomial(d, kept, A, weights)
-        res_norms = _residual_norms(q_rot, kept, weights, A, samples)
+        res_norms = _residual_norms(q_rot, kept, poly.lam, samples)
         diagnostics["residual_norms"] = res_norms
         diagnostics["weights"] = weights
         return Classification(VERDICT_PHT, alpha=alpha, poly=poly,
@@ -242,15 +242,14 @@ def _any_survivor_everywhere(q_rot, null_axes, quad_axes, m_max):
                for w in _weight_assignments(null_axes, quad_axes, m_max))
 
 
-def _residual_norms(q_rot, kept, weights, A, samples):
+def _residual_norms(q_rot, kept, lam, samples):
     """Numerical surrogate for Upsilon = o(Re P): max |t Q(t^-E xi) - P(xi)|."""
-    diag = np.array([1.0 / (2 * m) for m in weights])
-    d = len(weights)
+    d = len(lam)
     Q = _poly.CompiledPoly(q_rot, d)
     p_vals = _poly.CompiledPoly(kept, d)(samples)
     out = {}
     for t in (10.0, 100.0, 1000.0):
-        q_vals = Q(samples * t ** (-diag)) * t
+        q_vals = Q(samples * t ** (-lam)) * t
         out[t] = float(np.max(np.abs(q_vals - p_vals)))
     return out
 

@@ -32,8 +32,8 @@ def sphere_samples(dim, count, seed=_SAMPLE_SEED):
 class HomogeneousPolynomial:
     """Positive homogeneous polynomial with stored semi-elliptic normal form."""
 
-    __slots__ = ("dim", "basis", "weights", "semi_coeffs", "coeffs", "E", "mu",
-                 "_p", "_re", "_grad", "_hess")
+    __slots__ = ("dim", "basis", "basis_inv", "weights", "semi_coeffs", "coeffs",
+                 "E", "lam", "mu", "_p", "_re", "_grad", "_hess")
 
     def __init__(self, dim, semi_coeffs, basis, weights, validate=True):
         self.dim = int(dim)
@@ -43,10 +43,11 @@ class HomogeneousPolynomial:
             raise ValueError("weights must be positive integers")
         self.semi_coeffs = poly_prune({tuple(k): complex(v)
                                        for k, v in semi_coeffs.items()})
-        basis_inv = np.linalg.inv(self.basis)
+        self.basis_inv = np.linalg.inv(self.basis)
         # P(xi) = P_A(A^{-1} xi)
-        self.coeffs = poly_compose_linear(self.semi_coeffs, basis_inv)
-        self.E = self.basis @ np.diag([1.0 / (2 * m) for m in self.weights]) @ basis_inv
+        self.coeffs = poly_compose_linear(self.semi_coeffs, self.basis_inv)
+        self.lam = np.array([1.0 / (2 * m) for m in self.weights])  # E's eigenvalues
+        self.E = self.basis @ np.diag(self.lam) @ self.basis_inv
         self.mu = sum(Fraction(1, 2 * m) for m in self.weights)
         d = self.dim
         re = {b: c.real for b, c in self.coeffs.items() if c.real != 0.0}
@@ -95,10 +96,30 @@ class HomogeneousPolynomial:
         """t^E xi in diagonalizable closed form (no matrix exponential series)."""
         if t <= 0:
             raise ValueError("group parameter t must be positive")
-        diag = np.array([float(t) ** (1.0 / (2 * m)) for m in self.weights])
-        mat = self.basis @ np.diag(diag) @ np.linalg.inv(self.basis)
-        xi = np.asarray(xi, dtype=float)
-        return xi @ mat.T
+        mat = self.basis @ np.diag(float(t) ** self.lam) @ self.basis_inv
+        return np.asarray(xi, dtype=float) @ mat.T
+
+    def adapted(self, xs):
+        """c_j = sign(y_j) |y_j|^(1/(2 l_j)) per row x: y = A^T x in the
+        eigenbasis of F = (I - E)^T (the columns of A^-T), l = 1 - lam its
+        eigenvalues.  x = t^F u for t = |c|^2 and u = unadapted(c / |c|) on
+        the E-adapted unit sphere sum_j |y_j|^(1/l_j) = 1 (Folland & Stein)."""
+        y = np.asarray(xs, dtype=float) @ self.basis
+        return np.copysign(np.abs(y) ** (0.5 / (1.0 - self.lam)), y, out=y)
+
+    def unadapted(self, c):
+        """x = A^-T y with y_j = sign(c_j) |c_j|^(2 l_j): :meth:`adapted`'s inverse."""
+        c = np.asarray(c, dtype=float)
+        return np.copysign(np.abs(c) ** (2.0 * (1.0 - self.lam)), c) @ self.basis_inv
+
+    def polar(self, xs):
+        """(t, u) with x = t^F u, u on the E-adapted unit sphere, per row x
+        (t = 0 and u = 0 at x = 0).  |u| <= ||A^-1||_2, since |y|^2 <=
+        sum_j |y_j|^(1/l_j) = 1 when every |y_j| <= 1 and 1/l_j <= 2."""
+        c = self.adapted(xs)
+        t = np.einsum("kd,kd->k", c, c)
+        s = np.sqrt(t)[:, None]
+        return t, self.unadapted(np.divide(c, s, out=c, where=s > 0))
 
     def semi_elliptic_form(self):
         """(A, m, coefficients in A-coordinates) of the stored normal form."""

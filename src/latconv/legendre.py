@@ -1,15 +1,15 @@
 """Numerical Legendre-Fenchel transform of R = Re P.
 
 R need not be convex (the expansion can keep mixed terms), so the conjugate
-R#(x) = sup_xi {x.xi - R(xi)} is computed by multi-start gradient ascent with
-a certified coarse-grid fallback: the grid radius is grown until the objective
-is negative on the boundary, which pins the maximizer inside.  The ascent
-result is always at least the grid value.  ``conjugate_batch`` is the one
-evaluation path: all starts and all query points form one batch of numpy
-rows, and a row leaves the batch once it stops moving, so each step evaluates
-only the rows still in play.  A row's arithmetic does not depend on which rows
-share its step, but the ascent stops for all rows together, and nothing is
-kept between calls, so a value depends only on the batch it was computed in.
+R#(x) = sup_xi {x.xi - R(xi)} is solved at unit scale, R#(x) = t R#(u) for
+x = t^F u (``HomogeneousPolynomial.polar``), by multi-start gradient ascent
+with a certified coarse-grid fallback: one grid radius per evaluator, grown
+until the objective is negative on the boundary for every u, pins the
+maximizer inside whatever the batch, and the ascent result is always at least
+the grid value.  ``conjugate_batch`` is the one evaluation path: all starts
+and query points form one batch of numpy rows, and a row leaves once it stops
+moving.  The ascent stops for all rows together, so a value depends only on
+the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ class ConjugateEvaluator:
         dirs = sphere_samples(self.dim, per_shell, seed=_START_SEED)
         shells = np.geomspace(0.25, 8.0, n_shells)
         self._starts = (shells[:, None, None] * dirs[None, :, :]).reshape(-1, self.dim)
+        # the grid radius: the objective is < 0 on the grid boundary for
+        # every u of the E-adapted unit sphere, where |u| <= ||A^-1||_2
+        umax = float(np.linalg.norm(P.basis_inv, 2))
+        dirs = sphere_samples(self.dim, 64 * self.dim, seed=_START_SEED + 9)
+        self.rho, sqrt_d = 1.0, np.sqrt(self.dim)
+        for _ in range(200):
+            if P.real(self.rho * dirs).min() > umax * self.rho * sqrt_d + 1.0:
+                break
+            self.rho *= 2.0
 
     # -- batched ascent ------------------------------------------------------
 
@@ -100,17 +109,6 @@ class ConjugateEvaluator:
         xi, val, _ = newton_ascent(objective, xi, 1e-10, max_iter=newton_iters)
         return val, xi
 
-    def _certified_radius(self, xmax):
-        """rho with objective < 0 on the grid boundary for every |x| <= xmax."""
-        rho = 1.0
-        dirs = sphere_samples(self.dim, 64 * self.dim, seed=_START_SEED + 9)
-        for _ in range(200):
-            vals = self.P.real(rho * dirs)
-            if vals.min() > xmax * rho * np.sqrt(self.dim) + 1.0:
-                break
-            rho *= 2.0
-        return rho
-
     def _grid_scan_batch(self, xs, rho, n_axis=64):
         """Best grid point of the objective per query row, in blocks of rows.
 
@@ -145,31 +143,31 @@ class ConjugateEvaluator:
     # -- public API -----------------------------------------------------------
 
     def conjugate_batch(self, xs, refine_starts=True):
-        """R# at many points; shared certified grid + batched ascent."""
+        """R# and its maximiser at many points, each solved at unit scale:
+        R#(x) = t R#(u) and xi(x) = t^E xi(u) for x = t^F u."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
-        norms = np.linalg.norm(xs, axis=1)
-        rho = self._certified_radius(float(norms.max()) if len(xs) else 1.0)
-        grid_val, grid_arg = self._grid_scan_batch(xs, rho)
+        t, us = self.P.polar(xs)
+        grid_val, grid_arg = self._grid_scan_batch(us, self.rho)
         n_st = len(self._starts) if refine_starts else 1
         _check_box((len(xs) * n_st, self.dim), complex_arrays=_ASCENT_BOXES)
-        vals, args = self._ascend_batch(xs, grid_arg)
+        vals, args = self._ascend_batch(us, grid_arg)
         if refine_starts:
             scale = np.maximum(np.linalg.norm(grid_arg, axis=1), 1e-2)
-            big_x = np.repeat(xs, n_st, axis=0)
-            big_s = (scale[:, None, None]
-                     * self._starts[None, :, :]).reshape(-1, self.dim)
-            sv, sa = self._ascend_batch(big_x, big_s)
-            sv = sv.reshape(len(xs), n_st)
-            sa = sa.reshape(len(xs), n_st, self.dim)
-            best = np.argmax(sv, axis=1)
-            better = sv[np.arange(len(xs)), best] > vals
-            vals = np.where(better, sv[np.arange(len(xs)), best], vals)
-            args[better] = sa[np.arange(len(xs)), best][better]
+            big_s = scale[:, None, None] * self._starts[None, :, :]
+            sv, sa = self._ascend_batch(np.repeat(us, n_st, axis=0),
+                                        big_s.reshape(-1, self.dim))
+            best = np.argmax(sv.reshape(len(xs), n_st), axis=1)
+            best += np.arange(len(xs)) * n_st  # as a row of sv and sa
+            better = sv[best] > vals
+            vals = np.where(better, sv[best], vals)
+            args[better] = sa[best[better]]
         worse = grid_val > vals
         vals = np.where(worse, grid_val, vals)
         args[worse] = grid_arg[worse]
-        vals = np.maximum(vals, 0.0)  # R#(x) >= x.0 - R(0) = 0
-        return vals, args
+        vals = np.maximum(vals, 0.0)  # R#(u) >= u.0 - R(0) = 0
+        # t^E xi = A diag(t^lam) A^-1 xi, row by row
+        args = ((args @ self.P.basis_inv.T) * t[:, None] ** self.P.lam) @ self.P.basis.T
+        return t * vals, args
 
     def conjugate(self, x):
         """R#(x) as a one-row :meth:`conjugate_batch`."""
@@ -184,21 +182,17 @@ def conjugate(P, x):
 def weighted_norm(x, weights):
     """|x|_m = sum_j |x_j|^{2 m_j / (2 m_j - 1)}."""
     x = np.asarray(x, dtype=float)
-    out = 0.0
-    for j, m in enumerate(weights):
-        out += np.abs(x[..., j]) ** (2.0 * m / (2.0 * m - 1.0))
-    return out
+    return sum(np.abs(x[..., j]) ** (2.0 * m / (2.0 * m - 1.0))
+               for j, m in enumerate(weights))
 
 
 def conjugate_compare(ev, x):
     """Ratio R_A#(x) / |x|_m for x in the stored semi-elliptic coordinates.
 
-    Valid because R_A = R o L_A with orthogonal A gives R_A#(x) = R#(A x).
+    R_A = R o L_A gives R_A#(x) = R#(A^-T x) for any basis A.
     """
     x = np.asarray(x, dtype=float)
-    if not np.allclose(ev.P.basis @ ev.P.basis.T, np.eye(ev.dim), atol=1e-10):
-        raise ValueError("comparison requires an orthogonal stored basis")
-    num = ev.conjugate(ev.P.basis @ x)
+    num = ev.conjugate(x @ ev.P.basis_inv)
     den = weighted_norm(x, ev.P.weights)
     if den == 0.0:
         raise ValueError("x must be nonzero")

@@ -16,9 +16,10 @@ import numpy as np
 from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
-from .lattice import (LatticeFunction, _check_box, _extract_sparse, _is_real,
-                      _sparse_above_floor, _sparse_boxes, _sweep_boxes, convolve,
-                      norm_l1, norm_linf, power, power_torus, sweep, translate)
+from .lattice import (ZERO_DROP, LatticeFunction, _check_box, _extract_sparse,
+                      _is_real, _sparse_above_floor, _sparse_boxes, _sweep_boxes,
+                      convolve, norm_l1, norm_linf, power, power_torus, sweep,
+                      translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -216,22 +217,20 @@ def llt_error_ladder(f, analysis, n_values, window=None):
 class _ConjugateField:
     """Vectorized R#((x - n a)/n) evaluation via homogeneity.
 
-    R# scales as t R#(x) = R#(t^F x) with F = (I - E)^T.  With y the
-    coordinates of x in F's eigenbasis, l_j its eigenvalues (in [1/2, 1)) and
-    c_j = sign(y_j) |y_j|^(1/(2 l_j)), x = t^F u for t = |c|^2 and u at the
-    angle atan2(c_2, c_1) on the E-adapted unit sphere sum_j |u_j|^(1/l_j) = 1
-    (Folland & Stein's homogeneous norm), so t = 0 at x = 0.  R# is tabulated
-    at 2 (d = 1) or 4,096 (d = 2) equally spaced angles and interpolated
-    linearly: at mid-angles and at 2,000 random x with |x| in [0.05, 20] the
-    relative error was 6.7e-16 on srw:2, 3.6e-6 on intro, 7.1e-8 on ex71,
-    2.0e-7 on ex73, 1.4e-8 on ex75:3,2 and 8.2e-9 on ex74 (a test pins 1e-4).
-    d >= 3 has no table and evaluates every point in one ``conjugate_batch``.
+    R# scales as t R#(x) = R#(t^F x) with F = (I - E)^T.  In the E-adapted
+    coordinates c of x (``HomogeneousPolynomial.adapted``, from (A, m) for
+    any basis), x = t^F u for t = |c|^2 and u at the angle atan2(c_2, c_1)
+    on the E-adapted unit sphere.  R# is tabulated at 2 (d = 1) or 4,096
+    (d = 2) equally spaced angles and interpolated linearly: at mid-angles
+    and at 2,000 random x with |x| in [0.05, 20] the relative error was
+    6.7e-16 on srw:2, 3.6e-6 on intro, 7.1e-8 on ex71, 2.0e-7 on ex73,
+    1.4e-8 on ex75:3,2 and 8.2e-9 on ex74 (a test pins 1e-4).  d >= 3 has no
+    table and evaluates every point in one ``conjugate_batch``.
     """
 
     def __init__(self, poly):
+        self.P, self.dim = poly, poly.dim
         self.ev = ConjugateEvaluator(poly)
-        self.dim = poly.dim
-        self.evals, self.vecs = _eigh_symmetric((np.eye(self.dim) - poly.E).T)
         self.table = None
         if self.dim <= 2:
             self.n_angles = 4096 if self.dim == 2 else 2
@@ -245,30 +244,15 @@ class _ConjugateField:
     def sphere(self, th):
         """The points of angle ``th`` on the E-adapted unit sphere."""
         trig = np.stack([np.cos(th), np.sin(th)], axis=-1)[:, :self.dim]
-        return np.copysign(np.abs(trig) ** (2.0 * self.evals), trig) @ self.vecs.T
-
-    def polar(self, xs):
-        """(t, th) with x = t^F :meth:`sphere` (th) for each row x of ``xs``."""
-        y = xs @ self.vecs
-        c = np.copysign(np.abs(y) ** (0.5 / self.evals), y, out=y)
-        return (np.einsum("kd,kd->k", c, c),
-                np.arctan2(c[:, 1] if self.dim == 2 else 0.0, c[:, 0]))
+        return self.P.unadapted(trig)
 
     def values(self, xs):
         xs = np.asarray(xs, dtype=float)
         if self.table is None:
             return self.ev.conjugate_batch(xs)[0]
-        t, th = self.polar(xs)
-        return t * np.interp(th, self.angles, self.table)
-
-
-def _eigh_symmetric(M):
-    """Eigen-decomposition of M, which is symmetric only in an orthogonal basis."""
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > 1e-12:
-        raise ValueError(f"exponent matrix is not symmetric (max |E - E^T| = "
-                         f"{asym:.3e}): the polynomial's basis is not orthogonal")
-    return np.linalg.eigh((M + M.T) / 2.0)
+        c = self.P.adapted(xs)
+        th = np.arctan2(c[:, 1] if self.dim == 2 else 0.0, c[:, 0])
+        return np.einsum("kd,kd->k", c, c) * np.interp(th, self.angles, self.table)
 
 
 # the halving grid of the envelope fits' M: 1, 1/2, ..., 2^-12
@@ -279,9 +263,9 @@ _M_GRID = tuple(0.5 ** k for k in range(13))
 # ex73, ex75:3,2 at n = 64 and 128) and 3.0 in d = 1 (ex75:3, srw:1 at
 # n = 2048 and 4096), where d >= 3 adds conjugate_batch, which checks its own
 # rows against the cap; a subexp step 6.1 to 6.5 (intro, srw:2, ex71, ex72,
-# ex75:3,2); a derivative step, whose prefactored power and each difference's
-# sum are sorted anew, 17.1 on ex75:3,2 with |beta| = 1 and at most 19.8 with
-# |beta| up to 6 (n = 64 and 128)
+# ex75:3,2); a derivative step, whose differences' sums are sorted anew,
+# 16.1 on ex75:3,2 with |beta| = 1 and at most 18.8 with |beta| up to 6
+# (n = 64 and 128)
 _ENVELOPE_BOXES = 5.75
 _SUBEXP_BOXES = 6.75
 _DERIVATIVE_BOXES = 20.5
@@ -367,21 +351,17 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
         return BoundReport(kind="subexp-bound", columns=(), rows=[],
                            verdict="not-applicable",
                            notes=f"analysis verdict: {analysis.verdict}")
-    terms = []
-    for pa in analysis.points:
-        cls = pa.classification
-        evals, vecs = _eigh_symmetric(cls.poly.E)
-        terms.append((float(cls.poly.mu), cls.alpha, evals, vecs))
     rows = []
     for n, pn in _direct_stream(analysis.function, n_values, _SUBEXP_BOXES):
         pts = pn.points.astype(float)
         mags = np.abs(pn.values)
         env = np.zeros_like(mags)
-        for mu_q, a_q, evals, vecs in terms:
-            y = (pts - n * a_q) @ vecs
-            y = y * (float(n) ** (-evals))[None, :]
-            r = np.linalg.norm(y @ vecs.T, axis=1)
-            env += n ** (-mu_q) * (1.0 + r) ** (-float(N))
+        for pa in analysis.points:
+            poly, a_q = pa.classification.poly, pa.classification.alpha
+            # n^-Eq* = A^-T diag(n^-lam) A^T, row by row
+            y = ((pts - n * a_q) @ poly.basis) * float(n) ** -poly.lam
+            r = np.linalg.norm(y @ poly.basis_inv, axis=1)
+            env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
         rows.append((n, float(np.max(mags / env))))
     n_top = rows[-1][0]
     oct1 = max(c for n, c in rows if n > n_top / 2)
@@ -480,10 +460,14 @@ def time_diff(f, point_analysis, l, psi):
 
 
 def _prefactor(g, point_analysis, n):
-    xi0 = point_analysis.xi
-    phase = np.exp(1j * (g.points.astype(float) @ xi0))
-    pref = np.exp(-1j * n * point_analysis.phase)
-    return LatticeFunction(g.dim, g.points, g.values * phase * pref)
+    """e^{-i n phase} e^{i x.xi0} g(x): a unit factor keeps g's canonical
+    order, so only values that fall below ``ZERO_DROP`` leave."""
+    phase = np.exp(1j * (g.points.astype(float) @ point_analysis.xi))
+    values = g.values * phase * np.exp(-1j * n * point_analysis.phase)
+    keep = np.abs(values) >= ZERO_DROP
+    if keep.all():
+        return LatticeFunction._from_sorted(g.dim, g.points, values)
+    return LatticeFunction._from_sorted(g.dim, g.points[keep], values[keep])
 
 
 def derivative_bound_fit(f, analysis, vectors, beta, n_values):

@@ -207,6 +207,10 @@ def test_legendre_grid_matches_closed_form_and_batch(tmp_path, capsys):
     vals, args = latconv.ConjugateEvaluator(P).conjugate_batch(xs)
     assert np.array_equal(got, vals)
     assert np.array_equal(argmax, args)
+    # the objective at each printed maximiser is the printed value
+    obj = np.einsum("kd,kd->k", xs, argmax) - P.real(argmax)
+    assert np.all(np.abs(obj - got) <= 1e-12 * got)
+    assert got[np.all(xs == 0, axis=1)].tolist() == [0.0]
 
 
 HEADLINE = ["power", "--example", "ex71", "--n", "10000", "--window=-50:50,-50:50"]

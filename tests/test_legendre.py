@@ -106,6 +106,18 @@ def test_conjugate_compare_band(intro_analysis, ex75_analysis):
         assert min(ratios) > 0.0
 
 
+def test_conjugate_compare_non_orthogonal_basis():
+    # R_A#(x) = R#(A^-T x) for any basis: the numerator is the conjugate of
+    # the same coefficients in the identity basis
+    P = HomogeneousPolynomial(2, {(2, 0): 1, (0, 4): 1}, [[1, 0.5], [0, 1]], (1, 2))
+    ev = ConjugateEvaluator(P)
+    ev_a = ConjugateEvaluator(HomogeneousPolynomial(2, P.semi_coeffs, np.eye(2),
+                                                    P.weights))
+    for x in np.random.default_rng(6).uniform(-6, 6, size=(8, 2)):
+        num = conjugate_compare(ev, x) * weighted_norm(x, P.weights)
+        assert num == pytest.approx(ev_a.conjugate(x), rel=1e-12)
+
+
 def test_single_axis_reduction(ex71_analysis):
     P = ex71_analysis.points[0].classification.poly
     ev = ConjugateEvaluator(P)
@@ -119,9 +131,18 @@ def test_ascent_at_least_grid(intro_analysis, rng):
     ev = ConjugateEvaluator(P)
     for _ in range(6):
         x = rng.uniform(-5, 5, size=2)
-        rho = ev._certified_radius(float(np.linalg.norm(x)))
-        grid_val, _ = ev._grid_scan_batch(x[None, :], rho)
-        assert ev.conjugate(x) >= grid_val[0] - 1e-12
+        # R# is solved at u = t^-F x, on the grid of radius ev.rho
+        t, u = P.polar(x[None, :])
+        grid_val, _ = ev._grid_scan_batch(u, ev.rho)
+        assert ev.conjugate(x) >= t[0] * grid_val[0] - 1e-12
+    # the grid is certified for every u: the objective is negative on its boundary
+    side = np.linspace(-ev.rho, ev.rho, 257)
+    edge = np.concatenate([np.stack(np.broadcast_arrays(a, b), axis=1)
+                           for a, b in ((side, ev.rho), (side, -ev.rho),
+                                        (ev.rho, side), (-ev.rho, side))])
+    th = np.linspace(-np.pi, np.pi, 256, endpoint=False)
+    _, us = P.polar(np.stack([np.cos(th), np.sin(th)], axis=1))
+    assert np.max(us @ edge.T - P.real(edge)) < 0.0
 
 
 def test_homogeneity_under_complementary_group(intro_analysis, ex73_analysis):
@@ -130,12 +151,13 @@ def test_homogeneity_under_complementary_group(intro_analysis, ex73_analysis):
         ev = ConjugateEvaluator(P)
         F = (np.eye(2) - P.E).T
         rng = np.random.default_rng(9)
-        for _ in range(6):
+        # over 24 decades of t; solving at the raw x read R# up to 2% low
+        # where |x| fell to 1e-8
+        for t in np.geomspace(1e-12, 1e12, 7):
             x = rng.uniform(-3, 3, size=2)
-            t = float(rng.uniform(0.3, 4.0))
             lhs = t * ev.conjugate(x)
             rhs = ev.conjugate(expm(np.log(t) * F) @ x)
-            assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_monotone_under_objective_scaling():
@@ -304,11 +326,11 @@ def _unit_circle(n):
 
 def _refine_rows(ev, xs):
     """The multi-start rows of conjugate_batch's refinement for xs."""
-    rho = ev._certified_radius(float(np.linalg.norm(xs, axis=1).max()))
-    _, grid_arg = ev._grid_scan_batch(xs, rho)
+    _, us = ev.P.polar(xs)
+    _, grid_arg = ev._grid_scan_batch(us, ev.rho)
     scale = np.maximum(np.linalg.norm(grid_arg, axis=1), 1e-2)
     starts = (scale[:, None, None] * ev._starts[None, :, :]).reshape(-1, ev.dim)
-    return np.repeat(xs, len(ev._starts), axis=0), starts
+    return np.repeat(us, len(ev._starts), axis=0), starts
 
 
 @pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis",
@@ -317,7 +339,7 @@ def test_live_row_ascent_matches_full_batch_on_tables(fixture, request):
     # 4,096 unit-circle directions, grid starts
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
     dirs = _unit_circle(4096)
-    _, grid_arg = ev._grid_scan_batch(dirs, ev._certified_radius(1.0))
+    _, grid_arg = ev._grid_scan_batch(dirs, ev.rho)
     _assert_same_ascent(ev, dirs, grid_arg)
 
 
@@ -408,11 +430,10 @@ def test_grid_scan_blocks_match_one_block(fixture, counts, request, monkeypatch)
     rng = np.random.default_rng(23)
     for rows in counts:
         xs = rng.uniform(-6, 6, size=(rows, ev.dim))
-        rho = ev._certified_radius(float(np.linalg.norm(xs, axis=1).max()))
-        vals, args = ev._grid_scan_batch(xs, rho)
+        vals, args = ev._grid_scan_batch(xs, ev.rho)
         with monkeypatch.context() as m:
             m.setattr(legendre, "_SCAN_BLOCK_CELLS", 2 ** 40)
-            one_vals, one_args = ev._grid_scan_batch(xs, rho)
+            one_vals, one_args = ev._grid_scan_batch(xs, ev.rho)
         assert np.array_equal(vals.view(np.uint64), one_vals.view(np.uint64))
         assert np.array_equal(args, one_args)
 
@@ -451,10 +472,9 @@ def test_grid_scan_peak_within_its_budget(intro_analysis, monkeypatch):
     monkeypatch.setattr(legendre, "_check_box", check_box)
     ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
     xs = np.random.default_rng(7).uniform(-8, 8, size=(600, 2))
-    rho = ev._certified_radius(float(np.linalg.norm(xs, axis=1).max()))
     tracemalloc.start()
     try:
-        ev._grid_scan_batch(xs, rho)
+        ev._grid_scan_batch(xs, ev.rho)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
