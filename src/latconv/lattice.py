@@ -5,15 +5,17 @@ lexicographically sorted integer point array plus matching complex values,
 with entries of magnitude below 1e-300 (true zeros) dropped.  All operations
 are pure; results are new canonical functions.
 
-Powers take one of two paths: the exact dense :func:`sweep` (the oracle of
-record, bit-identical to iterated pairwise :func:`convolve`; float64 when phi
-is real) or one spectral transform (:func:`power_dense`), which raises the
-spectrum to the n-th power by binary powering.
+Powers take one of two paths: the exact dense :func:`sweep` on the lattice
+that the support spans (the oracle of record, bit-identical to iterated
+pairwise :func:`convolve`; float64 when phi is real) or one spectral
+transform (:func:`power_dense`), which raises the spectrum to the n-th power
+by binary powering.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,58 +212,197 @@ def convolve(f, g):
     return _extract_sparse(f.dim, out, flo + glo, 0.0, consume=True)
 
 
-def _sweep_boxes(real, cells):
-    """Complex boxes of the final size (``cells`` cells) that a :func:`sweep`
-    step holds: phi^(n-1) and phi^(n), then the product ``phi(y) *
-    phi^(n-1)`` with the buffers numpy's add takes for its two strided
-    operands (up to ``np.getbufsize()`` items each, whatever the box), or
+class SupportLattice(NamedTuple):
+    """The integer lattice ``L`` spanned by the differences of support points.
+
+    ``supp phi = origin + coords @ basis``: the ``r`` rows of ``basis`` are
+    a basis of ``L`` (``r`` its rank, 0 for a point mass), and ``coords``
+    holds the integer coordinates ``z`` of each support point, in the order
+    of ``f.points``, with 0 the least on each axis, so that ``origin`` is
+    the corner of the support's ``z``-box.  The basis is in row-echelon
+    form with positive pivots, so row-major order of ``z`` is lexicographic
+    order of the points ``origin + z @ basis``; when ``L = Z^d`` it is the
+    identity.  phi^(n) lives on ``n origin + z @ basis`` for ``z`` in the
+    box of shape :meth:`box`.
+    """
+
+    origin: np.ndarray
+    basis: np.ndarray
+    coords: np.ndarray
+
+    def box(self, n):
+        """Shape of the ``z``-box that holds phi^(n): ``n`` times the
+        support's ``z``-extent, plus one, per lattice axis."""
+        return tuple(int(n * s + 1) for s in self.coords.max(axis=0, initial=0))
+
+
+def _hermite_rows(vectors):
+    """Hermite normal form rows of the lattice spanned by integer ``vectors``.
+
+    Integer row reduction (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4.2): each vector is merged into the echelon rows,
+    and where it meets a pivot column the pair (row, vector) is replaced by
+    a unimodular combination (extended Euclid) that leaves the gcd in the
+    row and 0 in the vector.  Then the entries above each pivot are reduced
+    modulo it, so that ``Z^d`` gives the identity.
+    """
+    rows = []
+    for v in vectors:
+        for i, row in enumerate(rows):
+            lead = next((c for c, a in enumerate(v) if a), len(v))
+            col = next(c for c, a in enumerate(row) if a)
+            if lead < col:
+                break
+            if lead == col:
+                g, a, b = _ext_gcd(row[col], v[col])
+                p, q = v[col] // g, row[col] // g
+                rows[i] = [a * x + b * y for x, y in zip(row, v)]
+                v = [p * x - q * y for x, y in zip(row, v)]
+        else:
+            i = len(rows)
+        if any(v):
+            lead = next(a for a in v if a)
+            rows.insert(i, [-a for a in v] if lead < 0 else v)
+    for k, row in enumerate(rows):
+        col = next(c for c, a in enumerate(row) if a)
+        for j in range(k):
+            q = rows[j][col] // row[col]
+            rows[j] = [x - q * y for x, y in zip(rows[j], row)]
+    return rows
+
+
+def _ext_gcd(x, y):
+    """(g, a, b) with a x + b y = g = gcd(x, y) > 0, for x != 0."""
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        a0, a1 = a1, a0 - q * a1
+        b0, b1 = b1, b0 - q * b1
+    return (x, a0, b0) if x > 0 else (-x, -a0, -b0)
+
+
+def support_lattice(f):
+    """The :class:`SupportLattice` of ``f``, with a basis that keeps its ``z``-box small.
+
+    Integer row reduction of supp phi less its first point gives an echelon basis;
+    then, while it narrows the support's extent along a later axis, that
+    axis's coordinate takes ± an earlier one (the earlier basis row takes
+    ± the later), which keeps the echelon form.  The extent is convex in
+    the multiple taken, so ±1 steps reach each pair's best.
+    """
+    diffs = f.points - (f.points[0] if len(f) else 0)
+    rows = _hermite_rows(diffs.tolist())
+    basis = np.array(rows, dtype=np.int64).reshape(len(rows), f.dim)
+    coords = np.empty((len(f), len(rows)), dtype=np.int64)
+    rest = diffs.copy()
+    for k, row in enumerate(basis):
+        # rows after k vanish on row k's pivot column, rows before it are taken off
+        col = np.flatnonzero(row)[0]
+        coords[:, k] = rest[:, col] // row[col]
+        rest -= coords[:, k:k + 1] * row
+    if rest.any():
+        raise ArithmeticError("support lattice basis does not reproduce the support")
+    narrowed = True
+    while narrowed:
+        narrowed = False
+        for i in range(len(basis)):
+            for j in range(i):
+                for s in (1, -1):
+                    c = coords[:, i] - s * coords[:, j]
+                    if np.ptp(c) < np.ptp(coords[:, i]):
+                        coords[:, i] = c
+                        basis[j] += s * basis[i]
+                        narrowed = True
+    low = coords.min(axis=0, initial=0)
+    origin = (f.points[0] if len(f) else np.zeros(f.dim, dtype=np.int64)) + low @ basis
+    return SupportLattice(origin, basis, coords - low)
+
+
+def _sweep_boxes(real, cells=None):
+    """Complex boxes of the final size that a :func:`sweep` step holds:
+    phi^(n-1) and phi^(n), then the product buffer (at most one box), or
     the float magnitudes of phi^(n) with their mask.  A real sweep's arrays
-    are half a box each."""
+    are half a box each.  No term depends on the box's ``cells``: the adds
+    are contiguous, so numpy takes no buffers for them."""
     held = 0.5 if real else 1.0
-    buffers = 2 * held * min(np.getbufsize(), cells) / cells
-    return 2 * held + max(held + buffers, 0.5 + 1 / 16)
+    return 2 * held + max(held, 0.5 + 1 / 16)
 
 
-def sweep(f, n_max):
-    """Yield ``(array, lo)`` with ``array[i] = phi^(n)(lo + i)`` for n = 1..n_max.
+def sweep(f, n_max, lattice=None):
+    """Yield ``(array, lo)`` for n = 1..n_max, ``array[i] = phi^(n)(lo + i @ B)``.
 
-    Each step adds ``phi(y) * phi^(n-1)`` into the shifted slice of the next
-    box for every y in supp phi, then zeroes entries below ``ZERO_DROP``, as
-    :func:`convolve` drops them.  Every cell then receives the same non-zero
-    products, multiplied in the same operand order and added in the same
-    order as iterated ``convolve(phi^(n-1), phi)``, so the values are
-    bit-identical to that oracle.  A real phi sweeps in float64 and yields
-    float64 arrays: with zero imaginary parts a complex product's real part
-    is ``ar * br - 0`` and its imaginary part accumulates to +0, so the real
+    ``B`` is the basis of ``lattice`` (default :func:`support_lattice`),
+    so the array is phi^(n) on its ``z``-box, ``lattice.box(n)``, and
+    ``lo = n * lattice.origin``; when ``B`` is the identity that is the
+    bounding box of Z^d.  Each step writes ``phi(y_j) * phi^(n-1)`` into
+    one product buffer laid out with phi^(n)'s widths on every axis but
+    the first, so that adding it at ``y_j``'s offset is one contiguous run
+    of phi^(n), for each ``y_j`` in canonical order; then entries below
+    ``ZERO_DROP`` are zeroed, as :func:`convolve` drops them.  Every cell
+    receives the same non-zero products, multiplied in the same operand
+    order and added in the same order as in iterated
+    ``convolve(phi^(n-1), phi)``; the buffer's padding and the cells off
+    ``n supp`` only add ±0 to accumulators that start at +0, which changes
+    no non-zero sum and no sign of zero, so the values are bit-identical to
+    that oracle.  A real phi sweeps in float64 and yields float64 arrays:
+    with zero imaginary parts a complex product's real part is
+    ``ar * br - 0`` and its imaginary part accumulates to +0, so the real
     arithmetic gives the same bits.  The yielded arrays are fresh each step.
     """
+    if lattice is None:
+        lattice = support_lattice(f)
     real = _is_real(f)
-    flo, fhi = f.extent()
-    span = fhi - flo
-    shape = tuple(int(n_max * s + 1) for s in span)
-    _check_box(shape, complex_arrays=_sweep_boxes(real, math.prod(shape)))
-    offsets = f.points - flo
+    _check_box(lattice.box(n_max), complex_arrays=_sweep_boxes(real))
     values = f.values.real if real else f.values
-    cur = np.zeros(tuple(int(s + 1) for s in span), dtype=values.dtype)
-    cur[tuple(offsets.T)] = values
-    yield cur, flo
+    span = lattice.coords.max(axis=0, initial=0).tolist()
+    coords = lattice.coords.tolist()
+    cur = np.zeros(lattice.box(1), dtype=values.dtype)
+    cur.reshape(-1)[_flat_offsets(coords, cur.shape)] = values
+    yield cur, lattice.origin
+    # On at most one axis the product is written straight from cur; otherwise
+    # cur is copied into the buffer and the run multiplied in place.  Either
+    # way every ufunc operand is contiguous, so numpy takes no buffers.  An
+    # in-place run has two or more cells and takes the same vector loop as
+    # convolve's product; numpy would take a one-cell in-place multiply for a
+    # reduction, whose scalar loop rounds differently.
+    straight = cur.ndim <= 1
     for n in range(2, n_max + 1):
-        nxt = np.zeros(tuple(int(n * s + 1) for s in span), dtype=cur.dtype)
+        shape = tuple(n * s + 1 for s in span)
+        nxt = np.zeros(shape, dtype=cur.dtype)
+        flat = nxt.reshape(-1)
+        # cur's cells in nxt's layout, the padding at ±0; the run ends at
+        # cur's last cell
+        buf = np.zeros(cur.shape[:1] + shape[1:], dtype=cur.dtype)
+        product = buf[tuple(slice(0, s) for s in cur.shape) + (Ellipsis,)]
+        size = _flat_offsets([[c - 1 for c in cur.shape]], shape)[0] + 1
+        run = buf.reshape(-1)[:size]
+        starts = _flat_offsets(coords, shape)
         # mirror convolve(phi^(n-1), phi): when supp phi^(n-1) is the smaller
         # support it loops over that, which reaches each cell in reverse order
         # of y, with the factors of the product swapped
         forward = np.count_nonzero(cur) >= len(f)
+        source = cur if straight else run
         order = range(len(f)) if forward else range(len(f) - 1, -1, -1)
         for j in order:
-            # a list, not a generator: tuple() of a generator allocates a new
-            # tuple each time, and the discarded ones pile up on the
-            # interpreter's free list, where tracemalloc still counts them
-            sl = tuple([slice(o, o + s) for o, s in zip(offsets[j], cur.shape)])
-            v = values[j]
-            nxt[sl] += cur * v if forward else v * cur
+            if not straight:
+                np.copyto(product, cur)
+            if forward:
+                np.multiply(source, values[j], out=run)
+            else:
+                np.multiply(values[j], source, out=run)
+            dst = flat[starts[j]:starts[j] + size]
+            np.add(dst, run, out=dst)
+        del buf, product, run, source
         nxt[np.abs(nxt) < ZERO_DROP] = 0.0
         cur = nxt
-        yield cur, n * flo
+        yield cur, n * lattice.origin
+
+
+def _flat_offsets(cells, shape):
+    """Row-major flat index of each cell (a list of coordinates) in ``shape``."""
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    return [sum(i * s for i, s in zip(cell, strides)) for cell in cells]
 
 
 def tensor(f, g):
@@ -284,16 +425,20 @@ def _sparse_boxes(dim, consume=False):
     return dim / 2 + (0.25 if consume else 1.0) + 0.2
 
 
-def _extract_sparse(dim, arr, lo, floor, consume=False):
-    """The entries of ``arr`` above ``floor`` as a function, ``arr[i]`` at ``lo + i``.
+def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
+    """The entries of ``arr`` above ``floor`` as a function, ``arr[i]`` at ``lo + i @ basis``.
 
-    Row-major order is lexicographic point order, so the entries come out
-    canonical and are copied once, one chunk of cells at a time; entries
-    below ``ZERO_DROP`` are dropped as :func:`_canonical` drops them.  With
-    ``consume`` a complex ``arr`` is overwritten: the kept values move to the
-    front of its buffer, which the result keeps unless fewer than half of
-    the cells are kept.
+    ``basis`` defaults to the identity; a :class:`SupportLattice` basis is
+    in echelon form with positive pivots, so in either case row-major order
+    is lexicographic point order, the entries come out canonical and are
+    copied once, one chunk of cells at a time; entries below ``ZERO_DROP``
+    are dropped as :func:`_canonical` drops them.  With ``consume`` a
+    complex ``arr`` is overwritten: the kept values move to the front of
+    its buffer, which the result keeps unless fewer than half of the cells
+    are kept.
     """
+    if basis is None:
+        basis = np.eye(dim, dtype=np.int64)
     flat = arr.reshape(-1)
     # |v| > floor, written as |v| >= the next float so that it also covers ZERO_DROP
     cut = max(np.nextafter(floor, np.inf), ZERO_DROP)
@@ -308,8 +453,9 @@ def _extract_sparse(dim, arr, lo, floor, consume=False):
     pos = 0
     for s in range(0, flat.size, step):
         nz = np.flatnonzero(keep[s:s + step]) + s
-        for k, c in enumerate(np.unravel_index(nz, arr.shape)):
-            np.add(c, lo[k], out=points[pos:pos + nz.size, k])
+        # a point mass sweeps a 0-d array, which unravel_index refuses
+        cells = np.unravel_index(nz, arr.shape or (1,))
+        _cell_points(cells, lo, basis, points[pos:pos + nz.size])
         # in place, pos + nz.size <= s + step: only cells already read are written
         values[pos:pos + nz.size] = flat[nz]
         pos += nz.size
@@ -317,6 +463,17 @@ def _extract_sparse(dim, arr, lo, floor, consume=False):
     if in_place and 2 * count < flat.size:
         values = values.copy()
     return LatticeFunction._from_sorted(dim, points, values)
+
+
+def _cell_points(cells, lo, basis, out):
+    """``out[m] = lo + i_m @ basis`` for the cells ``i_m`` whose coordinates
+    along each axis are the arrays ``cells``."""
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        col[:] = lo[k]
+        for c, b in zip(cells, basis[:, k]):
+            if b:
+                col += c if b == 1 else b * c
 
 
 def _fft_noise_floor(n, vmax):
@@ -460,18 +617,18 @@ def power(f, n, method="spectral"):
         raise ValueError(f"unknown method {method!r}")
     if not len(f) or n == 1:
         return f
-    flo, fhi = f.extent()
     real = _is_real(f)
     held = 0.5 if real else 1.0
     if method == "direct":
         # the sweep's boxes, then the result beside its sparse copy; a real
         # result is copied into new complex values, not in place
-        shape = tuple(int(e) for e in n * (fhi - flo) + 1)
-        _check_box(shape, complex_arrays=max(_sweep_boxes(real, math.prod(shape)),
-                                             held + _sparse_boxes(f.dim, consume=not real)))
-        for arr, lo in sweep(f, n):
+        lattice = support_lattice(f)
+        _check_box(lattice.box(n), complex_arrays=max(
+            _sweep_boxes(real), held + _sparse_boxes(f.dim, consume=not real)))
+        for arr, lo in sweep(f, n, lattice):
             pass
-        return _extract_sparse(f.dim, arr, lo, 0.0, consume=True)
+        return _extract_sparse(f.dim, arr, lo, 0.0, consume=True, basis=lattice.basis)
+    flo, fhi = f.extent()
     shape = tuple(_fft.next_fast_len(e, real) for e in n * (fhi - flo) + 1)
     # the transform, then the result beside its magnitudes or its sparse copy
     _check_box(shape, complex_arrays=max(2 * held,

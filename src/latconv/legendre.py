@@ -165,9 +165,16 @@ class ConjugateEvaluator:
         vals = np.where(worse, grid_val, vals)
         args[worse] = grid_arg[worse]
         vals = np.maximum(vals, 0.0)  # R#(u) >= u.0 - R(0) = 0
+        # where t = |c|^2 overflows, polar gives u = 0 and t R#(u) would read
+        # inf * 0; R#(x) overflows there too, so those rows read +inf
+        over = np.isinf(t)
+        t = np.where(over, 1.0, t)
         # t^E xi = A diag(t^lam) A^-1 xi, row by row
         args = ((args @ self.P.basis_inv.T) * t[:, None] ** self.P.lam) @ self.P.basis.T
-        return t * vals, args
+        vals = t * vals
+        vals[over] = np.inf
+        args[over] = np.inf
+        return vals, args
 
     def conjugate(self, x):
         """R#(x) as a one-row :meth:`conjugate_batch`."""

@@ -16,10 +16,10 @@ import numpy as np
 from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
-from .lattice import (ZERO_DROP, LatticeFunction, _check_box, _extract_sparse,
-                      _is_real, _sparse_above_floor, _sparse_boxes, _sweep_boxes,
-                      convolve, norm_l1, norm_linf, power, power_torus, sweep,
-                      translate)
+from .lattice import (ZERO_DROP, LatticeFunction, _cell_points, _check_box,
+                      _extract_sparse, _is_real, _sparse_above_floor, _sparse_boxes,
+                      _sweep_boxes, convolve, norm_l1, norm_linf, power, power_torus,
+                      support_lattice, sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -73,22 +73,20 @@ def _direct_stream(f, n_values, beside=0.0):
     n_values = sorted(set(int(n) for n in n_values))
     if n_values[0] < 1:
         raise ValueError("n values must be >= 1")
-    flo, fhi = f.extent()
-    shape = n_values[-1] * (fhi - flo) + 1
+    lattice = support_lattice(f)
     real = _is_real(f)
-    _check_box(shape, complex_arrays=beside + max(
-        _sweep_boxes(real, np.prod(shape, dtype=float)),
-        (0.5 if real else 1.0) + _sparse_boxes(f.dim)))
-    for n, (arr, lo) in enumerate(sweep(f, n_values[-1]), start=1):
+    _check_box(lattice.box(n_values[-1]), complex_arrays=beside + max(
+        _sweep_boxes(real), (0.5 if real else 1.0) + _sparse_boxes(f.dim)))
+    for n, (arr, lo) in enumerate(sweep(f, n_values[-1], lattice), start=1):
         if n in n_values:
-            yield n, _extract_sparse(f.dim, arr, lo, 0.0)
+            yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
 
 
 def direct_powers(f, n_values):
     """{n: phi^(n)} from :func:`_direct_stream`, every power kept (oracle of record)."""
     ns = sorted(set(int(n) for n in n_values))
-    flo, fhi = f.extent()
-    cells = [np.prod(n * (fhi - flo) + 1, dtype=float) for n in ns]
+    lattice = support_lattice(f)
+    cells = [np.prod(lattice.box(n), dtype=float) for n in ns]
     # the sparse copies (values and d coordinates per cell) of the powers kept
     # while the sweep goes on
     return dict(_direct_stream(f, ns, (1.0 + f.dim / 2) * sum(cells[:-1]) / cells[-1]))
@@ -390,7 +388,10 @@ def stability_report(f, n_max, method="auto"):
     most 2 percent; unstable when the final l^1 at n_max is at least twice
     the value at n_max / 32.  ``method`` picks the power path: the exact
     direct sweep (mass conservation holds to the last bit) or per-n spectral
-    powers; ``auto`` uses direct when the sweep is cheap.  The spectral path
+    powers; ``auto`` uses direct when the sweep is cheap.  Its work estimate
+    counts the bounding box of Z^d, not the sweep's smaller box on the
+    support's lattice, so ``auto`` takes the same path as when the sweep
+    ran on the bounding box, and no verdict changes path.  The spectral path
     analyzes f and takes :func:`power_near_drifts`: a certified torus about
     the drifts when f is of positive homogeneous type, the full box
     otherwise.
@@ -515,28 +516,6 @@ def derivative_bound_fit(f, analysis, vectors, beta, n_values):
 
 # -- random-walk specializations ---------------------------------------------
 
-def _integer_rank(vectors):
-    """Exact rank of integer vectors by fraction-free Gaussian elimination."""
-    from fractions import Fraction as F
-    rows = [[F(int(c)) for c in v] for v in vectors]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                fac = rows[i][col] / rows[rank][col]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def walk_profile(f, omega=None):
     """Mean, covariance, genuineness and Theta inputs for a probability input."""
     if not f.is_probability():
@@ -546,8 +525,6 @@ def walk_profile(f, omega=None):
     mean = pts.T @ w
     centered = pts - mean
     cov = (centered * w[:, None]).T @ centered
-    anchor = f.points[0]
-    rank = _integer_rank((f.points - anchor).tolist()) if len(f) > 1 else 0
     if len(f) == 1:
         # point mass: |phi-hat| is constant one, Omega is the whole torus;
         # report the canonical representative only
@@ -559,7 +536,7 @@ def walk_profile(f, omega=None):
         from .symbol import SymbolView, find_omega
         omega = find_omega(SymbolView(f))
     return WalkProfile(mean=mean, covariance=cov,
-                       genuinely_d_dimensional=(rank == f.dim),
+                       genuinely_d_dimensional=len(support_lattice(f).basis) == f.dim,
                        omega_points=omega.points.copy(),
                        omega_phases=omega.phases.copy())
 
@@ -593,14 +570,15 @@ def support_periodicity_check(f, profile, n_max, tol=1e-8):
     """
     if not f.is_probability():
         raise ValueError("support periodicity check requires a probability input")
-    flo, fhi = f.extent()
-    shape = n_max * (fhi - flo) + 1
+    lattice = support_lattice(f)
     real = _is_real(f)
-    _check_box(shape, complex_arrays=max(_sweep_boxes(real, np.prod(shape, dtype=float)),
-                                         (0.5 if real else 1.0) + max(f.dim, f.dim / 2 + 2.5)))
-    for n, (arr, lo) in enumerate(sweep(f, n_max), start=1):
-        points = np.argwhere(arr).astype(float)
-        points += lo
+    _check_box(lattice.box(n_max), complex_arrays=max(
+        _sweep_boxes(real), (0.5 if real else 1.0) + max(f.dim, f.dim / 2 + 2.5)))
+    for n, (arr, lo) in enumerate(sweep(f, n_max, lattice), start=1):
+        cells = np.argwhere(arr)
+        points = np.empty((len(cells), f.dim))
+        _cell_points(cells.T, lo, lattice.basis, points)
+        del cells
         theta_vals = np.zeros(len(points), dtype=complex)
         for xi, phase in zip(profile.omega_points, profile.omega_phases):
             z = 1j * (n * phase - points @ xi)

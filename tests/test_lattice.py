@@ -504,6 +504,113 @@ def test_real_sweep_bit_identical_random_mixed_signs():
     assert cancelled > 0
 
 
+# -- the sweep on the support's own lattice ---------------------------------
+
+def _minors_gcd(diffs):
+    """gcd of the d x d minors of the difference vectors: the index of the
+    lattice they span, computed without a basis."""
+    import itertools
+    import math
+    d = diffs.shape[1]
+    return math.gcd(*(round(abs(np.linalg.det(diffs[list(rows)])))
+                      for rows in itertools.combinations(range(len(diffs)), d)))
+
+
+@pytest.mark.parametrize("name,index", [
+    ("intro", 1), ("ex71", 1), ("unstable1d", 1), ("srw:2", 2), ("srw:3", 2),
+    ("ex72", 2), ("ex73", 2), ("phim:2,3", 12)])
+def test_support_lattice_basis(name, index):
+    from latconv.lattice import support_lattice
+    f = examples.get(name)
+    lattice = support_lattice(f)
+    assert lattice.coords.dtype == np.int64 and lattice.basis.dtype == np.int64
+    assert np.array_equal(lattice.origin + lattice.coords @ lattice.basis, f.points)
+    assert round(abs(np.linalg.det(lattice.basis))) == index
+    assert _minors_gcd(f.points - f.points[0]) == index
+    if index == 1:
+        assert np.array_equal(lattice.basis, np.eye(f.dim, dtype=np.int64))
+    # echelon with positive pivots: row-major z order is lexicographic order
+    pivots = [np.flatnonzero(row)[0] for row in lattice.basis]
+    assert pivots == sorted(set(pivots))
+    assert all(row[c] > 0 for row, c in zip(lattice.basis, pivots))
+    # the z-box of n supp is smaller than the bounding box by the index or more
+    lo, hi = f.extent()
+    assert np.prod(lattice.box(32)) * index <= np.prod(32 * (hi - lo) + 1) * 1.05
+
+
+def test_support_lattice_drops_axes_and_points():
+    from latconv.lattice import support_lattice
+    line = LatticeFunction.from_dict({(1, 2, 3): 0.5, (3, 6, 9): 0.25, (-1, -2, -3): 0.25})
+    lattice = support_lattice(line)
+    assert lattice.basis.tolist() == [[2, 4, 6]] and lattice.box(5) == (11,)
+    mass = LatticeFunction.from_dict({(4, -1): 0.6 - 0.8j})
+    assert support_lattice(mass).basis.shape == (0, 2)
+    assert support_lattice(mass).box(7) == ()
+    _check_direct_paths(line, 6)
+    _check_direct_paths(mass, 5)
+
+
+@st.composite
+def _sublattice_functions(draw):
+    """phi on x0 + z @ B for integer B with |det B| in 2..4, or on a line."""
+    dim = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    if dim > 1 and draw(st.booleans()):
+        # a line: one direction, possibly not primitive
+        basis = np.array([draw(st.lists(small, min_size=dim, max_size=dim).filter(any))])
+    else:
+        diag = np.ones(dim, dtype=int)
+        diag[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([2, 3, 4]))
+        upper = np.triu(np.array(draw(st.lists(small, min_size=dim * dim, max_size=dim * dim)))
+                        .reshape(dim, dim), 1)
+        shear = np.tril(np.array(draw(st.lists(st.integers(-1, 1), min_size=dim * dim,
+                                               max_size=dim * dim))).reshape(dim, dim), -1)
+        basis = (np.eye(dim, dtype=int) + shear) @ (np.diag(diag) + upper)
+    r = len(basis)
+    coords = np.array(draw(st.lists(st.tuples(*[small] * r), min_size=2, max_size=6,
+                                    unique=True)))
+    x0 = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+    k = len(coords)
+    kind = draw(st.sampled_from(["real", "complex", "integer"]))
+    if kind == "integer":
+        # products and sums are exact, so opposite signs cancel to true zeros
+        values = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+                                        min_size=k, max_size=k)))
+    else:
+        real = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+        values = np.array(draw(st.lists(real, min_size=k, max_size=k)), dtype=complex)
+        if kind == "complex":
+            values += 1j * np.array(draw(st.lists(real, min_size=k, max_size=k)))
+    return LatticeFunction(dim, x0 + coords @ basis, values), draw(st.integers(2, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sublattice_functions())
+def test_direct_paths_bit_identical_on_sublattices(case):
+    f, n = case
+    _check_direct_paths(f, n)
+
+
+@pytest.mark.parametrize("name,n", [("ex73", 64), ("srw:3", 24)])
+def test_sweep_peak_memory_on_a_sublattice(name, n):
+    # the sweep holds boxes of the lattice's z-box, about half the bounding box
+    import tracemalloc
+    from latconv.lattice import _sweep_boxes, support_lattice, sweep
+    f = examples.get(name)
+    lattice = support_lattice(f)
+    cells = int(np.prod(lattice.box(n)))
+    lo, hi = f.extent()
+    assert cells < 0.55 * np.prod(n * (hi - lo) + 1)
+    tracemalloc.start()
+    try:
+        for _ in sweep(f, n, lattice):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * cells * _sweep_boxes(True) + 2 ** 14, peak / (16 * cells)
+
+
 def test_sweep_dtype_follows_phi():
     from latconv.lattice import sweep
     assert all(arr.dtype == np.float64 for arr, _ in sweep(examples.ex73(), 4))

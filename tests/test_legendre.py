@@ -201,6 +201,22 @@ def test_conjugate_cache_keeps_large_points_apart(srw2_analysis):
     assert second == pytest.approx(4.0 * first, rel=1e-9)
 
 
+def test_conjugate_batch_overflow_reads_inf_not_nan(srw2_analysis):
+    # where t = |c|^2 overflows, polar gives u = 0 and t R#(u) read inf * 0
+    import warnings
+    P = srw2_analysis.minimal_points()[0].classification.poly
+    xs = np.array([[1e155, 0.0], [1e200, 0.0], [1e300, 1.0], [-1e300, -1e300],
+                   [1e150, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, args = ConjugateEvaluator(P).conjugate_batch(xs)
+    assert not np.isnan(vals).any() and not np.isnan(args).any()
+    assert np.all(vals[:4] == np.inf) and np.all(args[:4] == np.inf)
+    # R#(x) = |x|^2 on srw:2 stays finite below the overflow
+    assert vals[4] == pytest.approx(1e300, rel=1e-9)
+    assert np.isfinite(args[4]).all()
+
+
 @pytest.mark.parametrize("fixture", ["intro_analysis", "ex71_analysis",
                                      "ex73_analysis", "srw2_analysis"])
 def test_conjugate_independent_of_call_history(fixture, request):
