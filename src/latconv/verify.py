@@ -233,9 +233,7 @@ class _ConjugateField:
         if self.dim <= 2:
             self.n_angles = 4096 if self.dim == 2 else 2
             th = np.linspace(-np.pi, np.pi, self.n_angles, endpoint=False)
-            # grid + Newton meets the multi-start refinement at the nodes
-            # (within 1e-12, pinned by a test), so the table skips it
-            table, _ = self.ev.conjugate_batch(self.sphere(th), refine_starts=False)
+            table, _ = self.ev.conjugate_batch(self.sphere(th))
             self.angles = np.append(th, np.pi)
             self.table = np.append(table, table[0])
 

@@ -14,6 +14,8 @@ from latconv.legendre import (ConjugateEvaluator, conjugate_bounds_check,
                               conjugate_compare, weighted_norm)
 from latconv.symbol import newton_ascent
 
+from conftest import multi_start_conjugate, multi_start_rows
+
 
 @pytest.fixture(scope="module")
 def ex73_poly(ex73_analysis):
@@ -171,7 +173,7 @@ def test_monotone_under_objective_scaling():
 def test_bounds_check_gaussian():
     P = HomogeneousPolynomial(1, {(2,): 1.0}, np.eye(1), (1,))
     ev = ConjugateEvaluator(P)
-    M, Mp, stable = conjugate_bounds_check(ev, P.E, radius=10.0)
+    M, Mp, stable = conjugate_bounds_check(ev, radius=10.0)
     # |x| - x^2/4 is maximized at x = 2 with value 1
     assert M == pytest.approx(1.0, abs=1e-2)
     assert stable
@@ -180,7 +182,7 @@ def test_bounds_check_gaussian():
 def test_bounds_check_ex73(ex73_analysis):
     P = ex73_analysis.points[0].classification.poly
     ev = ConjugateEvaluator(P)
-    M, Mp, stable = conjugate_bounds_check(ev, P.E, radius=20.0, count=80)
+    M, Mp, stable = conjugate_bounds_check(ev, radius=20.0, count=80)
     assert np.isfinite(M) and np.isfinite(Mp)
     assert stable
 
@@ -340,15 +342,6 @@ def _unit_circle(n):
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def _refine_rows(ev, xs):
-    """The multi-start rows of conjugate_batch's refinement for xs."""
-    _, us = ev.P.polar(xs)
-    _, grid_arg = ev._grid_scan_batch(us, ev.rho)
-    scale = np.maximum(np.linalg.norm(grid_arg, axis=1), 1e-2)
-    starts = (scale[:, None, None] * ev._starts[None, :, :]).reshape(-1, ev.dim)
-    return np.repeat(us, len(ev._starts), axis=0), starts
-
-
 @pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis",
                                      "ex73_analysis", "ex75_analysis"])
 def test_live_row_ascent_matches_full_batch_on_tables(fixture, request):
@@ -362,10 +355,37 @@ def test_live_row_ascent_matches_full_batch_on_tables(fixture, request):
 def test_live_row_ascent_matches_full_batch_on_refined_batches(ex71_analysis, srw3_poly):
     ev = ConjugateEvaluator(ex71_analysis.points[0].classification.poly)
     window = np.mgrid[-8:9, -8:9].reshape(2, -1).T.astype(float)
-    _assert_same_ascent(ev, *_refine_rows(ev, window), every=50)
+    _assert_same_ascent(ev, *multi_start_rows(ev, window), every=50)
     ev = ConjugateEvaluator(srw3_poly)
     xs = np.random.default_rng(17).uniform(-6, 6, size=(40, 3))
-    _assert_same_ascent(ev, *_refine_rows(ev, xs), every=50)
+    _assert_same_ascent(ev, *multi_start_rows(ev, xs), every=50)
+
+
+@pytest.mark.parametrize("name,half", [("ex71", 8), ("intro", 4), ("ex73", 4),
+                                       ("ex75:3,2", 4), ("srw:2", 4), ("ex74", 4),
+                                       ("srw:3", None), ("ex75:3,2,2", None),
+                                       ("ex75:2,1,1", None), ("phim:1,2,3", None)])
+def test_grid_argmax_ascent_matches_multi_start(name, half):
+    # the legendre CLI windows, and 40 points with |x| in [0.05, 20] in d = 3:
+    # one ascent from each point's grid argmax against the best of it and a
+    # further 64 (d = 2) or 512 (d = 3) starts per point (measured at most
+    # 7.4e-14 low, on ex75:3,2); the objective at each argmax is its value
+    # (measured within 9.4e-15, on ex73)
+    P = latconv.analyze(examples.get(name)).minimal_points()[0].classification.poly
+    ev = ConjugateEvaluator(P)
+    if half is None:
+        rng = np.random.default_rng(29)
+        xs = rng.standard_normal((40, 3))
+        xs *= np.exp(rng.uniform(np.log(0.05), np.log(20.0), 40))[:, None] \
+            / np.linalg.norm(xs, axis=1)[:, None]
+    else:
+        xs = np.mgrid[-half:half + 1, -half:half + 1].reshape(2, -1).T.astype(float)
+    vals, args = ev.conjugate_batch(xs)
+    ref = multi_start_conjugate(ev, xs)
+    assert np.all(vals <= ref)
+    assert np.all(ref - vals <= 1e-12 * ref)
+    at_args = np.einsum("kd,kd->k", args, xs) - P.real(args)
+    assert np.all(np.abs(at_args - vals) <= 1e-12 * np.maximum(vals, 1e-300))
 
 
 @pytest.mark.parametrize("fixture", ["intro_analysis", "ex73_analysis"])
@@ -392,18 +412,17 @@ def test_live_row_hand_off_matches_full_batch_where_re_p_is_not_convex(intro_ana
                                           ("intro_analysis", None), ("ex71_analysis", 8)])
 def test_hand_off_is_below_the_fixed_gradient_phase_by_rounding_only(fixture, half,
                                                                       request, monkeypatch):
-    # 4,096 unit-circle directions (grid starts only) and the ex71 CLI window: handing
-    # stalled rows to Newton moved R# by at most 5e-14 relative on the corpus,
-    # lower on some rows where Re P is flat at the maximum
+    # 4,096 unit-circle directions and the ex71 CLI window: handing stalled
+    # rows to Newton moved R# by at most 5e-14 relative on the corpus, lower
+    # on some rows where Re P is flat at the maximum
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
     if half is None:
         xs = _unit_circle(4096)
     else:
         xs = np.mgrid[-half:half + 1, -half:half + 1].reshape(2, -1).T.astype(float)
-    refine = half is not None
-    vals, _ = ev.conjugate_batch(xs, refine_starts=refine)
+    vals, _ = ev.conjugate_batch(xs)
     monkeypatch.setattr(ConjugateEvaluator, "_ascend_batch", _fixed_gradient_ascend)
-    ref, _ = ev.conjugate_batch(xs, refine_starts=refine)
+    ref, _ = ev.conjugate_batch(xs)
     assert np.all(vals >= ref - 1e-13 * np.abs(ref))
 
 
@@ -460,7 +479,7 @@ def test_shell_table_memory(ex73_poly):
     ev = ConjugateEvaluator(ex73_poly)
     tracemalloc.start()
     try:
-        ev.conjugate_batch(_unit_circle(4096), refine_starts=False)
+        ev.conjugate_batch(_unit_circle(4096))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import latconv
 from latconv import examples, verify
 from latconv.lattice import LatticeFunction
 
-from conftest import power_oracle
+from conftest import multi_start_conjugate, power_oracle
 
 
 def test_sup_decay_intro(intro_analysis):
@@ -60,6 +60,15 @@ def test_gaussian_bound_srw(srw2_analysis):
     rep = verify.gaussian_bound_fit(examples.srw(2), srw2_analysis, ns)
     assert rep.verdict == "fit"
     assert rep.constants["M"] >= 0.05
+    assert rep.constants["octave_ratio"] <= 1.5
+
+
+def test_gaussian_bound_srw3_to_n16_under_the_default_cap():
+    # d = 3 evaluates every point of each power by conjugate_batch, one
+    # ascent row per point: 3,281 rows at n = 16 must fit the 2 GiB cap
+    f = examples.srw(3)
+    rep = verify.gaussian_bound_fit(f, latconv.analyze(f), [1, 2, 4, 8, 16])
+    assert rep.verdict == "fit"
     assert rep.constants["octave_ratio"] <= 1.5
 
 
@@ -319,17 +328,17 @@ def test_direct_powers_cap_counts_kept_powers(monkeypatch):
 
 
 def test_conjugate_batch_cap_counts_the_ascent_rows(monkeypatch):
-    # 1,000 points of ex75:3 ascend from 8,000 multi-start rows: tracemalloc
-    # read 1.8 MiB, while the grid scan budgets 0.5 MiB.  Without the rows in
-    # the budget the batch ran to 1.8 MiB under a 1 MiB cap
+    # 40,000 points of ex75:3: the grid scan budgets 16.0 MiB and the ascent
+    # 18.3 MiB, and tracemalloc read 11.8 MiB.  Only the ascent's check
+    # refuses the batch under a 17 MiB cap
     import tracemalloc
 
     from latconv import _config
     from latconv.errors import ResourceLimitError
     from latconv.legendre import ConjugateEvaluator
     ev = ConjugateEvaluator(latconv.analyze(examples.get("ex75:3")).points[0].classification.poly)
-    xs = np.random.default_rng(7).uniform(-6, 6, size=(1000, 1))
-    for cap, refused in ((2 ** 20, True), (8 * 2 ** 20, False)):
+    xs = np.random.default_rng(7).uniform(-6, 6, size=(40_000, 1))
+    for cap, refused in ((17 * 2 ** 20, True), (24 * 2 ** 20, False)):
         monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
         tracemalloc.start()
         try:
@@ -541,18 +550,18 @@ def test_conjugate_field_interpolation_error(fixture, field_of):
     field = field_of(fixture)
     th = np.linspace(-np.pi, np.pi, field.n_angles, endpoint=False) + np.pi / field.n_angles
     for mid in (np.stack([np.cos(th), np.sin(th)], axis=-1), field.sphere(th)):
-        exact, _ = field.ev.conjugate_batch(mid, refine_starts=False)
+        exact, _ = field.ev.conjugate_batch(mid)
         assert np.max(np.abs(field.values(mid) / exact - 1.0)) <= 1e-4
 
 
 @pytest.mark.parametrize("fixture", ["srw2_analysis", "intro_analysis", "ex71_analysis",
                                      "ex73_analysis", "ex75_analysis"])
 def test_conjugate_field_table_nodes_match_multi_start(fixture, field_of):
-    # the table is built from grid starts alone; every 8th node against the
-    # multi-start refinement (measured at most 7.4e-14)
+    # every 8th node against the best of a further 64 starts per node
+    # (measured at most 7.4e-14 low)
     field = field_of(fixture)
     th = np.linspace(-np.pi, np.pi, field.n_angles, endpoint=False)[::8]
-    exact, _ = field.ev.conjugate_batch(field.sphere(th))
+    exact = multi_start_conjugate(field.ev, field.sphere(th))
     assert np.max(np.abs(field.table[:-1:8] / exact - 1.0)) <= 1e-12
 
 
@@ -595,8 +604,8 @@ def test_conjugate_field_polar_coordinates_over_sixteen_decades(fixture, field_o
     assert np.abs((np.abs(u @ P.basis) ** (1.0 / l)).sum(axis=1) - 1.0).max() <= 1e-14
     c = P.adapted(xs)
     assert np.abs(field.sphere(np.arctan2(c[:, 1], c[:, 0])) - u).max() <= 1e-14
-    # each whole decade against the multi-start conjugate_batch, which
-    # returns the objective at the ascent's end point, a lower bound of R#:
+    # each whole decade against conjugate_batch, which returns the
+    # objective at the ascent's end point, a lower bound of R#:
     # homogeneous to 1e-10 against its values on the unit sphere (solving at
     # the raw x read intro up to 2% low at |x| = 1e-8), and within the
     # table's interpolation error of the field
