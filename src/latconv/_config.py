@@ -6,11 +6,6 @@ MEMORY_CAP_BYTES = 2 * 1024 ** 3
 # e^{-T_CUT} ~ 1e-20: integrand magnitude at the quadrature box boundary.
 T_CUT = 46.0
 
-# Torus scan resolution used to seed Newton ascent (per axis, d <= 2).
-OMEGA_GRID_DEFAULT = 512
-# d >= 3 full-product grids at 512 per axis do not fit in memory.
-OMEGA_GRID_HIGH_DIM = 64
-
 # numpy.fft runs every transform on one thread.  Not a setting: the benchmark
 # reports it beside the BLAS thread count.
 FFT_WORKERS = 1

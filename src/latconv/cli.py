@@ -163,6 +163,9 @@ def cmd_analyze(args):
     f = _load_function(args)
     ana = analyze(f)
     print(f"normalization scale = {_fmt(ana.scale)}")
+    scan = ana.scan
+    print(f"torus scan: {scan.grid} per axis, slack = {scan.slack:.4g}, "
+          f"{len(scan.seeds)} seeds, {int(scan.converged.sum())} converged")
     print(f"omega points: {len(ana.omega)}")
     om = ana.omega
     d = f.dim

@@ -216,7 +216,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
             continue
         kept = _poly.poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
         poly = HomogeneousPolynomial(d, kept, A, weights)
-        res_norms = _residual_norms(q_rot, kept, poly.lam, samples)
+        res_norms = _residual_norms(q_rot, kept, weights, samples)
         diagnostics["residual_norms"] = res_norms
         diagnostics["weights"] = weights
         return Classification(VERDICT_PHT, alpha=alpha, poly=poly,
@@ -242,16 +242,23 @@ def _any_survivor_everywhere(q_rot, null_axes, quad_axes, m_max):
                for w in _weight_assignments(null_axes, quad_axes, m_max))
 
 
-def _residual_norms(q_rot, kept, lam, samples):
-    """Numerical surrogate for Upsilon = o(Re P): max |t Q(t^-E xi) - P(xi)|."""
-    d = len(lam)
-    Q = _poly.CompiledPoly(q_rot, d)
-    p_vals = _poly.CompiledPoly(kept, d)(samples)
-    out = {}
-    for t in (10.0, 100.0, 1000.0):
-        q_vals = Q(samples * t ** (-lam)) * t
-        out[t] = float(np.max(np.abs(q_vals - p_vals)))
-    return out
+def _residual_norms(q_rot, kept, weights, samples):
+    """Numerical surrogate for Upsilon = o(Re P): max |t Q(t^-E xi) - P(xi)|
+    over the samples at t = 10, 100, 1000.
+
+    t Q(t^-E xi) - P(xi) is the polynomial with coefficients
+    q_beta t^(1 - |beta:2m|) less the kept ones, stacked over the three t and
+    evaluated once; |beta:2m| is exact, so P's terms cancel exactly.
+    """
+    ts = np.array([10.0, 100.0, 1000.0])
+    # a zero constant term fixes the coefficient shape when all of Q is kept
+    residual = {(0,) * len(weights): np.zeros(len(ts))}
+    for beta, c in q_rot.items():
+        if beta not in kept:
+            h = sum(Fraction(b, 2 * m) for b, m in zip(beta, weights))
+            residual[beta] = c * ts ** float(1 - h)
+    norms = np.abs(_poly.CompiledPoly(residual, len(weights))(samples)).max(axis=0)
+    return dict(zip(ts.tolist(), norms.tolist()))
 
 
 @dataclass
@@ -268,6 +275,7 @@ class SpectralAnalysis:
 
     function: LatticeFunction          # normalized copy
     scale: float
+    scan: object                       # symbol.TorusScan that normalized it
     omega: object                      # OmegaSet
     points: list
     mu_phi: Fraction | None
@@ -323,7 +331,7 @@ def analyze(f, m_max=12):
                            phase=float(np.angle(val)), classification=cls)
         omega = OmegaSet(points=xi[None, :], values=np.array([val]),
                          phases=np.array([float(np.angle(val))]))
-        return SpectralAnalysis(function=g, scale=scale, omega=omega,
+        return SpectralAnalysis(function=g, scale=scale, scan=scan, omega=omega,
                                 points=[pa], mu_phi=None, minimal=[])
     omega = find_omega(sym, scan=scan)
     offsets = (g.points - g.points[0]).astype(float)
@@ -344,5 +352,5 @@ def analyze(f, m_max=12):
         mus = [p.classification.mu for p in points]
         mu_phi = min(mus)
         minimal = [i for i, m in enumerate(mus) if m == mu_phi]
-    return SpectralAnalysis(function=g, scale=scale, omega=omega, points=points,
-                            mu_phi=mu_phi, minimal=minimal)
+    return SpectralAnalysis(function=g, scale=scale, scan=scan, omega=omega,
+                            points=points, mu_phi=mu_phi, minimal=minimal)

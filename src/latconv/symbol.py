@@ -15,34 +15,36 @@ Along any line, e^{-i c.xi} phi-hat is an exponential sum whose frequencies
 are at most K in modulus, so |(|phi-hat|^2)''| <= 4 K^2 sup^2.  A global
 maximiser has zero gradient and lies at most sqrt(d) pi / n from a point of
 the n-per-axis grid, where therefore |phi-hat|^2 >= (1 - s) sup^2 with slack
-s = 2 K^2 d (pi / n)^2.  The grid doubles while s > ``SLACK_MAX``, and
-Newton starts from every cyclic grid local maximum with |phi-hat|^2 >=
-(1 - max(1e-3, s)) times the grid maximum squared: the grid point next to
-every global maximiser clears that threshold, however narrow its peak.
+s = 2 K^2 d (pi / n)^2.  The grid is the smallest 11-smooth n with s <=
+``SLACK_MAX``, so its density comes from the bound alone, and Newton starts
+from every cyclic grid local maximum with |phi-hat|^2 >= (1 - max(1e-3, s))
+times the grid maximum squared: the grid point next to every global
+maximiser clears that threshold, however narrow its peak.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _config, _fft
+from . import _fft
 from .errors import NotNormalizedError, ZeroFunctionError
 from .lattice import LatticeFunction, _check_box
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
 DEDUPE_RADIUS = 1e-6
-# the scan grid doubles while its Bernstein slack s exceeds this; no corpus
-# input needs a doubling (the largest s is srw:3's 1.45e-2)
+# the scan grid is the smallest fast length whose Bernstein slack s is at
+# most this; on the corpus s lies in [0.0439, 0.0494]
 SLACK_MAX = 0.05
 # grid local maxima this deep below the grid maximum (relative, in
 # |phi-hat|^2) always seed Newton, even where s is smaller
 SEED_DEPTH = 1e-3
 # Newton endpoints this close share one extended-precision polish: on the
-# corpus the worst endpoint lies 7.9e-5 from its Omega point (ex73), and
+# corpus the worst endpoint lies 7.5e-5 from its Omega point (ex73), and
 # distinct Omega points lie at least 1.9 apart
 CLUSTER_RADIUS = 1e-3
 
@@ -131,6 +133,12 @@ def _slack(f, n):
     return 2.0 * float(radius2) * f.dim * (np.pi / n) ** 2
 
 
+def _grid_size(f):
+    """Smallest 11-smooth n per axis with Bernstein slack s <= ``SLACK_MAX``:
+    s falls as 1 / n^2, so n >= sqrt(s_1 / SLACK_MAX), s_1 the slack at n = 1."""
+    return _fft.next_fast_len(math.ceil(math.sqrt(_slack(f, 1) / SLACK_MAX)))
+
+
 def _grid_seeds(vals, depth):
     """Grid indices of the cyclic local maxima with vals^2 >= (1 - depth)
     vals.max()^2, by value descending (stable in row-major order)."""
@@ -142,10 +150,6 @@ def _grid_seeds(vals, depth):
             keep &= vals >= np.roll(vals, shift, axis=axis)
     seeds = np.argwhere(keep)
     return seeds[np.argsort(-vals[tuple(seeds.T)], kind="stable")]
-
-
-def _default_grid(dim):
-    return _config.OMEGA_GRID_DEFAULT if dim <= 2 else _config.OMEGA_GRID_HIGH_DIM
 
 
 def _newton_steps(hess, grad, gn, unit, max_step):
@@ -317,16 +321,17 @@ class TorusScan:
 def locate_sup(sym):
     """Global maximum of |phi-hat|: one certified grid scan plus Newton ascent.
 
-    The grid has n = 512 points per axis (64 for d >= 3), doubled while the Bernstein slack s = 2 K^2 d (pi/n)^2 exceeds
-    ``SLACK_MAX`` (see the module docstring), and is checked against the
-    memory cap before it is allocated: ``ResourceLimitError`` when the
-    certified density does not fit.  One batched ``newton_ascent`` on
-    |phi-hat|^2 (gradient tolerance 1e-12 relative, steps at most 0.5 long)
-    runs from every cyclic grid local maximum with |phi-hat|^2 >=
-    (1 - max(1e-3, s)) times the grid maximum squared; the supremum is the
-    largest |phi-hat| over the endpoints, which ``analyze`` hands on to
-    ``find_omega``.  A single-point support c delta_y has the flat symbol
-    |phi-hat| = |c|, so it gets |c| at 0 with no scan and no ascent.
+    The grid has the fewest points per axis, n, that is 11-smooth and keeps
+    the Bernstein slack s = 2 K^2 d (pi/n)^2 at most ``SLACK_MAX`` (see the
+    module docstring), and is checked against the memory cap before it is
+    allocated: ``ResourceLimitError`` when the certified density does not
+    fit.  One batched ``newton_ascent`` on |phi-hat|^2 (gradient tolerance
+    1e-12 relative, steps at most 0.5 long) runs from every cyclic grid
+    local maximum with |phi-hat|^2 >= (1 - max(1e-3, s)) times the grid
+    maximum squared; the supremum is the largest |phi-hat| over the
+    endpoints, which ``analyze`` hands on to ``find_omega``.  A single-point
+    support c delta_y has the flat symbol |phi-hat| = |c|, so it gets |c| at
+    0 with no scan and no ascent.
 
     Returns a ``TorusScan``, which unpacks as (sup value, argmax point).
     """
@@ -336,9 +341,7 @@ def locate_sup(sym):
         return TorusScan(sup=float(abs(f.values[0])), argmax=zero[0], seeds=zero,
                          endpoints=zero, converged=np.ones(1, dtype=bool),
                          grid=0, slack=0.0)
-    n = _default_grid(f.dim)
-    while _slack(f, n) > SLACK_MAX:
-        n *= 2
+    n = _grid_size(f)
     slack = _slack(f, n)
     idx = _grid_seeds(_grid_abs(f, n), max(SEED_DEPTH, slack))
     seeds = _wrap_torus(idx.astype(float) * TWO_PI / n)

@@ -25,6 +25,15 @@ def test_analyze_intro_reports_mu(tmp_path, capsys):
     assert header == "xi_1,xi_2,re,im,omega"
 
 
+def test_analyze_reports_the_torus_scan(tmp_path, capsys):
+    # ex71's support has K = 4: the bound asks for 113 points per axis, and
+    # 120 is the next fast length; one grid peak seeds Newton
+    code, _ = run(tmp_path, "analyze", "--example", "ex71")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1] == "torus scan: 120 per axis, slack = 0.04386, 1 seeds, 1 converged"
+
+
 def test_stability_unstable_exit_code(tmp_path, capsys):
     code, out = run(tmp_path, "stability", "--example", "unstable1d",
                     "--nmax", "512")

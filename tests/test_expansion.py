@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import _poly, examples
+from latconv import _poly, examples, expansion
 from latconv.expansion import (VERDICT_INDETERMINATE, VERDICT_NOT, VERDICT_PHT,
                                _shifted_series, classify, gamma_taylor)
 from latconv.lattice import LatticeFunction
@@ -201,6 +201,30 @@ def test_residual_shrinks_with_scale(intro_analysis, ex73_analysis):
     for ana in (intro_analysis, ex73_analysis):
         res = ana.points[0].classification.diagnostics["residual_norms"]
         assert res[10.0] > res[100.0] > res[1000.0]
+
+
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex72", "ex73", "ex74",
+                                  "ex75:3,2", "ex75:2,3", "srw:2", "srw:3",
+                                  "phim:2,1", "phim:2,3", "unstable1d"])
+def test_residual_norms_match_three_evaluations(name, monkeypatch):
+    # reference: all of Q at t^-E xi for each t, less P, as three calls; its
+    # own cancellation rounds at a few eps of |P|, which the one-call form
+    # avoids (2.2e-12 relative on srw:2 at t = 1000, against a long-double sum)
+    calls = []
+    real = expansion._residual_norms
+    monkeypatch.setattr(expansion, "_residual_norms",
+                        lambda *a: calls.append(a) or real(*a))
+    latconv.analyze(examples.get(name))
+    assert calls
+    for q_rot, kept, weights, samples in calls:
+        norms = real(q_rot, kept, weights, samples)
+        lam = np.array([1.0 / (2 * m) for m in weights])
+        Q = _poly.CompiledPoly(q_rot, len(weights))
+        p_vals = _poly.CompiledPoly(kept, len(weights))(samples)
+        rounding = 16 * np.finfo(float).eps * np.abs(p_vals).max()
+        for t in (10.0, 100.0, 1000.0):
+            ref = np.abs(Q(samples * t ** (-lam)) * t - p_vals).max()
+            assert abs(norms[t] - ref) <= 1e-12 * ref + rounding
 
 
 def test_drift_equals_mean_for_probability(srw2_analysis):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import _config, examples, symbol
+from latconv import _config, _fft, examples, symbol
 from latconv.cli import main
 from latconv.errors import NotNormalizedError, ResourceLimitError, ZeroFunctionError
 from latconv.lattice import LatticeFunction
@@ -241,9 +242,11 @@ def _newton_polish(sym, xi0, max_iter=100):
 
 def _per_seed_omega(sym, tol=1e-9):
     """Omega points as find_omega found them before clustering: one polish
-    per converged seed, then the modulus check and the 1e-6 dedupe."""
+    per converged seed, then the modulus check and the 1e-6 dedupe, from
+    seeds on the denser grid the scan used before it was sized by its
+    bound alone."""
     f = sym.source
-    n = symbol._default_grid(f.dim)
+    n = 512 if f.dim <= 2 else 64
     vals = symbol._grid_abs(f, n)
     local = np.ones(vals.shape, dtype=bool)
     for axis in range(f.dim):
@@ -319,7 +322,7 @@ def _two_grid_sup(sym):
     grid point's Newton endpoint, on the default grid and then on grids of
     doubling density, until two successive maxima agree to 1e-12."""
     f = sym.source
-    n = symbol._default_grid(f.dim)
+    n = 512 if f.dim <= 2 else 64
     prev = -np.inf
     best = 0.0
     while True:
@@ -393,10 +396,73 @@ def test_narrow_peaks_are_all_found(K):
     assert np.all(np.minimum(lattice, 2 * np.pi / K - lattice) < 1e-9)
 
 
+def _omega_on_grid(f, monkeypatch, factor=1):
+    """(scan, Omega) of f with the scan grid ``factor`` times its own size."""
+    size = symbol._grid_size
+    with monkeypatch.context() as m:
+        m.setattr(symbol, "_grid_size", lambda g: factor * size(g))
+        g, _, scan = symbol._normalize(f)
+        return scan, symbol.find_omega(SymbolView(g), scan=scan)
+
+
+def _full_rank_function(rng, dim):
+    """Criterion-11 style: 3 to 12 random complex values on [-2, 2]^d
+    ({0, 1}^3 in d = 3) whose support spans a rank-d lattice; every other
+    draw lies on a proper sublattice: the image under [[2, 1], [0, 1]], or
+    in d = 3 the even-sum points of the cube.  (On a lower-rank support
+    Omega is a continuum, which no grid resolves.)"""
+    axis = range(-2, 3) if dim < 3 else (0, 1)
+    cube = np.array(list(itertools.product(*[axis] * dim)))
+    sub = rng.integers(2)
+    if sub and dim == 3:
+        cube = cube[cube.sum(axis=1) % 2 == 0]
+    while True:
+        size = rng.integers(min(3, dim + 1), min(12, len(cube)) + 1)
+        pts = cube[rng.choice(len(cube), size=size, replace=False)]
+        if np.linalg.matrix_rank(pts[1:] - pts[0]) == dim:
+            break
+    if sub and dim < 3:
+        pts = pts @ np.array([[2, 1], [0, 1]])[:dim, :dim]
+    return LatticeFunction(dim, pts, rng.standard_normal(len(pts))
+                           + 1j * rng.standard_normal(len(pts)))
+
+
+@pytest.mark.parametrize("case", [f"seed{k}" for k in range(24)]
+                         + [f"lazy{K}" for K in (6, 8, 12)])
+def test_bernstein_grid_misses_nothing_a_denser_grid_finds(case, monkeypatch):
+    if case.startswith("lazy"):
+        f = _lazy_product(int(case[4:]))
+    else:
+        k = int(case[4:])
+        f = _full_rank_function(np.random.default_rng(4100 + k), 1 + k % 3)
+    scan, om = _omega_on_grid(f, monkeypatch)
+    dense, ref = _omega_on_grid(f, monkeypatch, factor=4)
+    assert dense.grid == 4 * scan.grid
+    assert abs(scan.sup - dense.sup) <= 1e-15 * dense.sup
+    assert len(om) == len(ref) > 0
+    for p in ref.points:
+        assert min(symbol._torus_dist(p, q) for q in om.points) <= 1e-12
+
+
+def test_bernstein_grid_is_never_larger_than_the_doubled_default():
+    # the scan used to start at 512 per axis (64 in d >= 3) and double while
+    # s > SLACK_MAX; a fast length within the bound never exceeds that
+    rng = np.random.default_rng(4200)
+    cases = [LatticeFunction.from_dict({(0,) * d: 1.0, (k,) + (0,) * (d - 1): 1.0})
+             for d in (1, 2, 3) for k in range(1, 400, 3)]
+    cases += [random_function(rng, d, radius=r) for d in (1, 2, 3) for r in (1, 2, 5, 40)]
+    for f in cases:
+        old = 512 if f.dim <= 2 else 64
+        while symbol._slack(f, old) > symbol.SLACK_MAX:
+            old *= 2
+        n = symbol._grid_size(f)
+        assert n <= old and symbol._slack(f, n) <= symbol.SLACK_MAX
+
+
 # -- one batched ascent -------------------------------------------------------
 
-@pytest.mark.parametrize("make,count", [(examples.ex73, 30),
-                                        (lambda: _lazy_product(12), 240)],
+@pytest.mark.parametrize("make,count", [(examples.ex73, 10),
+                                        (lambda: _lazy_product(12), 144)],
                          ids=["ex73", "lazy12"])
 def test_newton_ascent_rows_do_not_depend_on_the_batch(make, count):
     sym = SymbolView(make())
@@ -416,21 +482,24 @@ def test_newton_ascent_rows_do_not_depend_on_the_batch(make, count):
 
 
 def test_locate_sup_batches_its_ascent(monkeypatch):
-    # one Newton loop per seed made 996 calls on ex73's 30 seeds
+    # one Newton loop per seed made 996 calls on ex73's 30 seeds of a 512^2
+    # grid; its 80^2 grid has 10
     calls = []
     real = SymbolView.abs2_grad_hess
     monkeypatch.setattr(SymbolView, "abs2_grad_hess",
                         lambda self, xi: calls.append(len(xi)) or real(self, xi))
     scan = latconv.locate_sup(SymbolView(examples.ex73()))
-    assert len(scan.seeds) == 30 and scan.converged.all()
+    assert len(scan.seeds) == 10 and scan.converged.all()
     assert len(calls) < 100
 
 
-def test_scan_grid_doubles_until_the_slack_is_small():
-    # K = 50 about the box centre: s = 0.188 on 512 points, 0.047 on 1024
+def test_scan_grid_is_the_smallest_fast_length_within_the_slack():
+    # K = 50 about the box centre: s = 0.0503 on 990 points, 0.0493 on 1000
     f = LatticeFunction.from_dict({(0,): 1.0, (100,): 1.0})
     scan = latconv.locate_sup(SymbolView(f))
-    assert scan.grid == 1024 and scan.slack <= symbol.SLACK_MAX
+    assert scan.grid == 1000 and scan.slack <= symbol.SLACK_MAX
+    assert all(symbol._slack(f, m) > symbol.SLACK_MAX for m in range(1, 1000)
+               if _fft.next_fast_len(m) == m)
     assert scan.sup == pytest.approx(2.0, abs=1e-12)
 
 
@@ -450,20 +519,20 @@ def test_point_mass_needs_no_scan(monkeypatch):
 
 
 def test_scan_grid_is_checked_against_the_cap(monkeypatch, capsys):
-    # ex71's 512^2 grid is budgeted at two complex arrays, 8 MiB
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 4 * 2 ** 20)
-    with pytest.raises(ResourceLimitError):
+    # ex71's 120^2 grid is budgeted at two complex arrays, 450 KiB
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 256 * 2 ** 10)
+    with pytest.raises(ResourceLimitError, match=r"\(120, 120\)"):
         latconv.locate_sup(SymbolView(examples.ex71()))
-    assert main(["--memory-cap", str(4 / 1024),
+    assert main(["--memory-cap", str(256 / 2 ** 20),
                  "analyze", "--example", "ex71"]) == 4
     assert "resource error" in capsys.readouterr().err
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 10 * 2 ** 20)
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 512 * 2 ** 10)
     ana = latconv.analyze(examples.ex71())
     assert len(ana.omega) == 1 and ana.mu_phi == Fraction(5, 12)
 
 
 def test_scan_grid_that_cannot_fit_is_refused_before_allocation():
-    # radius 8 in d = 3 needs 512^3 points (4 GiB) for s <= SLACK_MAX
-    f = LatticeFunction.from_dict({(-8, 0, 0): 0.5, (8, 0, 0): 0.5})
-    with pytest.raises(ResourceLimitError, match=r"\(512, 512, 512\)"):
+    # radius 16 in d = 3 needs 560^3 points (5.2 GiB) for s <= SLACK_MAX
+    f = LatticeFunction.from_dict({(-16, 0, 0): 0.5, (16, 0, 0): 0.5})
+    with pytest.raises(ResourceLimitError, match=r"\(560, 560, 560\)"):
         latconv.locate_sup(SymbolView(f))
