@@ -55,12 +55,48 @@ class CompiledPoly:
         # [()] turns the 0-d value at a single point into a numpy scalar
         return out.reshape(xi.shape[:-1] + out.shape[1:])[()]
 
-    def _block(self, pts):
-        tab = np.empty((self.degree + 1, self.dim, len(pts)))
+    def on_grid(self, nodes):
+        """Values on the tensor grid of the per-axis ``nodes``, shape
+        ``(len(nodes[0]), ..., len(nodes[d-1])) + S``.
+
+        Each axis gets one power table, each monomial is the outer product
+        of its axis powers taken in axis order, and terms are added in key
+        order: at every grid point these are the IEEE operations of
+        ``__call__``, so the values are bit-identical to it.  The grid is
+        filled in slabs along axis 0 of about ``_BLOCK_CELLS`` numbers, so
+        the temporaries beside the result stay within a fixed block.
+        """
+        nodes = [np.asarray(g, dtype=float).reshape(-1) for g in nodes]
+        shape = tuple(len(g) for g in nodes)
+        tabs = [self._powers(g) for g in nodes]
+        exps = (self._rows // self.dim).tolist()
+        coef = self._coef[..., 0]
+        lift = (Ellipsis,) + (None,) * (coef.ndim - 1)
+        out = np.empty(shape + coef.shape[1:], dtype=coef.dtype)
+        step = _slab_rows(shape, coef[0].size)
+        for start in range(0, shape[0], step):
+            slab = out[start:start + step]
+            for k, beta in enumerate(exps):
+                mono = tabs[0][beta[0], start:start + step]
+                for j in range(1, self.dim):
+                    mono = mono[..., None] * tabs[j][beta[j]]
+                if k:
+                    slab += mono[lift] * coef[k]
+                else:
+                    np.multiply(mono[lift], coef[k], out=slab)
+        return out
+
+    def _powers(self, x):
+        """x^0, ..., x^degree by repeated products, stacked on a new axis 0."""
+        tab = np.empty((self.degree + 1,) + x.shape)
         tab[0] = 1.0
-        tab[1] = pts.T
+        tab[1] = x
         for p in range(2, self.degree + 1):
             np.multiply(tab[p - 1], tab[1], out=tab[p])
+        return tab
+
+    def _block(self, pts):
+        tab = self._powers(pts.T)
         fac = tab.reshape(-1, len(pts))[self._rows]
         mono = fac[:, 0]
         for j in range(1, self.dim):
@@ -72,6 +108,21 @@ class CompiledPoly:
         for term in terms[1:]:
             out += term
         return out
+
+
+def _slab_rows(shape, size=1):
+    """Rows of axis 0 in one ``on_grid`` slab: about ``_BLOCK_CELLS``
+    numbers of ``size`` each, at least one row."""
+    rest = int(np.prod(shape[1:], dtype=np.int64)) * size
+    return max(1, _BLOCK_CELLS // max(1, rest))
+
+
+def grid_scratch(shape):
+    """Complex numbers' worth of temporaries ``on_grid`` holds beside its
+    result on a grid of ``shape`` with scalar coefficients: one real
+    monomial and one complex term per slab cell."""
+    rows = min(int(shape[0]), _slab_rows(shape))
+    return 1.5 * rows * int(np.prod(shape[1:], dtype=np.int64))
 
 
 def poly_diff(coeffs, j):

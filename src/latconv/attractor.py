@@ -9,6 +9,13 @@ once, one polynomial evaluation per step) followed by certification of
 t Re P on sampled box faces, which expands the box until it holds.  A grid
 variant evaluates whole lattice windows with one FFT of the sampled weight
 e^{-t P}.
+
+The weight and the box faces are tensor grids, so P is evaluated on them
+from per-axis power tables (``CompiledPoly.on_grid``): bit for bit the
+pointwise values, with no stacked point array.  ``attractor_eval``
+contracts its weight one axis at a time with a fixed-order ``einsum`` per
+point instead of a BLAS product, so a point's value depends neither on the
+other points of the call nor on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _config, _fft
+from ._poly import grid_scratch
 from .homogeneous import sphere_samples
 from .lattice import LatticeFunction, _check_box
 
@@ -68,41 +76,35 @@ def box_halfwidths(P, t):
 
 
 def _boundary_min(P, t, L, n_face=33):
-    d = P.dim
+    """Smallest t Re P over the 2d faces of the box [-L, L], each face a
+    tensor grid of ``n_face`` nodes per free axis."""
+    grids = [np.linspace(-L[j], L[j], n_face) for j in range(P.dim)]
     worst = np.inf
-    grids = [np.linspace(-L[j], L[j], n_face) for j in range(d)]
-    for j in range(d):
-        rest = [grids[k] for k in range(d) if k != j]
-        mesh = np.meshgrid(*rest, indexing="ij") if rest else []
-        face = np.empty((mesh[0].size if rest else 1, d))
+    for j in range(P.dim):
         for sgn in (-1.0, 1.0):
-            col = 0
-            for k in range(d):
-                if k == j:
-                    face[:, k] = sgn * L[j]
-                else:
-                    face[:, k] = mesh[col].reshape(-1)
-                    col += 1
-            worst = min(worst, float(t * P.real(face).min()))
+            face = grids[:j] + [np.array([sgn * L[j]])] + grids[j + 1:]
+            worst = min(worst, float(t * P.on_grid(face, real=True).min()))
     return worst
 
 
-def _axis_nodes(L, N):
-    return np.linspace(-L, L, N)
+def _along(v, j, d):
+    """The 1-D array v broadcast along axis j of a d-dimensional grid."""
+    return v.reshape((-1,) + (1,) * (d - 1 - j))
+
+
+def _check_grid(shape, extra=0):
+    """Refuse a weight grid the memory cap cannot hold: the complex grid, the
+    slab temporaries of ``on_grid`` beside it and ``extra`` complex numbers
+    held with it (an FFT output window)."""
+    cells = np.prod(shape, dtype=np.int64)
+    _check_box(shape, complex_arrays=1.0 + (grid_scratch(shape) + extra) / cells)
 
 
 def _weight_grid(P, t, nodes):
-    """e^{-t P} on the tensor grid of per-axis nodes (chunked along axis 0)."""
-    d = P.dim
-    shape = tuple(len(g) for g in nodes)
-    out = np.empty(shape, dtype=np.complex128)
-    chunk = max(1, int(2 ** 22 // max(1, np.prod(shape[1:], dtype=np.int64))))
-    for start in range(0, shape[0], chunk):
-        stop = min(shape[0], start + chunk)
-        mesh = np.meshgrid(nodes[0][start:stop], *nodes[1:], indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        out[start:stop] = np.exp(-t * P(pts)).reshape((stop - start,) + shape[1:])
-    return out
+    """e^{-t P} on the tensor grid of per-axis nodes, formed in place."""
+    W = P.on_grid(nodes)
+    np.multiply(W, -t, out=W)
+    return np.exp(W, out=W)
 
 
 def attractor_eval(P, t, x):
@@ -120,7 +122,8 @@ def attractor_eval(P, t, x):
     xmax = np.abs(xs).max(axis=0)
     N = [max(256, int(np.ceil(8.0 * L[j] * xmax[j] / np.pi)) + 1)
          for j in range(P.dim)]
-    nodes = [_axis_nodes(L[j], N[j]) for j in range(P.dim)]
+    _check_grid(N)
+    nodes = [np.linspace(-L[j], L[j], N[j]) for j in range(P.dim)]
     W = _weight_grid(P, t, nodes)
     # trapezoid end weights (integrand ~ 1e-20 there; kept for form)
     for j in range(P.dim):
@@ -131,12 +134,10 @@ def attractor_eval(P, t, x):
     h = np.array([nodes[j][1] - nodes[j][0] for j in range(P.dim)])
     vol = float(np.prod(h)) / (2.0 * np.pi) ** P.dim
     out = np.empty(xs.shape[0], dtype=np.complex128)
-    acc = W
-    for k in range(xs.shape[0]):
-        phase = np.exp(-1j * xs[k, 0] * nodes[0])
-        red = np.tensordot(phase, acc, axes=(0, 0))
-        for j in range(1, P.dim):
-            red = np.tensordot(np.exp(-1j * xs[k, j] * nodes[j]), red, axes=(0, 0))
+    for k, x in enumerate(xs):
+        red = W
+        for j in range(P.dim):
+            red = np.einsum("a,a...->...", np.exp(-1j * x[j] * nodes[j]), red)
         out[k] = red * vol
     return complex(out[0]) if scalar else out
 
@@ -179,16 +180,13 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
     reach = np.maximum(np.abs(lo + np.floor(shift)), np.abs(hi + np.ceil(shift)))
     N = [_fft.next_fast_len(max(256, oversample * K[j] * (reach[j] + 16)))
          for j in range(d)]
-    _check_box(N, complex_arrays=2)
+    _check_grid(N, extra=np.prod(hi - lo + 1))
     nodes = [(-np.pi * K[j] + 2.0 * np.pi * K[j] * np.arange(N[j]) / N[j])
              for j in range(d)]
     W = _weight_grid(P, t, nodes)
     for j in range(d):
         # fold the real shift into the weight
-        ph = np.exp(-1j * shift[j] * nodes[j])
-        sl = [None] * d
-        sl[j] = slice(None)
-        W = W * ph[tuple(sl)]
+        W *= _along(np.exp(-1j * shift[j] * nodes[j]), j, d)
     spec = _fft.fftn(W)
     hstep = np.array([2.0 * np.pi * K[j] / N[j] for j in range(d)])
     vol = float(np.prod(hstep)) / (2.0 * np.pi) ** d
@@ -199,11 +197,9 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
         idx.append(np.mod(xj * K[j], N[j]))
         # e^{-i x (-pi K)} factor from the grid origin
         phase.append(np.exp(1j * np.pi * K[j] * (xj + shift[j])))
-    vals = spec[np.ix_(*idx)].astype(np.complex128)
+    vals = spec[np.ix_(*idx)]
     for j in range(d):
-        sl = [None] * d
-        sl[j] = slice(None)
-        vals = vals * phase[j][tuple(sl)]
+        vals *= _along(phase[j], j, d)
     vals *= vol
     return AttractorGrid(P=P, t=float(t), lo=lo, values=vals, shift=shift,
                          box_halfwidths=L, grid_sizes=tuple(N))
@@ -229,13 +225,10 @@ def _llt_dense(analysis, n, window):
         cls = pa.classification
         grid = attractor_grid(cls.poly, n, list(zip(lo, hi)),
                               shift=-n * cls.alpha)
-        pref = np.exp(1j * n * pa.phase)
-        vals = grid.values * pref
+        vals = grid.values
+        vals *= np.exp(1j * n * pa.phase)
         for j in range(d):
-            ph = np.exp(-1j * axes[j] * pa.xi[j])
-            sl = [None] * d
-            sl[j] = slice(None)
-            vals = vals * ph[tuple(sl)]
+            vals *= _along(np.exp(-1j * axes[j] * pa.xi[j]), j, d)
         total += vals
     return total
 

@@ -31,7 +31,8 @@ from .errors import NotNormalizedError
 from .homogeneous import (HomogeneousPolynomial, _canonical_signs,
                           sphere_samples)
 from .lattice import LatticeFunction
-from .symbol import OmegaSet, SymbolView, _normalize, find_omega
+from .symbol import (OmegaSet, SymbolView, _normalize, _principal_angle,
+                     find_omega)
 
 from . import _poly
 
@@ -327,10 +328,10 @@ def analyze(f, m_max=12):
                              alpha=g.points[0].astype(float),
                              diagnostics={"reason": "pure translation "
                                                     "(log-symbol is linear)"})
-        pa = PointAnalysis(xi=xi, value=complex(val),
-                           phase=float(np.angle(val)), classification=cls)
-        omega = OmegaSet(points=xi[None, :], values=np.array([val]),
-                         phases=np.array([float(np.angle(val))]))
+        phase = _principal_angle(np.array([val]))
+        pa = PointAnalysis(xi=xi, value=complex(val), phase=float(phase[0]),
+                           classification=cls)
+        omega = OmegaSet(points=xi[None, :], values=np.array([val]), phases=phase)
         return SpectralAnalysis(function=g, scale=scale, scan=scan, omega=omega,
                                 points=[pa], mu_phi=None, minimal=[])
     omega = find_omega(sym, scan=scan)

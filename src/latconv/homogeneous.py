@@ -90,6 +90,11 @@ class HomogeneousPolynomial:
     def real_hess(self, xi):
         return self._hess(xi)
 
+    def on_grid(self, nodes, real=False):
+        """P, or Re P with ``real``, on the tensor grid of the per-axis
+        ``nodes``: the pointwise values, bit for bit (``CompiledPoly.on_grid``)."""
+        return (self._re if real else self._p).on_grid(nodes)
+
     # -- scaling structure ---------------------------------------------------
 
     def group_action(self, t, xi):

@@ -17,9 +17,11 @@ maximiser has zero gradient and lies at most sqrt(d) pi / n from a point of
 the n-per-axis grid, where therefore |phi-hat|^2 >= (1 - s) sup^2 with slack
 s = 2 K^2 d (pi / n)^2.  The grid is the smallest 11-smooth n with s <=
 ``SLACK_MAX``, so its density comes from the bound alone, and Newton starts
-from every cyclic grid local maximum with |phi-hat|^2 >= (1 - max(1e-3, s))
-times the grid maximum squared: the grid point next to every global
-maximiser clears that threshold, however narrow its peak.
+from every cyclic grid local maximum with |phi-hat|^2 >= (1 - s) times the
+grid maximum squared: the grid point next to every global maximiser clears
+that threshold, however narrow its peak.  The depth s is never small: the
+worst gap between 11-smooth lengths at or above 12 is from 12 to 14, and a
+support of two or more points has n >= 10, so s >= 0.05 (12/14)^2 = 0.037.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ DEDUPE_RADIUS = 1e-6
 # the scan grid is the smallest fast length whose Bernstein slack s is at
 # most this; on the corpus s lies in [0.0439, 0.0494]
 SLACK_MAX = 0.05
-# grid local maxima this deep below the grid maximum (relative, in
-# |phi-hat|^2) always seed Newton, even where s is smaller
-SEED_DEPTH = 1e-3
 # Newton endpoints this close share one extended-precision polish: on the
 # corpus the worst endpoint lies 7.5e-5 from its Omega point (ex73), and
 # distinct Omega points lie at least 1.9 apart
@@ -327,9 +326,9 @@ def locate_sup(sym):
     allocated: ``ResourceLimitError`` when the certified density does not
     fit.  One batched ``newton_ascent`` on |phi-hat|^2 (gradient tolerance
     1e-12 relative, steps at most 0.5 long) runs from every cyclic grid
-    local maximum with |phi-hat|^2 >= (1 - max(1e-3, s)) times the grid
-    maximum squared; the supremum is the largest |phi-hat| over the
-    endpoints, which ``analyze`` hands on to ``find_omega``.  A single-point
+    local maximum with |phi-hat|^2 >= (1 - s) times the grid maximum
+    squared; the supremum is the largest |phi-hat| over the endpoints,
+    which ``analyze`` hands on to ``find_omega``.  A single-point
     support c delta_y has the flat symbol |phi-hat| = |c|, so it gets |c| at
     0 with no scan and no ascent.
 
@@ -343,7 +342,7 @@ def locate_sup(sym):
                          grid=0, slack=0.0)
     n = _grid_size(f)
     slack = _slack(f, n)
-    idx = _grid_seeds(_grid_abs(f, n), max(SEED_DEPTH, slack))
+    idx = _grid_seeds(_grid_abs(f, n), slack)
     seeds = _wrap_torus(idx.astype(float) * TWO_PI / n)
     endpoints, _, converged = newton_ascent(
         lambda rows, xi: sym.abs2_grad_hess(xi), seeds, 1e-12, max_step=0.5,
@@ -382,13 +381,14 @@ def find_omega(sym, tol=1e-9, scan=None):
     The Newton endpoints come from ``scan``, a ``locate_sup`` result for phi
     or a positive multiple of it (``analyze`` passes the scan that normalized
     its input); without one, ``locate_sup(sym)`` runs here.  Its
-    seeds are the cyclic grid local maxima with |phi-hat|^2 >=
-    (1 - max(1e-3, s)) times the grid maximum squared, s the grid's Bernstein
-    slack.  Converged endpoints are clustered in seed order (radius
-    ``CLUSTER_RADIUS``) and only the first of each cluster gets the
-    extended-precision polish, plus any member farther than the radius from
-    that polished point.  Polished points within tol of modulus one are kept
-    and deduplicated (radius 1e-6 in the torus metric).
+    seeds are the cyclic grid local maxima with |phi-hat|^2 >= (1 - s) times
+    the grid maximum squared, s the grid's Bernstein slack.  Converged
+    endpoints are clustered in seed order (radius ``CLUSTER_RADIUS``) and
+    only the first of each cluster gets the extended-precision polish, plus
+    any member farther than the radius from that polished point.  Polished
+    points within tol of modulus one are kept and deduplicated (radius 1e-6
+    in the torus metric).  Phases are the principal arguments in (-pi, pi]
+    (see ``_principal_angle``).
     """
     f = sym.source
     if scan is None:
@@ -421,7 +421,16 @@ def find_omega(sym, tol=1e-9, scan=None):
     pts = np.array(found_pts).reshape(-1, f.dim)
     order = np.lexsort(pts.T[::-1])
     vals_arr = np.array(found_vals, dtype=np.complex128)[order]
-    return OmegaSet(points=pts[order], values=vals_arr, phases=np.angle(vals_arr))
+    return OmegaSet(points=pts[order], values=vals_arr,
+                    phases=_principal_angle(vals_arr))
+
+
+def _principal_angle(z):
+    """arg z in (-pi, pi].  ``np.angle`` returns -pi at a negative real z
+    whose imaginary part is -0.0 or rounds below the real axis (-1 - 6e-33j
+    at srw:3's (pi, pi, pi)); that is folded to pi."""
+    ph = np.angle(z)
+    return np.where(ph == -np.pi, np.pi, ph)
 
 
 @dataclass(frozen=True)

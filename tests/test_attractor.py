@@ -68,8 +68,8 @@ def test_grid_matches_pointwise(intro_analysis):
 
 
 def test_grid_is_checked_against_the_cap(intro_analysis, monkeypatch, tmp_path, capsys):
-    # a +-600 window at t = 100 takes a 1232^2 grid, 46 MiB in two complex
-    # arrays; a 16 MiB cap still admits intro's 8 MiB torus scan
+    # a +-600 window at t = 100 takes a 1232^2 grid, 23 MiB, beside a 22 MiB
+    # output window; a 16 MiB cap still admits intro's torus scan
     P = intro_analysis.points[0].classification.poly
     window = [(-600, 600)] * 2
     monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 16 * 2 ** 20)
@@ -237,3 +237,106 @@ def test_box_halfwidths_rejects_flat_ray():
         box_halfwidths(P, 10.0)
     with pytest.raises(ValueError, match="does not grow"):
         _scalar_box_halfwidths(P, 10.0)
+
+
+# -- tensor-grid weights and the BLAS-free contraction -----------------------
+
+def _pointwise_weight_grid(P, t, nodes):
+    """Reference: e^{-t P} at the stacked grid points, as the weight grid was
+    formed before it was evaluated on the tensor grid itself."""
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return np.exp(-t * P(pts)).reshape(mesh[0].shape)
+
+
+def _tensordot_eval(P, t, xs):
+    """Reference: attractor_eval's quadrature contracted with tensordot."""
+    L = box_halfwidths(P, t)
+    xmax = np.abs(xs).max(axis=0)
+    N = [max(256, int(np.ceil(8.0 * L[j] * xmax[j] / np.pi)) + 1)
+         for j in range(P.dim)]
+    nodes = [np.linspace(-L[j], L[j], N[j]) for j in range(P.dim)]
+    W = _pointwise_weight_grid(P, t, nodes)
+    for j in range(P.dim):
+        for end in (0, -1):
+            W[(slice(None),) * j + (end,)] *= 0.5
+    vol = np.prod([g[1] - g[0] for g in nodes]) / (2.0 * np.pi) ** P.dim
+    out = []
+    for x in xs:
+        red = W
+        for j in range(P.dim):
+            red = np.tensordot(np.exp(-1j * x[j] * nodes[j]), red, axes=(0, 0))
+        out.append(red * vol)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex72", "ex73", "ex75:3,2"])
+def test_weight_grid_bit_identical_to_pointwise(name, request):
+    fixture = {"ex75:3,2": "ex75"}.get(name, name) + "_analysis"
+    P = request.getfixturevalue(fixture).points[0].classification.poly
+    for t in (1.0, 30):
+        L = box_halfwidths(P, t)
+        # attractor_eval's nodes, then attractor_grid's
+        nodes = [np.linspace(-L[0], L[0], 61), np.linspace(-L[1], L[1], 47)]
+        assert np.array_equal(attractor._weight_grid(P, t, nodes),
+                              _pointwise_weight_grid(P, t, nodes)), (name, t)
+        nodes = [-np.pi * 2 + 4.0 * np.pi * np.arange(n) / n for n in (64, 50)]
+        assert np.array_equal(attractor._weight_grid(P, t, nodes),
+                              _pointwise_weight_grid(P, t, nodes)), (name, t)
+
+
+def test_eval_matches_tensordot_reference(ex72_analysis, intro_analysis):
+    pts = np.array([[0.0, 0.0], [2.0, -3.0], [5.0, 7.0], [-1.5, 0.5]])
+    for P, t in ((ex72_analysis.points[0].classification.poly, 9.0),
+                 (intro_analysis.points[0].classification.poly, 4.0)):
+        # relative to the largest value: far out, H is a small sum of
+        # terms of the central size, and both orders round at that size
+        got = attractor_eval(P, t, pts)
+        want = _tensordot_eval(P, t, pts)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (got, want)
+
+
+def test_eval_point_does_not_depend_on_its_batch(ex73_analysis):
+    # the quadrature grid follows the largest |x_j| of the call, so every
+    # batch here holds the extreme point; beside it each point's value is
+    # bit for bit the same, in any order and any company
+    P = ex73_analysis.points[0].classification.poly
+    pts = np.array([[6.0, -6.0], [1.0, 2.0], [-3.5, 0.25], [0.0, 0.0]])
+    whole = attractor_eval(P, 5.0, pts)
+    assert np.array_equal(attractor_eval(P, 5.0, pts[::-1]), whole[::-1])
+    for k in range(1, len(pts)):
+        pair = attractor_eval(P, 5.0, pts[[0, k]])
+        assert np.array_equal(pair, whole[[0, k]])
+
+
+def test_eval_grid_is_checked_against_the_cap(intro_analysis, monkeypatch):
+    # x = (60, 60) at t = 25 takes a 423 x 661 grid: 4.3 MiB, and 6 MiB of
+    # on_grid slab temporaries beside it
+    P = intro_analysis.points[0].classification.poly
+    x = np.array([60.0, 60.0])
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 8 * 2 ** 20)
+    with pytest.raises(ResourceLimitError, match=r"box \(423, 661\)"):
+        attractor_eval(P, 25.0, x)
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 12 * 2 ** 20)
+    assert np.isfinite(attractor_eval(P, 25.0, x))
+
+
+def test_grid_peak_is_within_its_cap_budget(intro_analysis):
+    # the cap budgets one complex grid (the FFT runs in place), on_grid's
+    # slab temporaries and the output window; numpy's cast buffers and the
+    # per-axis tables come on top
+    import tracemalloc
+
+    from latconv._poly import grid_scratch
+    P = intro_analysis.points[0].classification.poly
+    box_halfwidths(P, 100.0)
+    tracemalloc.start()
+    try:
+        grid = attractor_grid(P, 100.0, [(-300, 300)] * 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = grid.grid_sizes
+    cells = np.prod(N)
+    assert peak >= 16 * cells
+    assert peak <= 16 * (cells + grid_scratch(N) + grid.values.size) + 256 * 1024

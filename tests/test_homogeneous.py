@@ -392,3 +392,56 @@ def test_evaluator_peak_is_result_plus_one_block(ex73_analysis):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * out.nbytes + _poly._BLOCK_CELLS * out.itemsize
+
+
+def _grid_nodes(rng, sizes):
+    return [np.sort(2.0 * rng.standard_normal(n)) for n in sizes]
+
+
+def _pointwise_on_grid(fn, nodes):
+    """Reference: the stacked grid points through the pointwise evaluator."""
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    vals = fn(np.stack([m.reshape(-1) for m in mesh], axis=-1))
+    return vals.reshape(mesh[0].shape + vals.shape[1:])
+
+
+def test_on_grid_bit_identical_to_pointwise(corpus_polys, rng, monkeypatch):
+    from latconv import _poly
+    polys = corpus_polys + [HomogeneousPolynomial(1, {(4,): 1.0 + 0.5j}, np.eye(1),
+                                                  (2,))]
+    sizes = {1: [(17,), (1,)], 2: [(9, 13), (1, 7), (6, 1)], 3: [(5, 4, 3), (1, 3, 1)]}
+    for P in polys:
+        for shape in sizes[P.dim]:
+            nodes = _grid_nodes(rng, shape)
+            for real, fn in ((False, P.__call__), (True, P.real)):
+                want = _pointwise_on_grid(fn, nodes)
+                got = P.on_grid(nodes, real=real)
+                assert got.shape == shape and got.dtype == want.dtype
+                assert np.array_equal(got, want), (P, shape, real)
+    # coefficient arrays (the stacked gradient) and grids that span several
+    # slabs: 8 numbers per slab is one row of a 4-wide grid
+    monkeypatch.setattr(_poly, "_BLOCK_CELLS", 8)
+    for P in polys:
+        nodes = _grid_nodes(rng, (7,) + (4,) * (P.dim - 1))
+        assert np.array_equal(P.on_grid(nodes), _pointwise_on_grid(P, nodes))
+        assert np.array_equal(P._grad.on_grid(nodes),
+                              _pointwise_on_grid(P.real_grad, nodes))
+
+
+def test_on_grid_peak_is_result_plus_its_scratch(ex73_analysis):
+    # beside its result, on_grid holds one real monomial and one complex
+    # term per slab cell, which grid_scratch counts in complex numbers; the
+    # power tables and numpy's real-to-complex cast buffers come on top
+    import tracemalloc
+
+    from latconv._poly import grid_scratch
+    P = ex73_analysis.points[0].classification.poly
+    nodes = [np.linspace(-3, 3, 700), np.linspace(-2, 2, 900)]
+    tracemalloc.start()
+    try:
+        out = P.on_grid(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_scratch(out.shape) < out.size
+    assert peak <= out.nbytes + 16 * grid_scratch(out.shape) + 256 * 1024

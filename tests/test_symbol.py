@@ -12,7 +12,7 @@ import latconv
 from latconv import _config, _fft, examples, symbol
 from latconv.cli import main
 from latconv.errors import NotNormalizedError, ResourceLimitError, ZeroFunctionError
-from latconv.lattice import LatticeFunction
+from latconv.lattice import LatticeFunction, translate
 from latconv.symbol import SymbolView, phase_consistency_check
 
 from conftest import random_function
@@ -315,6 +315,24 @@ def test_find_omega_polishes_member_far_from_its_representative(monkeypatch):
         assert min(symbol._torus_dist(p, t) for p in om.points) < 1e-9
 
 
+@pytest.mark.parametrize("name", CORPUS)
+def test_omega_phases_are_principal(name):
+    # np.angle gives -pi where phi-hat = -1 - 6e-33j (srw:3 at (pi, pi, pi),
+    # two points of phim:2,3); OmegaSet documents (-pi, pi]
+    f = examples.get(name)
+    for g in (f, translate(f, (1,) * f.dim)):
+        h, _, scan = symbol._normalize(g)
+        om = symbol.find_omega(SymbolView(h), scan=scan)
+        assert np.all((om.phases > -np.pi) & (om.phases <= np.pi)), om.phases
+        assert np.abs(np.exp(1j * om.phases) - om.values).max() < 1e-9
+
+
+def test_point_mass_phase_is_principal():
+    # a point mass skips find_omega; its phi-hat is -1 - 5e-301j here
+    ana = latconv.analyze(LatticeFunction(2, [[3, 1]], [complex(-2.0, -1e-300)]))
+    assert ana.omega.phases[0] == ana.points[0].phase == np.pi
+
+
 # -- one certified scan -------------------------------------------------------
 
 def _two_grid_sup(sym):
@@ -457,6 +475,28 @@ def test_bernstein_grid_is_never_larger_than_the_doubled_default():
             old *= 2
         n = symbol._grid_size(f)
         assert n <= old and symbol._slack(f, n) <= symbol.SLACK_MAX
+
+
+def test_seed_depth_is_the_grid_slack(monkeypatch):
+    # Newton starts from grid local maxima within the slack s of the grid
+    # maximum; a support of two or more points has n >= 10, and the worst
+    # gap between 11-smooth lengths from there on is 12 to 14, so s never
+    # falls below 0.05 (12/14)^2 = 0.0367
+    depths = []
+    seeds = symbol._grid_seeds
+    monkeypatch.setattr(symbol, "_grid_seeds",
+                        lambda vals, depth: depths.append(depth) or seeds(vals, depth))
+    rng = np.random.default_rng(4300)
+    cases = [examples.get(name) for name in CORPUS]
+    cases += [LatticeFunction.from_dict({(0,) * d: 1.0, (k,) + (0,) * (d - 1): 0.5})
+              for d in (1, 2) for k in range(1, 13)]
+    cases += [random_function(rng, d, radius=r) for d in (1, 2, 3) for r in (1, 2)
+              for _ in range(4)]
+    for f in cases:
+        if len(f) < 2:
+            continue
+        scan = symbol.locate_sup(SymbolView(f))
+        assert depths.pop() == scan.slack >= 0.05 * (12 / 14) ** 2
 
 
 # -- one batched ascent -------------------------------------------------------
