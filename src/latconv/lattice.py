@@ -50,6 +50,22 @@ def _canonical(dim, points, values):
     return points, values
 
 
+def _row_keys(a, b):
+    """Row-major flat indices of the points ``a`` and ``b`` in the box that
+    holds both, which order them as lexicographic order does; None when the
+    box has 2^63 cells or more, so that an index would overflow int64."""
+    lo = np.minimum(a.min(axis=0), b.min(axis=0)).tolist()
+    hi = np.maximum(a.max(axis=0), b.max(axis=0)).tolist()
+    strides, cells = [], 1
+    for l, h in zip(lo[::-1], hi[::-1]):
+        strides.append(cells)
+        cells *= h - l + 1
+    if cells >= 2 ** 63:
+        return None
+    strides = np.array(strides[::-1], dtype=np.int64)
+    return (a - lo) @ strides, (b - lo) @ strides
+
+
 class LatticeFunction:
     """Finitely supported phi: Z^d -> C in canonical sparse form."""
 
@@ -122,9 +138,42 @@ class LatticeFunction:
             return NotImplemented
         if other.dim != self.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-        # _canonical merges the keys the two supports share
-        return LatticeFunction(self.dim, np.concatenate((self.points, other.points)),
-                               np.concatenate((self.values, other.values)))
+        if not len(self) or not len(other):
+            return self if len(self) else other
+        keys = _row_keys(self.points, other.points)
+        if keys is None:
+            # _canonical merges the keys the two supports share
+            return LatticeFunction(self.dim, np.concatenate((self.points, other.points)),
+                                   np.concatenate((self.values, other.values)))
+        # merge the two sorted supports: other's new keys go in at their
+        # insertion points, and a shared key keeps self's slot
+        ka, kb = keys
+        pos = np.searchsorted(ka, kb)
+        shared = pos < len(ka)
+        shared[shared] = ka[pos[shared]] == kb[shared]
+        new = ~shared
+        ins = pos[new]
+        ia = np.arange(len(ka))
+        at_self = ia + np.searchsorted(ins, ia, side="right")
+        at_other = ins + np.arange(len(ins))
+        points = np.empty((len(ka) + len(ins), self.dim), dtype=np.int64)
+        points[at_self] = self.points
+        points[at_other] = other.points[new]
+        values = np.empty(len(points), dtype=np.complex128)
+        if not shared.any():
+            values[at_self] = self.values
+            values[at_other] = other.values
+            return LatticeFunction._from_sorted(self.dim, points, values)
+        # the bits of _canonical's sums from zero: every value becomes 0 + v,
+        # which turns a -0 part into +0, and a shared key (0 + a) + b
+        sums = 0.0 + self.values
+        sums[pos[shared]] += other.values[shared]
+        values[at_self] = sums
+        values[at_other] = 0.0 + other.values[new]
+        keep = np.abs(values) >= ZERO_DROP
+        if keep.all():
+            return LatticeFunction._from_sorted(self.dim, points, values)
+        return LatticeFunction._from_sorted(self.dim, points[keep], values[keep])
 
     def __sub__(self, other):
         if not isinstance(other, LatticeFunction):
@@ -319,14 +368,22 @@ def support_lattice(f):
     return SupportLattice(origin, basis, coords - low)
 
 
-def _sweep_boxes(real, cells=None):
-    """Complex boxes of the final size that a :func:`sweep` step holds:
-    phi^(n-1) and phi^(n), then the product buffer (at most one box), or
-    the float magnitudes of phi^(n) with their mask.  A real sweep's arrays
-    are half a box each.  No term depends on the box's ``cells``: the adds
-    are contiguous, so numpy takes no buffers for them."""
+# Cells of phi^(n) that a sweep step finishes at a time: a complex tile of
+# phi^(n), its product tile and the runs of phi^(n-1) that land in it take
+# about 0.8 MiB, which stays in a 2 MiB L2 cache
+_TILE_CELLS = 2 ** 14
+
+
+def _sweep_boxes(real, cells):
+    """Complex boxes of the final size, ``cells`` cells, that a :func:`sweep`
+    step holds: phi^(n-1), phi^(n) and phi^(n-1) laid out in phi^(n)'s row
+    widths (at most one box each, half a box each for a real sweep), and
+    the tile buffers that the sweep allocates once: a product tile of at
+    most ``_TILE_CELLS`` cells, whose memory also takes the tile's
+    magnitudes, and the tile's mask of one byte per cell."""
     held = 0.5 if real else 1.0
-    return 2 * held + max(held, 0.5 + 1 / 16)
+    tile = min(_TILE_CELLS, cells)
+    return 3 * held + tile * (16 * held + 1) / (16 * cells)
 
 
 def sweep(f, n_max, lattice=None):
@@ -335,66 +392,84 @@ def sweep(f, n_max, lattice=None):
     ``B`` is the basis of ``lattice`` (default :func:`support_lattice`),
     so the array is phi^(n) on its ``z``-box, ``lattice.box(n)``, and
     ``lo = n * lattice.origin``; when ``B`` is the identity that is the
-    bounding box of Z^d.  Each step writes ``phi(y_j) * phi^(n-1)`` into
-    one product buffer laid out with phi^(n)'s widths on every axis but
-    the first, so that adding it at ``y_j``'s offset is one contiguous run
-    of phi^(n), for each ``y_j`` in canonical order; then entries below
-    ``ZERO_DROP`` are zeroed, as :func:`convolve` drops them.  Every cell
-    receives the same non-zero products, multiplied in the same operand
-    order and added in the same order as in iterated
-    ``convolve(phi^(n-1), phi)``; the buffer's padding and the cells off
-    ``n supp`` only add ±0 to accumulators that start at +0, which changes
-    no non-zero sum and no sign of zero, so the values are bit-identical to
-    that oracle.  A real phi sweeps in float64 and yields float64 arrays:
-    with zero imaginary parts a complex product's real part is
-    ``ar * br - 0`` and its imaginary part accumulates to +0, so the real
-    arithmetic gives the same bits.  The yielded arrays are fresh each step.
+    bounding box of Z^d.  Each step copies phi^(n-1) once into a buffer
+    laid out with phi^(n)'s widths on every axis but the first, so that
+    ``phi(y_j) * phi^(n-1)`` lands at ``y_j``'s offset as one contiguous run
+    of phi^(n).  It then walks phi^(n) in flat tiles of ``_TILE_CELLS``
+    cells; in each tile it takes the support points in canonical order,
+    multiplies the part of each one's run that lands in the tile into one
+    product tile and adds that into the tile; then it zeroes the tile's
+    entries below ``ZERO_DROP``, as :func:`convolve` drops them, and counts
+    its non-zeros for the next step's order, while the tile is in cache.
+    Every cell receives the same non-zero products, multiplied in the same
+    operand order by the same contiguous loop and added in the same order
+    as in iterated ``convolve(phi^(n-1), phi)``, whatever the tile size;
+    the buffer's padding and the cells off ``n supp`` only add ±0 to
+    accumulators that start at +0, which changes no non-zero sum and no
+    sign of zero, so the values are bit-identical to that oracle.  A real
+    phi sweeps in float64 and yields float64 arrays: with zero imaginary
+    parts a complex product's real part is ``ar * br - 0`` and its
+    imaginary part accumulates to +0, so the real arithmetic gives the
+    same bits.  The yielded arrays are fresh each step.
     """
     if lattice is None:
         lattice = support_lattice(f)
     real = _is_real(f)
-    _check_box(lattice.box(n_max), complex_arrays=_sweep_boxes(real))
+    cells = math.prod(lattice.box(n_max))
+    _check_box(lattice.box(n_max), complex_arrays=_sweep_boxes(real, cells))
     values = f.values.real if real else f.values
     span = lattice.coords.max(axis=0, initial=0).tolist()
     coords = lattice.coords.tolist()
     cur = np.zeros(lattice.box(1), dtype=values.dtype)
     cur.reshape(-1)[_flat_offsets(coords, cur.shape)] = values
     yield cur, lattice.origin
-    # On at most one axis the product is written straight from cur; otherwise
-    # cur is copied into the buffer and the run multiplied in place.  Either
-    # way every ufunc operand is contiguous, so numpy takes no buffers.  An
-    # in-place run has two or more cells and takes the same vector loop as
-    # convolve's product; numpy would take a one-cell in-place multiply for a
-    # reduction, whose scalar loop rounds differently.
-    straight = cur.ndim <= 1
+    # the products go to their own tile, never in place: numpy would take a
+    # one-cell in-place multiply for a reduction, whose scalar loop rounds
+    # differently from convolve's
+    tile = min(_TILE_CELLS, cells)
+    product = np.empty(tile, dtype=cur.dtype)
+    magnitudes = product.view(np.float64)[:tile]
+    small = np.empty(tile, dtype=bool)
+    count = len(f)
     for n in range(2, n_max + 1):
         shape = tuple(n * s + 1 for s in span)
         nxt = np.zeros(shape, dtype=cur.dtype)
         flat = nxt.reshape(-1)
-        # cur's cells in nxt's layout, the padding at ±0; the run ends at
-        # cur's last cell
-        buf = np.zeros(cur.shape[:1] + shape[1:], dtype=cur.dtype)
-        product = buf[tuple(slice(0, s) for s in cur.shape) + (Ellipsis,)]
+        # the run of phi^(n-1) ends at its last cell; on one axis it is cur
         size = _flat_offsets([[c - 1 for c in cur.shape]], shape)[0] + 1
-        run = buf.reshape(-1)[:size]
-        starts = _flat_offsets(coords, shape)
+        if cur.ndim <= 1:
+            source = cur.reshape(-1)
+        else:
+            source = np.zeros(cur.shape[:1] + shape[1:], dtype=cur.dtype)
+            source[tuple(slice(0, s) for s in cur.shape)] = cur
+            source = source.reshape(-1)[:size]
         # mirror convolve(phi^(n-1), phi): when supp phi^(n-1) is the smaller
         # support it loops over that, which reaches each cell in reverse order
         # of y, with the factors of the product swapped
-        forward = np.count_nonzero(cur) >= len(f)
-        source = cur if straight else run
-        order = range(len(f)) if forward else range(len(f) - 1, -1, -1)
-        for j in order:
-            if not straight:
-                np.copyto(product, cur)
-            if forward:
-                np.multiply(source, values[j], out=run)
-            else:
-                np.multiply(values[j], source, out=run)
-            dst = flat[starts[j]:starts[j] + size]
-            np.add(dst, run, out=dst)
-        del buf, product, run, source
-        nxt[np.abs(nxt) < ZERO_DROP] = 0.0
+        forward = count >= len(f)
+        runs = list(zip(_flat_offsets(coords, shape), values))
+        if not forward:
+            runs.reverse()
+        count = 0
+        for t0 in range(0, flat.size, tile):
+            t1 = min(t0 + tile, flat.size)
+            for start, v in runs:
+                a = start if start > t0 else t0
+                b = start + size if start + size < t1 else t1
+                if a < b:
+                    out = product[:b - a]
+                    if forward:
+                        np.multiply(source[a - start:b - start], v, out=out)
+                    else:
+                        np.multiply(v, source[a - start:b - start], out=out)
+                    dst = flat[a:b]
+                    np.add(dst, out, out=dst)
+            dst, mag, drop = flat[t0:t1], magnitudes[:t1 - t0], small[:t1 - t0]
+            np.abs(dst, out=mag)
+            np.less(mag, ZERO_DROP, out=drop)
+            dst[drop] = 0.0
+            count += t1 - t0 - np.count_nonzero(drop)
+        del source
         cur = nxt
         yield cur, n * lattice.origin
 
@@ -623,8 +698,10 @@ def power(f, n, method="spectral"):
         # the sweep's boxes, then the result beside its sparse copy; a real
         # result is copied into new complex values, not in place
         lattice = support_lattice(f)
-        _check_box(lattice.box(n), complex_arrays=max(
-            _sweep_boxes(real), held + _sparse_boxes(f.dim, consume=not real)))
+        box = lattice.box(n)
+        _check_box(box, complex_arrays=max(
+            _sweep_boxes(real, math.prod(box)),
+            held + _sparse_boxes(f.dim, consume=not real)))
         for arr, lo in sweep(f, n, lattice):
             pass
         return _extract_sparse(f.dim, arr, lo, 0.0, consume=True, basis=lattice.basis)

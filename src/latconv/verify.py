@@ -8,6 +8,7 @@ That is the strongest falsifiable desk-scale reading of an asymptotic bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,8 +76,9 @@ def _direct_stream(f, n_values, beside=0.0):
         raise ValueError("n values must be >= 1")
     lattice = support_lattice(f)
     real = _is_real(f)
-    _check_box(lattice.box(n_values[-1]), complex_arrays=beside + max(
-        _sweep_boxes(real), (0.5 if real else 1.0) + _sparse_boxes(f.dim)))
+    box = lattice.box(n_values[-1])
+    _check_box(box, complex_arrays=beside + max(
+        _sweep_boxes(real, math.prod(box)), (0.5 if real else 1.0) + _sparse_boxes(f.dim)))
     for n, (arr, lo) in enumerate(sweep(f, n_values[-1], lattice), start=1):
         if n in n_values:
             yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
@@ -259,12 +261,12 @@ _M_GRID = tuple(0.5 ** k for k in range(13))
 # ex73, ex75:3,2 at n = 64 and 128) and 3.0 in d = 1 (ex75:3, srw:1 at
 # n = 2048 and 4096), where d >= 3 adds conjugate_batch, which checks its own
 # rows against the cap; a subexp step 6.1 to 6.5 (intro, srw:2, ex71, ex72,
-# ex75:3,2); a derivative step, whose differences' sums are sorted anew,
-# 16.1 on ex75:3,2 with |beta| = 1 and at most 18.8 with |beta| up to 6
-# (n = 64 and 128)
+# ex75:3,2); a derivative step, whose differences merge two sorted supports,
+# 11.1 on ex75:3,2 with beta = (1, 0) and 13.5 with beta = (3, 3) (n = 64
+# and 128)
 _ENVELOPE_BOXES = 5.75
 _SUBEXP_BOXES = 6.75
-_DERIVATIVE_BOXES = 20.5
+_DERIVATIVE_BOXES = 14.0
 
 
 def _envelope_peaks(points, mags, n, exponent, conj_field, alpha, normalizer=1.0):
@@ -570,8 +572,9 @@ def support_periodicity_check(f, profile, n_max, tol=1e-8):
         raise ValueError("support periodicity check requires a probability input")
     lattice = support_lattice(f)
     real = _is_real(f)
-    _check_box(lattice.box(n_max), complex_arrays=max(
-        _sweep_boxes(real), (0.5 if real else 1.0) + max(f.dim, f.dim / 2 + 2.5)))
+    box = lattice.box(n_max)
+    _check_box(box, complex_arrays=max(_sweep_boxes(real, math.prod(box)),
+                                       (0.5 if real else 1.0) + max(f.dim, f.dim / 2 + 2.5)))
     for n, (arr, lo) in enumerate(sweep(f, n_max, lattice), start=1):
         cells = np.argwhere(arr)
         points = np.empty((len(cells), f.dim))

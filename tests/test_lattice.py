@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,26 +114,28 @@ def test_memory_cap(monkeypatch):
 
 
 def test_direct_power_cap_counts_what_a_step_holds(monkeypatch):
-    # a complex sweep step holds three complex boxes of the final size and
-    # numpy's buffers for its strided add (two of np.getbufsize() items), so
-    # a cap just under three boxes must refuse the run; a real phi sweeps in
-    # half boxes and would not test this
+    # a complex sweep step holds three complex boxes of the final size and the
+    # sweep's tile buffers, as _sweep_boxes counts them, which bind before the
+    # sparse copy does; a cap just under that budget must refuse the run and
+    # the budget must admit it.  A real phi sweeps in half boxes and would not
+    # test this
     from latconv import _config
+    from latconv.lattice import _sweep_boxes, support_lattice
     f, n = examples.intro(), 64
-    lo, hi = f.extent()
-    box_bytes = 16 * int(np.prod(n * (hi - lo) + 1))
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", int(2.8 * box_bytes))
+    cells = int(np.prod(support_lattice(f).box(n)))
+    need = cells * 16 * _sweep_boxes(False, cells)
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", math.ceil(need) - 1)
     with pytest.raises(ResourceLimitError):
         latconv.power(f, n, method="direct")
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES",
-                        3 * box_bytes + 2 * 16 * np.getbufsize())
+    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", math.ceil(need))
     assert len(latconv.power(f, n, method="direct"))
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_sweep_peak_memory_within_its_budget(n):
-    # without numpy's add buffers in the budget, tracemalloc read 4.93 boxes
-    # at n = 16, 3.52 at 64 and 3.02 at 256 against the 3 boxes budgeted
+    # the tile buffers are a larger share of a smaller box: tracemalloc read
+    # 4.10 boxes at n = 16, 3.50 at 64 and 3.03 at 256, against 4.06, 3.53
+    # and 3.03 budgeted
     import tracemalloc
     from latconv.lattice import _sweep_boxes, sweep
     f = examples.intro()
@@ -289,6 +293,80 @@ def test_direct_sweep_bit_identical_random():
     _check_direct_paths(f, 6)
 
 
+def _sweep_against_convolve(f, n, refs):
+    """Every power of ``sweep(f, n)`` against iterated pairwise ``convolve``;
+    ``refs`` caches the iterated powers of ``f``."""
+    from latconv.lattice import _extract_sparse, support_lattice, sweep
+    want = refs.setdefault((f.dim, f.points.tobytes(), f.values.tobytes()), [f])
+    while len(want) < n:
+        want.append(latconv.convolve(want[-1], f))
+    lattice = support_lattice(f)
+    for k, (arr, lo) in enumerate(sweep(f, n, lattice)):
+        got = _extract_sparse(f.dim, arr.copy(), lo, 0.0, basis=lattice.basis)
+        _assert_bit_identical(got, want[k])
+
+
+@pytest.fixture(scope="module")
+def convolve_refs():
+    return {}
+
+
+@pytest.mark.parametrize("tile", [1, 2, 7, 64, None])
+def test_sweep_bit_identical_at_any_tile_size(tile, monkeypatch, convolve_refs):
+    # a run that crosses tiles is multiplied and added in pieces; one-cell
+    # pieces at tile 1 and runs that start inside a tile at 2 and 7
+    from latconv import lattice
+    if tile is not None:
+        monkeypatch.setattr(lattice, "_TILE_CELLS", tile)
+    n = 6 if tile is not None and tile < 7 else 16
+    cases = [examples.intro(), examples.ex72(), latconv.translate(examples.ex73(), (1, 1)),
+             examples.get("srw:3"), examples.get("unstable1d"), examples.get("phim:2,3")]
+    rng = np.random.default_rng(22)
+    for dim in (1, 2, 3):
+        for _ in range(2):
+            cases.append(random_function(rng, dim, max_points=8, radius=2 if dim < 3 else 1))
+    for f in cases:
+        _sweep_against_convolve(f, min(n, 8) if f.dim == 3 else n, convolve_refs)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 7, 64, None])
+def test_sweep_step_direction_follows_the_smaller_support(tile, monkeypatch,
+                                                         convolve_refs):
+    # products with the tiny entries fall below 1e-300, so phi^(2) has fewer
+    # points than phi and the step that makes phi^(3) runs in reverse order,
+    # with the scalar first in each product
+    from latconv import lattice
+    if tile is not None:
+        monkeypatch.setattr(lattice, "_TILE_CELLS", tile)
+    entries = {(0,): 1e-60 * (1 + 0.3j), (1,): 1e-60 * (0.7 - 0.2j),
+               (2,): 1e-60 * (-0.4 + 0.9j)}
+    entries.update({(k,): 1e-250 * (1 + 1j) for k in range(5, 9)})
+    f = LatticeFunction.from_dict(entries)
+    _sweep_against_convolve(f, 6, convolve_refs)
+
+    class Recorder:
+        def __init__(self):
+            self.scalar_first = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def multiply(self, a, b, out=None):
+            self.scalar_first.append(np.ndim(a) == 0)
+            return np.multiply(a, b, out=out)
+
+    recorder = Recorder()
+    monkeypatch.setattr(lattice, "np", recorder)
+    reverse = []
+    for n, (arr, _) in enumerate(lattice.sweep(f, 6), start=1):
+        if n > 1:
+            assert set(recorder.scalar_first) == {not forward}
+            reverse.append(not forward)
+        recorder.scalar_first.clear()
+        forward = np.count_nonzero(arr) >= len(f)
+    assert any(reverse) and not all(reverse)
+
+
 def test_add_sub_merge_shared_points():
     f = LatticeFunction.from_dict({(0,): 1.0, (1,): 2.0 + 1j})
     g = LatticeFunction.from_dict({(1,): 2.0 + 1j, (3,): 0.5})
@@ -296,6 +374,39 @@ def test_add_sub_merge_shared_points():
     assert (f + g).to_dict() == {(0,): 1.0, (1,): 4.0 + 2j, (3,): 0.5}
     with pytest.raises(DimensionMismatchError):
         f + examples.intro()
+
+
+def test_add_merges_sorted_supports_as_canonical_does():
+    # against the concatenation sorted and summed by _canonical: shared keys,
+    # sums that cancel or fall below 1e-300, parts of -0 (which a sum from
+    # zero turns to +0), empty operands, and a box too large for int64 keys
+    rng = np.random.default_rng(41)
+
+    def drawn(dim, k, span):
+        pts = rng.integers(-span, span + 1, size=(k, dim))
+        vals = rng.choice([1.0, -1.0, 0.5, 1e-301, 3e-300], size=k) * rng.choice(
+            [1.0, 1j, complex(1.0, -0.0), complex(-0.0, 1.0), 1.0 + 0.25j], size=k)
+        return LatticeFunction(dim, pts, vals)
+
+    cases = []
+    for dim in (1, 2, 3):
+        for k in (0, 1, 5, 40):
+            for _ in range(6):
+                f = drawn(dim, k, 3)
+                cases.append((f, drawn(dim, int(rng.integers(0, 40)), 3)))
+                cases.append((f, f.scale(-1.0)))
+                cases.append((f, LatticeFunction._from_sorted(dim, f.points, 0.0 - f.values)))
+    far = LatticeFunction.from_dict({(-2 ** 62, 0): 1.0, (2 ** 62, 5): 2.0, (0, 0): 1j})
+    cases.append((far, LatticeFunction.from_dict({(2 ** 62, 5): -2.0, (1, 1): 0.5})))
+    merged = 0
+    for f, g in cases:
+        points = np.concatenate((f.points, g.points))
+        want = LatticeFunction(f.dim, points, np.concatenate((f.values, g.values)))
+        _assert_bit_identical(f + g, want)
+        _assert_bit_identical(f - g, LatticeFunction(
+            f.dim, points, np.concatenate((f.values, 0.0 - g.values))))
+        merged += len(f) + len(g) > len(want)
+    assert merged > 50
 
 
 # -- memory cap, sparse extraction and the certified torus ------------------
@@ -608,7 +719,7 @@ def test_sweep_peak_memory_on_a_sublattice(name, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * cells * _sweep_boxes(True) + 2 ** 14, peak / (16 * cells)
+    assert peak <= 16 * cells * _sweep_boxes(True, cells) + 2 ** 14, peak / (16 * cells)
 
 
 def test_sweep_dtype_follows_phi():
