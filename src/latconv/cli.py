@@ -179,6 +179,8 @@ def cmd_analyze(args):
         cls = pa.classification
         print(f"-- point {i}: xi = ({', '.join(_fmt(float(c)) for c in pa.xi)})")
         print(f"   verdict = {cls.verdict}")
+        print(f"   centred: moved {cls.diagnostics.get('centre_shift', 0.0):.2g} "
+              f"in {cls.diagnostics.get('centre_steps', 0)} steps")
         if cls.alpha is not None:
             print(f"   alpha = ({', '.join(_fmt(float(a)) for a in cls.alpha)})")
         if cls.ok:

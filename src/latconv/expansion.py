@@ -9,7 +9,8 @@ then asks whether Gamma = i a.xi - P(xi) + o(Re P) for a polynomial P whose
 real part is positive definite and which scales as t P(xi) = P(t^E xi): the
 quadratic part of Re(-Gamma) fixes the weight-one directions, remaining axes
 are searched over even orders, sub-homogeneous coefficients must vanish, and
-the kept part must have positive real part.
+the kept part must have positive real part, each weight assignment at its
+own centre (a Newton endpoint on a flat maximum lies off it; see _centre).
 
 When supp phi - x0 spans a proper sublattice L of Z^d, Omega is a union of
 cosets of 2 pi L*, and Gamma is one function on each coset: xi = xi' + delta
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from .homogeneous import (HomogeneousPolynomial, _canonical_signs,
                           sphere_samples)
 from .lattice import LatticeFunction
 from .symbol import (OmegaSet, SymbolView, _normalize, _principal_angle,
-                     find_omega)
+                     _one_maximum, _wrap_torus, find_omega)
 
 from . import _poly
 
@@ -43,6 +45,11 @@ VERDICT_INDETERMINATE = "indeterminate"
 DRIFT_REAL_TOL = 1e-8
 SUBHOMOGENEOUS_TOL = 1e-8
 NULL_EIGENVALUE_TOL = 1e-9
+# eigenvalue up to which an axis may be flat, seen e off its centre: about
+# C(2m, 2) a_2m e^(2m - 2), 8.4e-9 on ex73; its even orders come before 2
+FLAT_EIGENVALUE_TOL = 1e-6
+# see _centre; rounding leaves steps of 2e-15 at most on the corpus
+CENTRE_STEPS, CENTRE_STEP_TOL, CENTRE_TOL = 3, 1e-13, 1e-9
 # |e^{i (xi - xi').(x - x0)} - 1| on supp phi below which xi and xi' share a
 # classification; the tolerance of symbol.phase_consistency_check
 COSET_TOL = 1e-9
@@ -68,6 +75,7 @@ class Classification:
     alpha: np.ndarray | None = None
     poly: HomogeneousPolynomial | None = None
     diagnostics: dict = field(default_factory=dict)
+    shift: np.ndarray | None = None     # centre minus the classified point
 
     @property
     def ok(self):
@@ -86,15 +94,20 @@ def gamma_taylor(sym, xi0, m):
     """Taylor series of Gamma_{xi0} = log(phi-hat(.+xi0)/phi-hat(xi0)) to order m.
 
     The log is a formal composition of :func:`_shifted_series` with log(1+u)
-    truncated at total order m; only the result becomes a dict.
+    truncated at total order m; only the result becomes a dict.  Moments
+    are taken about the centre c of the support's box, and i c.xi added back:
+    about 0 a translate of phi loses |c|^k eps to cancellation at order k.
     """
+    lo, hi = sym.source.extent()
     series = _poly.log1p_series(_shifted_series(sym, xi0, m))
+    series[tuple(np.eye(sym.dim, dtype=int))] += 0.5j * (lo + hi)
     return TaylorSeries(dim=sym.dim, order=m, coeffs=_poly.from_dense(series))
 
 
 def _shifted_series(sym, xi0, m):
-    """Dense Taylor series u of phi-hat(. + xi0)/phi-hat(xi0) - 1 to order m,
-    from the exact moment formula."""
+    """Dense Taylor series u of e^{-i c.xi} phi-hat(xi + xi0)/phi-hat(xi0) - 1
+    to order m, c the centre of the support's bounding box, from the exact
+    moment formula about c."""
     if m < 2:
         raise ValueError("expansion order must be >= 2")
     f = sym.source
@@ -103,20 +116,19 @@ def _shifted_series(sym, xi0, m):
     v0 = sym.evaluate(xi0)
     if abs(abs(v0) - 1.0) > 1e-9:
         raise NotNormalizedError(f"|phi-hat(xi0)| = {abs(v0):.12g}, not unit modulus")
-    psi = f.values * np.exp(1j * (f.points.astype(float) @ xi0)) / v0
-    ipts = 1j * f.points.astype(float)
+    lo, hi = f.extent()
+    pts = f.points - (lo + hi) / 2.0
+    psi = f.values * np.exp(1j * (pts @ xi0))
+    psi /= psi.sum()
+    ipts = 1j * pts
     u = np.zeros((m + 1,) * d, dtype=np.complex128)
     for beta in itertools.product(*(range(m + 1),) * d):
-        total = sum(beta)
-        if total == 0 or total > m:
-            continue
-        term = psi.copy()
-        fact = 1.0
-        for j, b in enumerate(beta):
-            if b:
-                term = term * ipts[:, j] ** b
-                fact *= math.factorial(b)
-        u[beta] = complex(term.sum()) / fact
+        if 0 < sum(beta) <= m:
+            term = psi
+            for j, b in enumerate(beta):
+                if b:
+                    term = term * ipts[:, j] ** b
+            u[beta] = complex(term.sum()) / math.prod(map(math.factorial, beta))
     return u
 
 
@@ -130,15 +142,16 @@ def _quadratic_hessian(q_coeffs, dim):
     return H
 
 
-def _weight_assignments(null_axes, quad_axes, m_max, reverse=False):
-    """All weight tuples: 1 on quadratic axes, even orders on null axes."""
-    orders = range(4, m_max + 1, 2)
-    for combo in itertools.product(orders[::-1] if reverse else orders,
-                                   repeat=len(null_axes)):
-        weights = [1] * (len(null_axes) + len(quad_axes))
-        for j, two_m in zip(null_axes, combo):
-            weights[j] = two_m // 2
-        yield tuple(weights)
+def _weight_assignments(evals, m_max, reverse=False):
+    """All weight tuples: 1 on quadratic axes; on the others the even orders
+    4..m_max (reversed with ``reverse``), then 2 where the eigenvalue is above
+    ``NULL_EIGENVALUE_TOL``."""
+    flat = tuple(range(4, m_max + 1, 2))[::-1 if reverse else 1]
+    choices = [(2,) if lam > FLAT_EIGENVALUE_TOL
+               else flat + ((2,) if lam > NULL_EIGENVALUE_TOL else ())
+               for lam in evals]
+    for combo in itertools.product(*choices):
+        yield tuple(order // 2 for order in combo)
 
 
 def _split_by_weight(coeffs, weights):
@@ -153,23 +166,75 @@ def _split_by_weight(coeffs, weights):
     return survivors, kept
 
 
+# Gamma about one point: its linear coefficient, Q = -(Gamma - i alpha.xi)
+# (orders 2..m), the eigenvalues and basis A of Q's quadratic real part (A = I
+# when that is diagonal to 1e-9), and Q in A-coordinates
+_Expansion = namedtuple("_Expansion", "lin q evals A q_rot")
+
+
+def _expand(sym, xi, m_max):
+    d = sym.dim
+    series = gamma_taylor(sym, xi, m_max)
+    q = {beta: -c for beta, c in series.coeffs.items() if sum(beta) >= 2}
+    H = _quadratic_hessian(q, d)
+    off = np.abs(H - np.diag(np.diag(H))).max() if d > 1 else 0.0
+    if off <= 1e-9 * max(1.0, np.abs(H).max()):
+        A, evals = np.eye(d), np.diag(H).copy()
+    else:
+        A = _canonical_signs(np.linalg.eigh(H)[1])
+        evals = np.diag(A.T @ H @ A)
+    return _Expansion(series.linear(), q, evals, A, _poly.poly_compose_linear(q, A))
+
+
+def _centre(sym, xi0, ex, weights, m_max):
+    """(centre, its expansion, the weights there, steps) of xi0's maximum for
+    ``weights``, or None.  A step moves each weight-m axis of A by
+    -a_(2m-1) / (2m a_(2m)), zeroing the order 2m - 1 term of Re Q along it
+    (a_1 is minus Gamma's real linear term; an a_(2m) <= SUBHOMOGENEOUS_TOL
+    fails the sign certification anyway), and expands again, until the step
+    left is at most ``CENTRE_STEP_TOL``.  Weights too low for an axis cut its
+    offset by a fixed factor (2/3 for 1 on a quartic axis) and run out of
+    ``CENTRE_STEPS``; a step off xi0's maximum (within ``CENTRE_TOL``, the
+    tolerance of gamma_taylor) gives up too.  Weights follow their axes."""
+    d, x, steps = len(weights), xi0, 0
+    while True:
+        step = np.zeros(d)
+        for j, m in enumerate(weights):
+            lo, hi = (ex.q_rot.get(tuple(k if i == j else 0 for i in range(d)), 0.0).real
+                      for k in (2 * m - 1, 2 * m))
+            lo = -(ex.A[:, j] @ ex.lin.real) if m == 1 else lo
+            if lo and hi > SUBHOMOGENEOUS_TOL:
+                step[j] = -lo / (2 * m * hi)
+        if np.abs(step).max() <= CENTRE_STEP_TOL:
+            return x, ex, weights, steps
+        new = x + ex.A @ step
+        if steps == CENTRE_STEPS or not _one_maximum(sym, xi0, new, CENTRE_TOL)[0]:
+            return None
+        nxt = _expand(sym, new, m_max)
+        match = np.abs(ex.A.T @ nxt.A).argmax(axis=0)
+        if len(set(match.tolist())) < len(match):
+            return None
+        x, ex, steps = new, nxt, steps + 1
+        weights = tuple(weights[k] for k in match)
+
+
 def classify(sym, xi0, m_max=12, reverse_search=False):
     """Classify xi0 in Omega(phi) as positive-homogeneous type or not.
 
+    Each weight assignment is tried at its own centre (``_centre``): on a
+    flat maximum the Newton endpoint xi0 lies off it.
     ``reverse_search`` flips the null-axis order search direction; the result
     must not depend on it (uniqueness of the leading polynomial).
     """
     d = sym.dim
-    series = gamma_taylor(sym, xi0, m_max)
-    lin = series.linear()
-    diagnostics = {"order": m_max}
-    if np.max(np.abs(lin.real)) > DRIFT_REAL_TOL:
+    xi0 = np.asarray(xi0, dtype=float)
+    first = _expand(sym, xi0, m_max)
+    diagnostics = {"order": m_max, "centre_steps": 0, "centre_shift": 0.0}
+    if np.max(np.abs(first.lin.real)) > DRIFT_REAL_TOL:
         diagnostics["reason"] = "linear term has a real component"
         return Classification(VERDICT_NOT, diagnostics=diagnostics)
-    alpha = lin.imag.copy()
-
-    # Q = -(Gamma - i alpha . xi): orders 2..m_max
-    q = {beta: -c for beta, c in series.coeffs.items() if sum(beta) >= 2}
+    alpha = first.lin.imag.copy()
+    q = first.q
     if not q or max(abs(c) for c in q.values()) <= SUBHOMOGENEOUS_TOL:
         reason = ("pure translation (log-symbol is linear)"
                   if len(sym.source) == 1 else
@@ -177,32 +242,19 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
         verdict = VERDICT_NOT if len(sym.source) == 1 else VERDICT_INDETERMINATE
         diagnostics["reason"] = reason
         return Classification(verdict, alpha=alpha, diagnostics=diagnostics)
-
-    H = _quadratic_hessian(q, d)
-    # off-diagonal mass below the sub-homogeneity tolerance is
-    # indistinguishable from zero: keep the natural axis order then
-    off = np.abs(H - np.diag(np.diag(H))).max() if d > 1 else 0.0
-    if off <= 1e-9 * max(1.0, np.abs(H).max()):
-        A = np.eye(d)
-        evals = np.diag(H).copy()
-    else:
-        evals, A = np.linalg.eigh(H)
-        A = _canonical_signs(A)
-        evals = np.diag(A.T @ H @ A)
-    if evals.min() < -1e-6:
+    if first.evals.min() < -1e-6:
         diagnostics["reason"] = "quadratic real part is indefinite"
         return Classification(VERDICT_NOT, alpha=alpha, diagnostics=diagnostics)
 
-    quad_axes = [j for j in range(d) if evals[j] > NULL_EIGENVALUE_TOL]
-    null_axes = [j for j in range(d) if evals[j] <= NULL_EIGENVALUE_TOL]
-    q_rot = _poly.poly_compose_linear(q, A)
-
     samples = sphere_samples(d, 1000 * d)
-    saw_vanishing_null_axis = False
-    for weights in _weight_assignments(null_axes, quad_axes, m_max,
-                                       reverse=reverse_search):
-        survivors, kept = _split_by_weight(q_rot, weights)
-        if survivors and max(abs(c) for c in survivors.values()) > SUBHOMOGENEOUS_TOL:
+    vanishing_at = None  # Q where a pure term vanished, if one did
+    for weights in _weight_assignments(first.evals, m_max, reverse=reverse_search):
+        at = _centre(sym, xi0, first, weights, m_max)
+        if at is None:
+            continue
+        x, ex, weights, steps = at
+        survivors, kept = _split_by_weight(ex.q_rot, weights)
+        if max(map(abs, survivors.values()), default=0.0) > SUBHOMOGENEOUS_TOL:
             continue
         # sign certification on each axis: the pure monomial xi_j^{2 m_j}
         # must be present with positive real part
@@ -211,20 +263,25 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
         bad = next((c for c in pure
                     if abs(c) <= SUBHOMOGENEOUS_TOL or c.real <= 0.0), None)
         if bad is not None:
-            saw_vanishing_null_axis |= abs(bad) <= SUBHOMOGENEOUS_TOL
+            if abs(bad) <= SUBHOMOGENEOUS_TOL:
+                vanishing_at = ex
             continue
         if _poly.CompiledPoly(kept, d)(samples).real.min() <= 0.0:
             continue
         kept = _poly.poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
-        poly = HomogeneousPolynomial(d, kept, A, weights)
-        res_norms = _residual_norms(q_rot, kept, weights, samples)
-        diagnostics["residual_norms"] = res_norms
+        poly = HomogeneousPolynomial(d, kept, ex.A, weights)
+        diagnostics["residual_norms"] = _residual_norms(ex.q_rot, kept, weights, samples)
         diagnostics["weights"] = weights
-        return Classification(VERDICT_PHT, alpha=alpha, poly=poly,
-                              diagnostics=diagnostics)
+        diagnostics["centre_steps"] = steps
+        diagnostics["centre_shift"] = float(np.linalg.norm(x - xi0))
+        return Classification(VERDICT_PHT, alpha=ex.lin.imag.copy(), poly=poly,
+                              diagnostics=diagnostics, shift=x - xi0)
 
-    if saw_vanishing_null_axis and not _any_survivor_everywhere(
-            q_rot, null_axes, quad_axes, m_max):
+    # indeterminate unless every assignment has a surviving lower-order term
+    if vanishing_at is not None and not all(
+            max(map(abs, _split_by_weight(vanishing_at.q_rot, w)[0].values()),
+                default=0.0) > SUBHOMOGENEOUS_TOL
+            for w in _weight_assignments(first.evals, m_max)):
         diagnostics["reason"] = (
             f"order {m_max} insufficient: some null axis carries no "
             "sub-homogeneous obstruction but no positive pure term either")
@@ -234,13 +291,6 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
                              "surviving sub-homogeneous term or a "
                              "non-positive kept part")
     return Classification(VERDICT_NOT, alpha=alpha, diagnostics=diagnostics)
-
-
-def _any_survivor_everywhere(q_rot, null_axes, quad_axes, m_max):
-    """True when every assignment is blocked by a surviving lower-order term."""
-    return all(max(map(abs, _split_by_weight(q_rot, w)[0].values()), default=0.0)
-               > SUBHOMOGENEOUS_TOL
-               for w in _weight_assignments(null_axes, quad_axes, m_max))
 
 
 def _residual_norms(q_rot, kept, weights, samples):
@@ -284,8 +334,7 @@ class SpectralAnalysis:
 
     @property
     def ok(self):
-        return (len(self.points) > 0
-                and all(p.classification.ok for p in self.points))
+        return bool(self.points) and all(p.classification.ok for p in self.points)
 
     @property
     def verdict(self):
@@ -305,11 +354,11 @@ class SpectralAnalysis:
 def analyze(f, m_max=12):
     """Normalize, locate Omega, classify every point, take the rational minimum.
 
-    A single-point support (c delta_y) has |phi-hat| constant equal to one, so
-    Omega is the whole torus; the analysis reports the canonical representative
-    0 with the pure-translation diagnostic instead of enumerating a continuum.
     ``find_omega`` works from the Newton endpoints of the scan that
-    normalized f, so f is scanned once.
+    normalized f, so f is scanned once.  A single-point support (c delta_y)
+    has |phi-hat| constant equal to one, so Omega is the whole torus; its
+    scan reports the canonical representative 0, which classifies as a pure
+    translation, instead of a continuum.
 
     A point is classified only when no point classified before it lies in
     its coset of 2 pi L*, L the lattice spanned by supp phi - x0 (x0 the
@@ -318,22 +367,14 @@ def analyze(f, m_max=12):
     hold the same :class:`Classification` object.  This is exact, since
     phi-hat(eta + xi) = e^{i (xi - xi').x0} phi-hat(eta + xi') for every eta,
     so Gamma_xi = Gamma_xi'.
+
+    A positive-homogeneous-type point is reported at the centre its
+    classification found (its ``shift`` from the Newton endpoint, which a
+    coset shares), with phi-hat's value and phase there; ``omega`` holds the
+    reported points.
     """
     g, scale, scan = _normalize(f)
     sym = SymbolView(g)
-    if len(g) == 1:
-        xi = np.zeros(g.dim)
-        val = sym.evaluate(xi)
-        cls = Classification(VERDICT_NOT,
-                             alpha=g.points[0].astype(float),
-                             diagnostics={"reason": "pure translation "
-                                                    "(log-symbol is linear)"})
-        phase = _principal_angle(np.array([val]))
-        pa = PointAnalysis(xi=xi, value=complex(val), phase=float(phase[0]),
-                           classification=cls)
-        omega = OmegaSet(points=xi[None, :], values=np.array([val]), phases=phase)
-        return SpectralAnalysis(function=g, scale=scale, scan=scan, omega=omega,
-                                points=[pa], mu_phi=None, minimal=[])
     omega = find_omega(sym, scan=scan)
     offsets = (g.points - g.points[0]).astype(float)
     classified = []  # (xi, classification) of each point classify() saw
@@ -345,13 +386,17 @@ def analyze(f, m_max=12):
         if cls is None:
             cls = classify(sym, xi, m_max=m_max)
             classified.append((xi, cls))
+        if cls.ok and cls.shift.any():
+            xi = _wrap_torus(xi + cls.shift)
+            val = sym.evaluate(xi)
+            ph = _principal_angle(np.array([val]))[0]
         points.append(PointAnalysis(xi=xi, value=complex(val), phase=float(ph),
                                     classification=cls))
-    mu_phi = None
-    minimal = []
-    if points and all(p.classification.ok for p in points):
-        mus = [p.classification.mu for p in points]
-        mu_phi = min(mus)
-        minimal = [i for i, m in enumerate(mus) if m == mu_phi]
+    omega = OmegaSet(points=np.array([p.xi for p in points]).reshape(-1, g.dim),
+                     values=np.array([p.value for p in points], dtype=np.complex128),
+                     phases=np.array([p.phase for p in points]))
+    mus = [p.classification.mu for p in points]
+    mu_phi = min(mus) if points and all(p.classification.ok for p in points) else None
+    minimal = [i for i, m in enumerate(mus) if mu_phi is not None and m == mu_phi]
     return SpectralAnalysis(function=g, scale=scale, scan=scan, omega=omega,
                             points=points, mu_phi=mu_phi, minimal=minimal)

@@ -10,6 +10,7 @@ compiled once at construction for the one evaluator of ``_poly``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -23,10 +24,14 @@ _TAYLOR_DEGREE = 14
 _SAMPLE_SEED = 20240915
 
 
+@functools.lru_cache(maxsize=None)
 def sphere_samples(dim, count, seed=_SAMPLE_SEED):
+    """Seeded uniform unit vectors, drawn once per process and read-only."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts.flags.writeable = False
+    return pts
 
 
 class HomogeneousPolynomial:

@@ -7,7 +7,8 @@ formula d^beta phi-hat(xi) = sum_x (ix)^beta phi(x) e^{i x.xi}, never from
 finite differences.  The global maximum of |phi-hat| and the set Omega(phi)
 come from one uniform torus grid scan (FFT-sampled) and one batched Newton
 ascent on |phi-hat|^2, using exact derivatives, from all of its seeds
-(``newton_ascent``, which the Legendre transform's Newton phase shares).
+(``newton_ascent``, which the Legendre transform's Newton phase shares),
+all in double precision; ``expansion.classify`` centres flat maxima.
 
 The grid is sized by Bernstein's inequality for exponential sums.  Let K be
 the Euclidean radius of supp phi about the centre c of its bounding box.
@@ -42,10 +43,6 @@ DEDUPE_RADIUS = 1e-6
 # the scan grid is the smallest fast length whose Bernstein slack s is at
 # most this; on the corpus s lies in [0.0439, 0.0494]
 SLACK_MAX = 0.05
-# Newton endpoints this close share one extended-precision polish: on the
-# corpus the worst endpoint lies 7.5e-5 from its Omega point (ex73), and
-# distinct Omega points lie at least 1.9 apart
-CLUSTER_RADIUS = 1e-3
 
 
 class SymbolView:
@@ -238,54 +235,6 @@ def newton_ascent(fun, x0, tol, max_step=np.inf, relative=False, max_iter=100):
     return x, val, converged
 
 
-def _mp_polish(f, xi, digits=60, max_iter=250):
-    """Extended-precision Newton on grad |phi-hat|^2 = 0.
-
-    Flat (quartic or higher) directions leave the double-precision gradient
-    below its own rounding noise while the point is still ~1e-5 off; a few
-    Newton steps at ``digits`` (60) digits close the gap to well under 1e-12.
-    ``find_omega`` runs it once per cluster of Newton endpoints, not once
-    per seed.
-    """
-    import mpmath as mp
-
-    with mp.workdps(digits):
-        pts = [[mp.mpf(int(c)) for c in p] for p in f.points]
-        vals = [mp.mpc(v) for v in f.values]
-        d = f.dim
-        x = [mp.mpf(float(c)) for c in xi]
-        tol = mp.mpf(10) ** (-(2 * digits) // 3)
-        for _ in range(max_iter):
-            e = [mp.exp(mp.mpc(0, sum(p[j] * x[j] for j in range(d))))
-                 for p in pts]
-            val = sum(v * ek for v, ek in zip(vals, e))
-            grad = [sum(mp.mpc(0, 1) * p[j] * v * ek
-                        for p, v, ek in zip(pts, vals, e)) for j in range(d)]
-            gg = [2 * (mp.conj(val) * grad[j]).real for j in range(d)]
-            gn = mp.sqrt(sum(c * c for c in gg))
-            if gn < tol:
-                break
-            hess = mp.matrix(d, d)
-            for j in range(d):
-                for k in range(j, d):
-                    hjk = sum(-p[j] * p[k] * v * ek
-                              for p, v, ek in zip(pts, vals, e))
-                    h = 2 * ((mp.conj(grad[j]) * grad[k]).real
-                             + (mp.conj(val) * hjk).real)
-                    hess[j, k] = hess[k, j] = h
-            try:
-                step = mp.lu_solve(hess, mp.matrix([-c for c in gg]))
-                too_long = mp.sqrt(sum(step[j] ** 2 for j in range(d))) > mp.mpf("0.5")
-            except Exception:
-                too_long = True
-            if too_long:
-                step = mp.matrix([c / max(gn, mp.mpf(1)) * mp.mpf("0.1")
-                                  for c in gg])
-            for j in range(d):
-                x[j] += step[j]
-        return np.array([float(c) for c in x])
-
-
 def _wrap_torus(xi):
     """Canonicalize into (-pi, pi]^d; near-boundary points map to +pi."""
     out = np.mod(np.asarray(xi, dtype=float) + np.pi, TWO_PI) - np.pi
@@ -293,9 +242,20 @@ def _wrap_torus(xi):
     return out
 
 
-def _torus_dist(a, b):
-    d = np.abs(a - b) % TWO_PI
-    return np.linalg.norm(np.minimum(d, TWO_PI - d))
+def _one_maximum(sym, a, bs, tol):
+    """Per row b of ``bs``: whether |phi-hat| >= 1 - tol at the midpoint of
+    the shortest torus path from a to b and then at points of it at most
+    sqrt(2 SLACK_MAX) / K apart, up to b: by Bernstein's bound |phi-hat|^2
+    stays above 1 - 2 tol - SLACK_MAX on the whole path.  (A midpoint can be
+    a third point of Omega: phim:2,3.)"""
+    diff = np.mod(np.atleast_2d(bs) - a + np.pi, TWO_PI) - np.pi
+    up = np.abs(sym.evaluate(a + diff / 2.0)) >= 1.0 - tol
+    K = math.sqrt(_slack(sym.source, 1) / (2 * sym.dim * np.pi ** 2))
+    for j in np.flatnonzero(up):
+        n = max(2, math.ceil(np.linalg.norm(diff[j]) * K / math.sqrt(2 * SLACK_MAX)))
+        path = a + np.arange(1, n + 1)[:, None] / n * diff[j]
+        up[j] = (np.abs(sym.evaluate(path)) >= 1.0 - tol).all()
+    return up
 
 
 @dataclass(frozen=True)
@@ -383,12 +343,11 @@ def find_omega(sym, tol=1e-9, scan=None):
     its input); without one, ``locate_sup(sym)`` runs here.  Its
     seeds are the cyclic grid local maxima with |phi-hat|^2 >= (1 - s) times
     the grid maximum squared, s the grid's Bernstein slack.  Converged
-    endpoints are clustered in seed order (radius ``CLUSTER_RADIUS``) and
-    only the first of each cluster gets the extended-precision polish, plus
-    any member farther than the radius from that polished point.  Polished
-    points within tol of modulus one are kept and deduplicated (radius 1e-6
-    in the torus metric).  Phases are the principal arguments in (-pi, pi]
-    (see ``_principal_angle``).
+    endpoints within tol of modulus one are taken in seed order, less those
+    on the maximum of a kept one (``_one_maximum``): on a flat maximum they
+    can lie 2e-2 off it, and ``expansion.classify`` finds its centre.  Points
+    are ordered by coordinates rounded to 1e-9; phases are the principal
+    arguments in (-pi, pi] (see ``_principal_angle``).
     """
     f = sym.source
     if scan is None:
@@ -398,28 +357,21 @@ def find_omega(sym, tol=1e-9, scan=None):
         raise NotNormalizedError(f"sup |phi-hat| = {sup:.6g}; normalize first")
 
     found_pts, found_vals = [], []
-    clusters = []  # (first Newton endpoint, its polished point) per cluster
     for xi0, end, converged in zip(scan.seeds, scan.endpoints, scan.converged):
         if not converged:
             warnings.warn(f"Newton ascent did not converge from seed {xi0}; dropped",
                           RuntimeWarning)
             continue
-        rep = next((c for c in clusters
-                    if _torus_dist(end, c[0]) <= CLUSTER_RADIUS), None)
-        if rep is not None and _torus_dist(end, rep[1]) <= CLUSTER_RADIUS:
-            continue  # it would polish onto rep[1], already kept or rejected
-        xi = _wrap_torus(_mp_polish(f, end))
-        if rep is None:
-            clusters.append((end, xi))
+        xi = _wrap_torus(end)
         val = sym.evaluate(xi)
         if abs(val) < 1.0 - tol:
             continue
-        if any(_torus_dist(xi, p) < DEDUPE_RADIUS for p in found_pts):
-            continue
+        if found_pts and _one_maximum(sym, xi, found_pts, tol).any():
+            continue  # one maximum with a kept endpoint
         found_pts.append(xi)
         found_vals.append(val)
     pts = np.array(found_pts).reshape(-1, f.dim)
-    order = np.lexsort(pts.T[::-1])
+    order = np.lexsort(np.round(pts, 9).T[::-1])  # not reordered by rounding
     vals_arr = np.array(found_vals, dtype=np.complex128)[order]
     return OmegaSet(points=pts[order], values=vals_arr,
                     phases=_principal_angle(vals_arr))

@@ -53,14 +53,9 @@ class WalkProfile:
     omega_phases: np.ndarray
 
 
-def _dyadic_ns(n_max, extra=()):
-    ns = set(extra)
-    k = 1
-    while k <= n_max:
-        ns.add(k)
-        k *= 2
-    ns.add(n_max)
-    return sorted(ns)
+def _dyadic_ns(n_max):
+    """The powers of two up to n_max, and n_max."""
+    return sorted({2 ** k for k in range(int(n_max).bit_length())} | {n_max})
 
 
 def _direct_stream(f, n_values, beside=0.0):

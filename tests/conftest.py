@@ -16,6 +16,12 @@ def conv_oracle(fd, gd):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def torus_dist(a, b):
+    """Euclidean distance on the torus (R / 2 pi Z)^d."""
+    d = np.abs(np.asarray(a) - b) % (2 * np.pi)
+    return np.linalg.norm(np.minimum(d, 2 * np.pi - d))
+
+
 def power_oracle(fd, n):
     out = dict(fd)
     for _ in range(n - 1):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,24 @@ def test_analyze_reports_the_torus_scan(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[1] == "torus scan: 120 per axis, slack = 0.04386, 1 seeds, 1 converged"
+
+
+def test_analyze_reports_how_far_each_point_was_centred(tmp_path, capsys):
+    # ex73 modulated by e^{i (x_1 + 0.7 x_2)}: Newton stops 7.7e-5 off both
+    # points along their quartic axis, and classify centres them
+    f = latconv.examples.ex73()
+    path = tmp_path / "ex73_modulated.txt"
+    latconv.write_function(
+        latconv.LatticeFunction(2, f.points, f.values * np.exp(1j * (f.points @ [1.0, 0.7]))),
+        path)
+    code, _ = run(tmp_path, "analyze", "--input", str(path))
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and "mu_phi = 3/4" in lines
+    moves = [re.fullmatch(r"   centred: moved (\S+) in (\d) steps", line)
+             for line in lines if "centred" in line]
+    assert len(moves) == 2 and all(moves)
+    for m in moves:
+        assert 5e-5 < float(m.group(1)) < 1e-4 and int(m.group(2)) >= 1
 
 
 def test_stability_unstable_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import latconv
-from latconv import _poly, examples, expansion
+from latconv import _poly, examples, expansion, symbol
 from latconv.expansion import (VERDICT_INDETERMINATE, VERDICT_NOT, VERDICT_PHT,
                                _shifted_series, classify, gamma_taylor)
 from latconv.lattice import LatticeFunction
 from latconv.symbol import SymbolView
+
+from conftest import torus_dist
 
 S3 = math.sqrt(3.0)
 
@@ -412,3 +415,90 @@ def test_unrelated_points_keep_their_own_classification(ex74_analysis):
     a, b = (p.classification for p in ex74_analysis.points)
     assert a is not b
     assert not np.allclose(a.E, b.E)
+
+
+# -- flat points off the grid: each weight assignment is tried at its centre --
+
+def _modulated(f, theta):
+    """phi(x) e^{i theta.x}: Omega moves by -theta, and nothing else of the
+    classification changes."""
+    theta = np.asarray(theta, dtype=float)
+    return LatticeFunction(f.dim, f.points, f.values * np.exp(1j * (f.points @ theta)))
+
+
+@pytest.mark.parametrize("name, theta", [
+    ("ex75:2", (1.0,)), ("ex75:3", (1.0,)), ("ex75:4", (1.0,)), ("ex75:5", (1.0,)),
+    ("ex75:3,2", (1.0, 0.7)), ("ex71", (1.0, 0.7)), ("ex73", (1.0, 0.7)),
+    ("ex74", (1.0, 0.7)), ("intro", (1.0, 0.7)),
+])
+def test_modulation_moves_omega_and_keeps_the_classification(name, theta):
+    # the rounded input moves a flat maximum by up to 2.1e-2 (ex75:4), where
+    # the polish used to report not-PHT, indeterminate or mu = 1/4 for 1/6
+    plain = latconv.analyze(examples.get(name))
+    moved = latconv.analyze(_modulated(examples.get(name), theta))
+    assert moved.verdict == plain.verdict == VERDICT_PHT
+    assert moved.mu_phi == plain.mu_phi
+    assert len(moved.points) == len(plain.points)
+    for pa in moved.points:
+        ref = min(plain.points, key=lambda p: torus_dist(pa.xi, p.xi - theta))
+        assert torus_dist(pa.xi, ref.xi - theta) <= 1e-11
+        got, want = pa.classification, ref.classification
+        assert got.diagnostics["weights"] == want.diagnostics["weights"]
+        assert got.mu == want.mu
+        assert np.abs(got.E - want.E).max() <= 1e-12
+        assert abs(pa.value) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_weights_follow_their_axes_into_the_basis_of_the_centre():
+    # intro with its axes swapped, modulated: at the Newton endpoint the
+    # quadratic part is not diagonal, and its eigenbasis puts the flat axis
+    # first; at the centre it is diagonal, and the natural order puts it last
+    f = examples.intro()
+    pts = f.points[:, ::-1]
+    ana = latconv.analyze(LatticeFunction(2, pts, f.values * np.exp(1j * (pts @ [0.7, 1.0]))))
+    cls = ana.points[0].classification
+    assert ana.mu_phi == Fraction(3, 4) and cls.diagnostics["weights"] == (1, 2)
+    assert cls.diagnostics["centre_steps"] > 0
+    assert np.array_equal(cls.poly.basis, np.eye(2))
+    assert torus_dist(ana.points[0].xi, [np.pi / 3 - 0.7, -1.0]) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [(2,), (3,), (4,), (5,), (3, 2)])
+def test_flat_points_are_centred_from_endpoints_off_them(m):
+    # ex75:m i^(x_1 + ... + x_d) has exact values and its Omega point at
+    # -pi/2 on every axis; Newton ascents started 1e-2 off it stop short of
+    # it along the flat axes
+    f = examples.ex75(m)
+    d = f.dim
+    powers = np.array([1.0, 1j, -1.0, -1j])[f.points.sum(axis=1) % 4]
+    sym = SymbolView(LatticeFunction(d, f.points, f.values * powers))
+    exact = np.full(d, -np.pi / 2)
+    starts = exact + 1e-2 * np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    ends, _, converged = symbol.newton_ascent(
+        lambda rows, xi: sym.abs2_grad_hess(xi), starts, 1e-12, max_step=0.5,
+        relative=True)
+    assert converged.all()
+    assert max(torus_dist(end, exact) for end in ends) > 1e-5
+    for end in ends:
+        cls = classify(sym, end)
+        assert cls.mu == sum(Fraction(1, 2 * k) for k in m)
+        assert torus_dist(end + cls.shift, exact) <= 1e-12
+        assert cls.diagnostics["centre_shift"] == pytest.approx(
+            np.linalg.norm(cls.shift), rel=1e-15)
+
+
+@pytest.mark.parametrize("shift", [100, 300])
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex74"])
+def test_far_translates_keep_their_classification(name, shift):
+    # Gamma's moments are taken about the support's box centre: about the
+    # origin they lose |y|^k eps at order k, which left ex71 translated by
+    # 100 with survivors above tolerance, and centre steps of 4e-11 on intro
+    f = examples.get(name)
+    plain = latconv.analyze(f)
+    far = latconv.analyze(latconv.translate(f, (shift,) * f.dim))
+    assert far.mu_phi == plain.mu_phi
+    for p, q in zip(plain.points, far.points):
+        assert torus_dist(p.xi, q.xi) <= 1e-14
+        assert_allclose(q.classification.alpha, p.classification.alpha + shift,
+                        rtol=0, atol=1e-10)
+        assert np.abs(q.classification.E - p.classification.E).max() <= 1e-14

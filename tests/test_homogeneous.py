@@ -445,3 +445,22 @@ def test_on_grid_peak_is_result_plus_its_scratch(ex73_analysis):
         tracemalloc.stop()
     assert grid_scratch(out.shape) < out.size
     assert peak <= out.nbytes + 16 * grid_scratch(out.shape) + 256 * 1024
+
+
+def test_sphere_samples_are_drawn_once_per_process_and_read_only(monkeypatch):
+    # classify and HomogeneousPolynomial._validate ask for the same 1000 d
+    # samples; the corpus used to draw them 27 times for 14 classifications
+    draws = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: draws.append(seed) or rng(seed))
+    homogeneous.sphere_samples.cache_clear()
+    for name in ("intro", "ex73", "ex74", "srw:2"):
+        latconv.analyze(examples.get(name))
+    # the homogeneity spot check draws its own points from the next seed
+    assert draws.count(homogeneous._SAMPLE_SEED) == 1
+    pts = homogeneous.sphere_samples(2, 2000)
+    assert homogeneous.sphere_samples(2, 2000) is pts
+    assert not pts.flags.writeable
+    fresh = rng(homogeneous._SAMPLE_SEED).standard_normal((2000, 2))
+    assert np.array_equal(pts, fresh / np.linalg.norm(fresh, axis=1, keepdims=True))

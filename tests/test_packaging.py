@@ -1,5 +1,6 @@
-"""The runtime dependencies declared in pyproject.toml are exactly the
-third-party modules that the package imports."""
+"""The dependencies declared in pyproject.toml are exactly the third-party
+modules imported: the runtime ones by the package, and the ``test`` extra by
+the tests beyond those."""
 
 import ast
 import re
@@ -22,12 +23,30 @@ def _imported_modules(path):
             yield node.module.split(".")[0]
 
 
-def test_declared_dependencies_match_imports():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
-                for spec in project["project"]["dependencies"]}
+def _declared(specs):
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in specs}
+
+
+def _third_party(folder, local=frozenset()):
     imported = set()
-    for path in sorted((ROOT / "src" / "latconv").glob("*.py")):
+    for path in sorted((ROOT / folder).glob("*.py")):
         imported.update(_imported_modules(path))
-    third_party = imported - set(sys.stdlib_module_names) - {"latconv"}
-    assert third_party == declared
+    return imported - set(sys.stdlib_module_names) - {"latconv"} - local
+
+
+def _project():
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
+def test_declared_dependencies_match_imports():
+    assert _third_party("src/latconv") == _declared(_project()["dependencies"])
+
+
+def test_test_extra_matches_test_imports():
+    # local modules are not dependencies: conftest, and perfbench's spans,
+    # which the perfbench tests import from that folder
+    project = _project()
+    local = {path.stem for folder in ("tests", "perfbench")
+             for path in (ROOT / folder).glob("*.py")}
+    beyond = _third_party("tests", local) - _declared(project["dependencies"])
+    assert beyond == _declared(project["optional-dependencies"]["test"])

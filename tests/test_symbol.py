@@ -15,7 +15,7 @@ from latconv.errors import NotNormalizedError, ResourceLimitError, ZeroFunctionE
 from latconv.lattice import LatticeFunction, translate
 from latconv.symbol import SymbolView, phase_consistency_check
 
-from conftest import random_function
+from conftest import random_function, torus_dist
 
 
 def test_evaluate_delta():
@@ -184,7 +184,7 @@ def test_phim_omega_count():
     assert got == expected
 
 
-# -- one extended-precision polish per Omega point ---------------------------
+# -- Omega points against an extended-precision reference --------------------
 
 CORPUS = ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2", "ex75:2,3",
           "srw:2", "srw:3", "phim:2,1", "phim:2,3", "phim:1,2", "unstable1d"]
@@ -240,11 +240,48 @@ def _newton_polish(sym, xi0, max_iter=100):
     return xi, np.linalg.norm(_abs2_grad_hess(sym, xi)[1]) < 1e-12 * unit
 
 
+def _mp_newton(f, xi, digits=60, max_iter=250):
+    """Reference Newton on grad |phi-hat|^2 = 0 at ``digits`` digits, from
+    xi: a step longer than 0.5 is replaced by a short gradient step, and it
+    stops once |grad| < 10^(-2 digits / 3)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        pts = [[mp.mpf(int(c)) for c in p] for p in f.points]
+        vals = [mp.mpc(v) for v in f.values]
+        d = f.dim
+        x = [mp.mpf(float(c)) for c in xi]
+        tol = mp.mpf(10) ** (-(2 * digits) // 3)
+        for _ in range(max_iter):
+            e = [mp.exp(mp.mpc(0, sum(p[j] * x[j] for j in range(d)))) for p in pts]
+            val = sum(v * ek for v, ek in zip(vals, e))
+            grad = [sum(mp.mpc(0, 1) * p[j] * v * ek for p, v, ek in zip(pts, vals, e))
+                    for j in range(d)]
+            gg = [2 * (mp.conj(val) * grad[j]).real for j in range(d)]
+            gn = mp.sqrt(sum(c * c for c in gg))
+            if gn < tol:
+                break
+            hess = mp.matrix(d, d)
+            for j in range(d):
+                for k in range(j, d):
+                    hjk = sum(-p[j] * p[k] * v * ek for p, v, ek in zip(pts, vals, e))
+                    hess[j, k] = hess[k, j] = 2 * ((mp.conj(grad[j]) * grad[k]).real
+                                                   + (mp.conj(val) * hjk).real)
+            try:
+                step = mp.lu_solve(hess, mp.matrix([-c for c in gg]))
+                too_long = mp.sqrt(sum(step[j] ** 2 for j in range(d))) > mp.mpf("0.5")
+            except ZeroDivisionError:
+                too_long = True
+            if too_long:
+                step = mp.matrix([c / max(gn, mp.mpf(1)) * mp.mpf("0.1") for c in gg])
+            for j in range(d):
+                x[j] += step[j]
+        return np.array([float(c) for c in x])
+
+
 def _per_seed_omega(sym, tol=1e-9):
-    """Omega points as find_omega found them before clustering: one polish
-    per converged seed, then the modulus check and the 1e-6 dedupe, from
-    seeds on the denser grid the scan used before it was sized by its
-    bound alone."""
+    """Omega points from one extended-precision Newton per converged seed,
+    then the modulus check and a 1e-6 dedupe, from the seeds of a 512-point
+    grid (64 in d = 3)."""
     f = sym.source
     n = 512 if f.dim <= 2 else 64
     vals = symbol._grid_abs(f, n)
@@ -260,59 +297,57 @@ def _per_seed_omega(sym, tol=1e-9):
         xi, converged = _newton_polish(sym, xi0)
         if not converged:
             continue
-        xi = symbol._wrap_torus(symbol._mp_polish(f, xi))
+        xi = symbol._wrap_torus(_mp_newton(f, xi))
         if abs(sym.evaluate(xi)) < 1.0 - tol:
             continue
-        if any(symbol._torus_dist(xi, p) < symbol.DEDUPE_RADIUS for p in found):
+        if any(torus_dist(xi, p) < symbol.DEDUPE_RADIUS for p in found):
             continue
         found.append(xi)
-    pts = np.array(found).reshape(-1, f.dim)
-    return pts[np.lexsort(pts.T[::-1])]
-
-
-def _counting_polish(monkeypatch, transform=None):
-    """Count _mp_polish calls; ``transform(k, point)`` edits the k-th result."""
-    calls = []
-    real = symbol._mp_polish
-
-    def polish(f, xi, *args, **kwargs):
-        calls.append(xi)
-        out = real(f, xi, *args, **kwargs)
-        return out if transform is None else transform(len(calls), out)
-
-    monkeypatch.setattr(symbol, "_mp_polish", polish)
-    return calls
+    return np.array(found).reshape(-1, f.dim)
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_find_omega_polishes_once_per_point(name, monkeypatch):
-    g, _ = latconv.normalize(examples.get(name))
-    sym = SymbolView(g)
-    reference = _per_seed_omega(sym)
-    calls = _counting_polish(monkeypatch)
-    om = symbol.find_omega(sym)
-    assert len(calls) == len(om)
-    assert np.array_equal(om.points, reference)
+def test_analyze_points_match_the_extended_precision_reference(name):
+    # intro at scale 1 sits on a saddle of the rounded symbol, whose maxima
+    # the reference finds 4.96e-9 to either side; its point is (0, pi/3)
+    ana = latconv.analyze(examples.get(name))
+    if name == "intro":
+        reference = np.array([[0.0, np.pi / 3]])
+    else:
+        reference = _per_seed_omega(SymbolView(ana.function))
+    assert len(ana.points) == len(reference)
+    assert np.array_equal(ana.omega.points, [pa.xi for pa in ana.points])
+    for pa in ana.points:
+        assert min(torus_dist(pa.xi, p) for p in reference) <= 1e-14
 
 
-def test_find_omega_polishes_member_far_from_its_representative(monkeypatch):
-    # the first polish is sent 2e-3 (twice the cluster radius) off its Omega
-    # point; every other endpoint of that cluster must then get its own
-    # polish, which finds the true point again as a separate Omega point
-    g, _ = latconv.normalize(examples.ex73())
+def _scan_of(points):
+    """A converged ``TorusScan`` whose Newton endpoints are ``points``."""
+    pts = np.asarray(points, dtype=float)
+    return symbol.TorusScan(sup=1.0, argmax=pts[0], seeds=pts, endpoints=pts,
+                            converged=np.ones(len(pts), dtype=bool), grid=0,
+                            slack=0.0)
+
+
+def test_endpoints_of_one_maximum_merge_and_neighbouring_peaks_do_not():
+    # ex75:4 is flat to order 8 at 0: endpoints 2e-2 apart are one point,
+    # reported as the first of them
+    g, _ = latconv.normalize(examples.get("ex75:4"))
+    om = symbol.find_omega(SymbolView(g), scan=_scan_of([[1e-2], [-1e-2]]))
+    assert len(om) == 1 and om.points[0, 0] == pytest.approx(1e-2, abs=1e-15)
+    # the peaks of the lazy product lie 2 pi / 12 apart, with a valley between
+    lazy = SymbolView(_lazy_product(12))
+    peak = np.full(2, np.pi / 512)
+    step = 2 * np.pi / 12
+    near = [peak, peak + [step, 0.0], peak + [0.0, step], peak + [step, step]]
+    assert len(symbol.find_omega(lazy, scan=_scan_of(near))) == 4
+    # the midpoint of two points of phim:2,3 can be a third one; the path
+    # between them still leaves the unit-modulus set
+    g, _ = latconv.normalize(examples.get("phim:2,3"))
     sym = SymbolView(g)
-    true = symbol.find_omega(sym).points
-    offset = np.array([2 * symbol.CLUSTER_RADIUS, 0.0])
-    calls = _counting_polish(
-        monkeypatch, lambda k, xi: xi + offset if k == 1 else xi)
-    om = symbol.find_omega(sym, tol=0.5)
-    assert len(om) == 3
-    assert len(calls) > 3
-    moved = [p for p in om.points
-             if min(symbol._torus_dist(p, t) for t in true) > 1e-9]
-    assert len(moved) == 1
-    for t in true:
-        assert min(symbol._torus_dist(p, t) for p in om.points) < 1e-9
+    ends = [[0.0, 2 * np.pi / 3], [np.pi, 0.0]]
+    assert abs(sym.evaluate(np.array([-np.pi / 2, np.pi / 3]))) == pytest.approx(1.0)
+    assert len(symbol.find_omega(sym, scan=_scan_of(ends))) == 2
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -459,7 +494,7 @@ def test_bernstein_grid_misses_nothing_a_denser_grid_finds(case, monkeypatch):
     assert abs(scan.sup - dense.sup) <= 1e-15 * dense.sup
     assert len(om) == len(ref) > 0
     for p in ref.points:
-        assert min(symbol._torus_dist(p, q) for q in om.points) <= 1e-12
+        assert min(torus_dist(p, q) for q in om.points) <= 1e-12
 
 
 def test_bernstein_grid_is_never_larger_than_the_doubled_default():
