@@ -3,19 +3,22 @@
 H_P^t(x) = (2 pi)^-d integral e^{-t P(xi)} e^{-i x.xi} dxi is computed by
 tensor trapezoid quadrature over a box on which t Re P >= T_CUT = 46 at the
 boundary (integrand below ~1e-20 there), so truncation dominates nothing and
-the trapezoid rule is effectively spectral.  The box half-widths come from a
-batched ray search (doubling then bisection on every sampled direction at
-once, one polynomial evaluation per step) followed by certification of
-t Re P on sampled box faces, which expands the box until it holds.  A grid
-variant evaluates whole lattice windows with one FFT of the sampled weight
-e^{-t P}.
+the trapezoid rule is effectively spectral.  P is positive homogeneous,
+t P(xi) = P(t^E xi), so the region {t Re P < T_CUT} is t^-E applied to the
+region at t = 1.  Its boundary points along every sampled ray are found once
+per polynomial, by a batched ray search at t = 1 (doubling then bisection on
+all directions at once), and kept on P; the box half-widths at any t come
+from those points mapped by t^-E, and t Re P is then certified on sampled
+box faces at t, which expands the box until it holds.  A grid variant
+evaluates whole lattice windows with one FFT of the sampled weight e^{-t P}.
 
 The weight and the box faces are tensor grids, so P is evaluated on them
 from per-axis power tables (``CompiledPoly.on_grid``): bit for bit the
-pointwise values, with no stacked point array.  ``attractor_eval``
-contracts its weight one axis at a time with a fixed-order ``einsum`` per
-point instead of a BLAS product, so a point's value depends neither on the
-other points of the call nor on the BLAS thread count.
+pointwise values, with no stacked point array.  ``attractor_eval`` sizes
+each point's grid by that point alone and contracts its weight one axis at
+a time with a fixed-order ``einsum`` per point instead of a BLAS product, so
+a point's value depends neither on the other points of the call nor on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .lattice import LatticeFunction, _check_box
 _BOUNDARY_DIRS_SEED = 777
 
 
-def _ray_reach(P, t, dirs, target):
-    """Smallest r with t Re P(r u) >= target along each ray u (row of dirs).
+def _ray_reach(P, dirs, target):
+    """Smallest r with Re P(r u) >= target along each ray u (row of dirs).
 
     All rays are searched together: each doubles its own r from 1e-3 and
     leaves the active set once it passes, then 60 bisection steps run on
@@ -43,7 +46,7 @@ def _ray_reach(P, t, dirs, target):
     r = np.full(len(dirs), 1e-3)
     active = np.arange(len(dirs))
     for _ in range(120):
-        hit = t * P.real(r[active, None] * dirs[active]) >= target
+        hit = P.real(r[active, None] * dirs[active]) >= target
         active = active[~hit]
         if not active.size:
             break
@@ -53,21 +56,45 @@ def _ray_reach(P, t, dirs, target):
     lo, hi = r / 2.0, r
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        hit = t * P.real(mid[:, None] * dirs) >= target
+        hit = P.real(mid[:, None] * dirs) >= target
         hi = np.where(hit, mid, hi)
         lo = np.where(hit, lo, mid)
     return hi
 
 
+def _cut_boundary(P):
+    """Points r_u u on the boundary of {Re P < T_CUT}, one per sampled
+    direction u and per coordinate half-axis, searched on P's first use and
+    kept in ``P.cut_boundary``."""
+    if P.cut_boundary is None:
+        d = P.dim
+        dirs = np.concatenate([sphere_samples(d, 256 * d, seed=_BOUNDARY_DIRS_SEED),
+                               np.eye(d), -np.eye(d)])
+        P.cut_boundary = _ray_reach(P, dirs, _config.T_CUT)[:, None] * dirs
+    return P.cut_boundary
+
+
 def box_halfwidths(P, t):
-    """Per-axis half-widths L with t Re P >= T_CUT on the box boundary."""
-    d = P.dim
-    dirs = sphere_samples(d, 256 * d, seed=_BOUNDARY_DIRS_SEED)
-    axes = np.concatenate([np.eye(d), -np.eye(d)])
-    dirs = np.concatenate([dirs, axes])
-    r = _ray_reach(P, t, dirs, _config.T_CUT)
-    L = (1.25 * r[:, None] * np.abs(dirs)).max(axis=0)
-    # verify on sampled faces, expanding if undershooting
+    """Per-axis half-widths L with t Re P >= T_CUT on the box boundary.
+
+    t^-E = A diag(t^-lam) A^-1 maps the boundary points of {Re P < T_CUT}
+    (:func:`_cut_boundary`) to boundary points of {t Re P < T_CUT}, since
+    t P(xi) = P(t^E xi).  L_j is 1.25 times the largest |coordinate j| of
+    the mapped points; t Re P is then certified on sampled box faces, and
+    the box grows by 1.35 until it holds.  Points are mapped, not the box,
+    so a non-diagonal E loses no tightness.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    pts = _cut_boundary(P)
+    M = P.basis @ np.diag(float(t) ** -P.lam) @ P.basis_inv
+    L = np.empty(P.dim)
+    for j in range(P.dim):
+        # row j of t^-E on every point, summed in axis order without BLAS
+        q = pts[:, 0] * M[j, 0]
+        for k in range(1, P.dim):
+            q += pts[:, k] * M[j, k]
+        L[j] = 1.25 * np.abs(q).max()
     for _ in range(8):
         if _boundary_min(P, t, L) >= _config.T_CUT:
             return L
@@ -111,34 +138,39 @@ def attractor_eval(P, t, x):
     """H_P^t at one or more real points x (shape (d,) or (k, d)).
 
     Tensor trapezoid with >= 8 quadrature points per oscillation of
-    e^{-i x.xi} at the largest requested |x_j|, at least 256 per axis.
+    e^{-i x.xi} at each point's own |x_j|, at least 256 per axis: one
+    weight grid per distinct grid size among the points, each checked
+    against the memory cap.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     xs = x[None, :] if scalar else x
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
+    d = P.dim
     L = box_halfwidths(P, t)
-    xmax = np.abs(xs).max(axis=0)
-    N = [max(256, int(np.ceil(8.0 * L[j] * xmax[j] / np.pi)) + 1)
-         for j in range(P.dim)]
-    _check_grid(N)
-    nodes = [np.linspace(-L[j], L[j], N[j]) for j in range(P.dim)]
-    W = _weight_grid(P, t, nodes)
-    # trapezoid end weights (integrand ~ 1e-20 there; kept for form)
-    for j in range(P.dim):
-        sl = [slice(None)] * P.dim
-        for end in (0, -1):
-            sl[j] = end
-            W[tuple(sl)] *= 0.5
-    h = np.array([nodes[j][1] - nodes[j][0] for j in range(P.dim)])
-    vol = float(np.prod(h)) / (2.0 * np.pi) ** P.dim
+    sizes = np.maximum(256, np.ceil(8.0 * L * np.abs(xs) / np.pi).astype(np.int64) + 1)
     out = np.empty(xs.shape[0], dtype=np.complex128)
-    for k, x in enumerate(xs):
-        red = W
-        for j in range(P.dim):
-            red = np.einsum("a,a...->...", np.exp(-1j * x[j] * nodes[j]), red)
-        out[k] = red * vol
+    for N in dict.fromkeys(map(tuple, sizes.tolist())):
+        _check_grid(N)
+        nodes = [np.linspace(-L[j], L[j], N[j]) for j in range(d)]
+        W = _weight_grid(P, t, nodes)
+        # trapezoid end weights (integrand ~ 1e-20 there; kept for form)
+        for j in range(d):
+            sl = [slice(None)] * d
+            for end in (0, -1):
+                sl[j] = end
+                W[tuple(sl)] *= 0.5
+        h = np.array([nodes[j][1] - nodes[j][0] for j in range(d)])
+        vol = float(np.prod(h)) / (2.0 * np.pi) ** d
+        for k in np.flatnonzero((sizes == N).all(axis=1)):
+            red = W
+            for j in range(d):
+                red = np.einsum("a,a...->...", np.exp(-1j * xs[k, j] * nodes[j]), red)
+            out[k] = red * vol
+        del W
     return complex(out[0]) if scalar else out
 
 
@@ -210,8 +242,11 @@ def _llt_dense(analysis, n, window):
 
     Sums e^{-i x.xi_q} phi-hat(xi_q)^n H_{P_q}^n(x - n alpha_q) over the
     mu-minimal points of the analysis; unit-modulus powers are taken as
-    e^{i n omega_q} for stability.  Entry i is the value at ``lo + i`` for
-    the window's lower corner ``lo``.
+    e^{i n omega_q} for stability.  The points of one coset share their
+    ``Classification``, so P_q and alpha_q: its attractor grid is computed
+    once, and each point multiplies its own phases into a copy, added in
+    the order of the points.  Entry i is the value at ``lo + i`` for the
+    window's lower corner ``lo``.
     """
     if analysis.mu_phi is None:
         raise ValueError(f"analysis verdict is {analysis.verdict}; no local limit")
@@ -221,11 +256,13 @@ def _llt_dense(analysis, n, window):
     shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
     total = np.zeros(shape, dtype=np.complex128)
     axes = [np.arange(lo[j], hi[j] + 1) for j in range(d)]
+    grids = {}
     for pa in analysis.minimal_points():
         cls = pa.classification
-        grid = attractor_grid(cls.poly, n, list(zip(lo, hi)),
-                              shift=-n * cls.alpha)
-        vals = grid.values
+        if id(cls) not in grids:
+            grids[id(cls)] = attractor_grid(cls.poly, n, list(zip(lo, hi)),
+                                            shift=-n * cls.alpha).values
+        vals = grids[id(cls)].copy()
         vals *= np.exp(1j * n * pa.phase)
         for j in range(d):
             vals *= _along(np.exp(-1j * axes[j] * pa.xi[j]), j, d)

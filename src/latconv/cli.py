@@ -300,6 +300,9 @@ def cmd_attractor(args):
                _columns(*coords, vals.real, vals.imag))
     print(f"attractor H_P^{n} over {window}: max |H| = "
           f"{_fmt(float(np.abs(grid.values).max()))}")
+    print("quadrature box half-widths ("
+          + ", ".join(_fmt(float(v)) for v in grid.box_halfwidths)
+          + f"), FFT grid {' x '.join(str(int(v)) for v in grid.grid_sizes)}")
     if args.pgm and f.dim == 2:
         _write_pgm(_out_path(args, f"attractor_t{n}_re.pgm"),
                    grid.values.real, "Re H_P^t")

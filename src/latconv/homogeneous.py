@@ -38,7 +38,7 @@ class HomogeneousPolynomial:
     """Positive homogeneous polynomial with stored semi-elliptic normal form."""
 
     __slots__ = ("dim", "basis", "basis_inv", "weights", "semi_coeffs", "coeffs",
-                 "E", "lam", "mu", "_p", "_re", "_grad", "_hess")
+                 "E", "lam", "mu", "_p", "_re", "_grad", "_hess", "cut_boundary")
 
     def __init__(self, dim, semi_coeffs, basis, weights, validate=True):
         self.dim = int(dim)
@@ -62,6 +62,9 @@ class HomogeneousPolynomial:
         self._re = CompiledPoly(re, d)
         self._grad = CompiledPoly(poly_stack(grad, (d,)), d)
         self._hess = CompiledPoly(poly_stack(hess, (d, d)), d)
+        # boundary points of {Re P < T_CUT}, searched on first use by
+        # attractor.box_halfwidths
+        self.cut_boundary = None
         if validate:
             self._validate()
 

@@ -251,7 +251,7 @@ def convolve(f, g):
         f, g = g, f
     (flo, fhi), (glo, ghi) = f.extent(), g.extent()
     shape = tuple(int(s) for s in (fhi - flo + ghi - glo + 1))
-    _check_box(shape, complex_arrays=1 + _sparse_boxes(f.dim, consume=True))
+    _check_box(shape, complex_arrays=1 + _sparse_boxes(f.dim, math.prod(shape), consume=True))
     out = np.zeros(shape, dtype=np.complex128)
     flat = out.reshape(-1)
     base = np.ravel_multi_index(tuple((f.points - flo).T), shape)
@@ -492,12 +492,30 @@ def tensor(f, g):
     return LatticeFunction(f.dim + g.dim, pts, vals)
 
 
-def _sparse_boxes(dim, consume=False):
-    """Complex boxes of ``arr``'s size that :func:`_extract_sparse` allocates
-    on a dense result: d int64 coordinates per kept cell, the kept values (at
-    most a quarter box when it consumes ``arr``), and the keep mask with the
-    chunk temporaries (0.2)."""
-    return dim / 2 + (0.25 if consume else 1.0) + 0.2
+# Fewest cells that _extract_sparse takes per chunk: below it each chunk's
+# Python loop step costs more than its arithmetic, so a box of fewer cells
+# is one chunk
+_EXTRACT_CHUNK_CELLS = 2 ** 14
+
+
+def _extract_chunk(cells):
+    """Cells per chunk of :func:`_extract_sparse` on a box of ``cells`` cells:
+    a 64th of the box, but at least ``_EXTRACT_CHUNK_CELLS``."""
+    return max(_EXTRACT_CHUNK_CELLS, -(-cells // 64))
+
+
+def _sparse_boxes(dim, cells, consume=False):
+    """Complex boxes of ``cells`` cells, ``arr``'s size, that
+    :func:`_extract_sparse` allocates on a dense result: d int64 coordinates
+    per kept cell, the kept values (at most a quarter box when it consumes
+    ``arr``), the keep mask of one byte per cell and one chunk's
+    temporaries.  Those are, per kept cell of the chunk, its flat index, its
+    d cell coordinates and one product of them with a basis entry, 1 + d/2
+    complex numbers; the chunk is the whole box below the
+    ``_EXTRACT_CHUNK_CELLS`` floor."""
+    chunk = min(cells, _extract_chunk(cells))
+    return (dim / 2 + (0.25 if consume else 1.0) + 1 / 16
+            + chunk * (1 + dim / 2) / max(cells, 1))
 
 
 def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
@@ -517,7 +535,7 @@ def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     flat = arr.reshape(-1)
     # |v| > floor, written as |v| >= the next float so that it also covers ZERO_DROP
     cut = max(np.nextafter(floor, np.inf), ZERO_DROP)
-    step = max(1, -(-flat.size // 64))
+    step = _extract_chunk(flat.size)
     keep = np.empty(flat.size, dtype=bool)
     for s in range(0, flat.size, step):
         np.greater_equal(np.abs(flat[s:s + step]), cut, out=keep[s:s + step])
@@ -527,12 +545,13 @@ def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     values = flat if in_place else np.empty(count, dtype=np.complex128)
     pos = 0
     for s in range(0, flat.size, step):
-        nz = np.flatnonzero(keep[s:s + step]) + s
-        # a point mass sweeps a 0-d array, which unravel_index refuses
-        cells = np.unravel_index(nz, arr.shape or (1,))
-        _cell_points(cells, lo, basis, points[pos:pos + nz.size])
+        nz = np.flatnonzero(keep[s:s + step])
+        nz += s
         # in place, pos + nz.size <= s + step: only cells already read are written
         values[pos:pos + nz.size] = flat[nz]
+        # a point mass sweeps a 0-d array, which unravel_index refuses
+        _cell_points(np.unravel_index(nz, arr.shape or (1,)), lo, basis,
+                     points[pos:pos + nz.size])
         pos += nz.size
     values = values[:count]
     if in_place and 2 * count < flat.size:
@@ -701,7 +720,7 @@ def power(f, n, method="spectral"):
         box = lattice.box(n)
         _check_box(box, complex_arrays=max(
             _sweep_boxes(real, math.prod(box)),
-            held + _sparse_boxes(f.dim, consume=not real)))
+            held + _sparse_boxes(f.dim, math.prod(box), consume=not real)))
         for arr, lo in sweep(f, n, lattice):
             pass
         return _extract_sparse(f.dim, arr, lo, 0.0, consume=True, basis=lattice.basis)
@@ -709,7 +728,8 @@ def power(f, n, method="spectral"):
     shape = tuple(_fft.next_fast_len(e, real) for e in n * (fhi - flo) + 1)
     # the transform, then the result beside its magnitudes or its sparse copy
     _check_box(shape, complex_arrays=max(2 * held,
-                                         held + _sparse_boxes(f.dim, consume=not real)))
+                                         held + _sparse_boxes(f.dim, math.prod(shape),
+                                                              consume=not real)))
     arr, lo = power_dense(f, n)
     return _sparse_above_floor(f.dim, arr, lo, n)
 
@@ -718,7 +738,7 @@ def _sparse_above_floor(dim, arr, lo, n):
     """The spectral result ``arr`` without the entries below the noise floor;
     ``arr`` is consumed, and the cap must hold it beside its sparse copy."""
     held = arr.itemsize / 16
-    _check_box(arr.shape, complex_arrays=held + _sparse_boxes(dim, consume=held == 1))
+    _check_box(arr.shape, complex_arrays=held + _sparse_boxes(dim, arr.size, consume=held == 1))
     vmax = float(np.abs(arr).max())
     return _extract_sparse(dim, arr, lo, _fft_noise_floor(n, vmax), consume=True)
 

@@ -73,7 +73,8 @@ def _direct_stream(f, n_values, beside=0.0):
     real = _is_real(f)
     box = lattice.box(n_values[-1])
     _check_box(box, complex_arrays=beside + max(
-        _sweep_boxes(real, math.prod(box)), (0.5 if real else 1.0) + _sparse_boxes(f.dim)))
+        _sweep_boxes(real, math.prod(box)),
+        (0.5 if real else 1.0) + _sparse_boxes(f.dim, math.prod(box))))
     for n, (arr, lo) in enumerate(sweep(f, n_values[-1], lattice), start=1):
         if n in n_values:
             yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
@@ -368,12 +369,12 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
 
 
 def _direct_work_estimate(f, n_max):
+    """Products of the sweeps to phi^(n_max): len(f) times the bounding box
+    of phi^(n), summed over n.  Each term and partial sum is an integer, so
+    the sum is exact while it stays below 2^53."""
     lo, hi = f.extent()
-    ext = (hi - lo).astype(float)
-    total = 0.0
-    for n in range(1, n_max + 1):
-        total += len(f) * float(np.prod(n * ext + 1.0))
-    return total
+    n = np.arange(1, n_max + 1, dtype=float)[:, None]
+    return float((len(f) * np.prod(n * (hi - lo) + 1.0, axis=1)).sum())
 
 
 def stability_report(f, n_max, method="auto"):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -55,6 +56,12 @@ def test_eval_rejects_nonpositive_t(gauss1d):
         attractor_eval(gauss1d, 0.0, np.array([0.0]))
     with pytest.raises(ValueError):
         attractor_grid(gauss1d, -1.0, [(-2, 2)])
+
+
+def test_eval_rejects_non_finite_points(gauss1d):
+    # a point sizes its own grid, so it must have a size
+    with pytest.raises(ValueError, match="finite"):
+        attractor_eval(gauss1d, 1.0, np.array([[0.0], [np.inf]]))
 
 
 def test_grid_matches_pointwise(intro_analysis):
@@ -198,15 +205,55 @@ def _scalar_ray_reach(P, t, u, target):
     return hi
 
 
-def _scalar_box_halfwidths(P, t):
-    """Reference: the per-ray search of box_halfwidths, then face certification."""
+@functools.lru_cache(maxsize=None)
+def _scalar_cut_boundary(P):
+    """Reference: the boundary point r u of {Re P < T_CUT} on each sampled
+    ray u and coordinate half-axis, one ray at a time at t = 1."""
     d = P.dim
     dirs = sphere_samples(d, 256 * d, seed=attractor._BOUNDARY_DIRS_SEED)
     dirs = np.concatenate([dirs, np.eye(d), -np.eye(d)])
+    return [(_scalar_ray_reach(P, 1, u, _config.T_CUT) * u).tolist() for u in dirs]
+
+
+def _scalar_box_halfwidths(P, t):
+    """Reference: the boundary points at t = 1, each mapped to t by
+    t^-E = A diag(t^-lam) A^-1 in Python floats, then face certification
+    at t."""
+    d = P.dim
+    M = (P.basis @ np.diag(float(t) ** -P.lam) @ P.basis_inv).tolist()
     L = np.zeros(d)
-    for u in dirs:
-        r = _scalar_ray_reach(P, t, u, _config.T_CUT)
-        L = np.maximum(L, 1.25 * r * np.abs(u))
+    for p in _scalar_cut_boundary(P):
+        for j in range(d):
+            q = p[0] * M[j][0]
+            for k in range(1, d):
+                q = q + p[k] * M[j][k]
+            L[j] = max(L[j], 1.25 * abs(q))
+    for _ in range(8):
+        if attractor._boundary_min(P, t, L) >= _config.T_CUT:
+            return L
+        L = L * 1.35
+    raise ValueError("could not certify the quadrature box; invalid polynomial")
+
+
+def _per_t_box_halfwidths(P, t):
+    """Reference: the former rule, a batched ray search for t Re P at each t."""
+    d = P.dim
+    dirs = sphere_samples(d, 256 * d, seed=attractor._BOUNDARY_DIRS_SEED)
+    dirs = np.concatenate([dirs, np.eye(d), -np.eye(d)])
+    r = np.full(len(dirs), 1e-3)
+    active = np.arange(len(dirs))
+    for _ in range(120):
+        active = active[t * P.real(r[active, None] * dirs[active]) < _config.T_CUT]
+        if not active.size:
+            break
+        r[active] *= 2.0
+    lo, hi = r / 2.0, r
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        hit = t * P.real(mid[:, None] * dirs) >= _config.T_CUT
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
+    L = (1.25 * hi[:, None] * np.abs(dirs)).max(axis=0)
     for _ in range(8):
         if attractor._boundary_min(P, t, L) >= _config.T_CUT:
             return L
@@ -227,6 +274,72 @@ def test_box_halfwidths_match_scalar_search(name, request):
         for t in (1, 32, 256):
             assert np.array_equal(box_halfwidths(P, t),
                                   _scalar_box_halfwidths(P, t)), (name, t)
+
+
+BOX_CORPUS = ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2", "ex75:2,3", "srw:2",
+              "srw:3", "phim:2,1", "phim:2,3", "phim:1,2", "ex75:3", "ex75:2,1,1"]
+
+
+@pytest.mark.parametrize("name", BOX_CORPUS)
+def test_box_from_homogeneity_is_certified_and_near_the_per_t_search(name):
+    # t^-E maps boundary points found at t = 1; on the corpus the mapped
+    # box is within 2.3e-3 of a search at each t (ex73 at t = 4)
+    analysis = latconv.analyze(examples.get(name))
+    polys = []
+    for pa in analysis.minimal_points():
+        if all(pa.classification.poly is not Q for Q in polys):
+            polys.append(pa.classification.poly)
+    for P in polys:
+        for t in (1, 4, 32, 256, 4096):
+            L = box_halfwidths(P, t)
+            assert attractor._boundary_min(P, t, L) >= _config.T_CUT, (name, t)
+            ref = _per_t_box_halfwidths(P, t)
+            assert np.all(np.abs(L - ref) <= 0.01 * ref), (name, t, L, ref)
+
+
+def test_polynomial_construction_runs_no_ray_search(monkeypatch):
+    calls = []
+    search = attractor._ray_reach
+    monkeypatch.setattr(attractor, "_ray_reach",
+                        lambda *args: calls.append(1) or search(*args))
+    P = latconv.analyze(examples.ex73()).points[0].classification.poly
+    Q = from_quadratic_form(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert calls == [] and P.cut_boundary is None and Q.cut_boundary is None
+    for t in (1, 9.5, 300):
+        box_halfwidths(P, t)
+    assert len(calls) == 1 and P.cut_boundary is not None
+
+
+def _per_point_llt_dense(analysis, n, window):
+    """Reference: _llt_dense with one attractor grid per minimal point."""
+    d = analysis.function.dim
+    total = np.zeros(tuple(b - a + 1 for a, b in window), dtype=np.complex128)
+    axes = [np.arange(a, b + 1) for a, b in window]
+    for pa in analysis.minimal_points():
+        cls = pa.classification
+        vals = attractor_grid(cls.poly, n, window, shift=-n * cls.alpha).values
+        vals *= np.exp(1j * n * pa.phase)
+        for j in range(d):
+            vals *= attractor._along(np.exp(-1j * axes[j] * pa.xi[j]), j, d)
+        total += vals
+    return total
+
+
+@pytest.mark.parametrize("name, grids", [("ex72", 2), ("ex73", 1), ("srw:2", 1),
+                                         ("phim:2,3", 1)])
+def test_llt_dense_one_grid_per_classification(name, grids, monkeypatch):
+    from latconv.verify import default_llt_window
+    analysis = latconv.analyze(examples.get(name))
+    for n in (16, 64):
+        window = default_llt_window(analysis, n)
+        want = _per_point_llt_dense(analysis, n, window)
+        calls = []
+        monkeypatch.setattr(attractor, "attractor_grid",
+                            lambda *a, **k: calls.append(1) or attractor_grid(*a, **k))
+        got = attractor._llt_dense(analysis, n, window)
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, n)
+        assert len(calls) == grids, (name, n)
 
 
 def test_box_halfwidths_rejects_flat_ray():
@@ -297,16 +410,17 @@ def test_eval_matches_tensordot_reference(ex72_analysis, intro_analysis):
 
 
 def test_eval_point_does_not_depend_on_its_batch(ex73_analysis):
-    # the quadrature grid follows the largest |x_j| of the call, so every
-    # batch here holds the extreme point; beside it each point's value is
-    # bit for bit the same, in any order and any company
+    # each point's quadrature grid follows its own |x_j|, so a point's value
+    # is bit for bit the same alone, in any order and in any company, also
+    # beside a far point that takes a larger grid
     P = ex73_analysis.points[0].classification.poly
-    pts = np.array([[6.0, -6.0], [1.0, 2.0], [-3.5, 0.25], [0.0, 0.0]])
+    pts = np.array([[60.0, -60.0], [1.0, 2.0], [-3.5, 0.25], [0.0, 0.0], [6.0, -6.0]])
     whole = attractor_eval(P, 5.0, pts)
     assert np.array_equal(attractor_eval(P, 5.0, pts[::-1]), whole[::-1])
-    for k in range(1, len(pts)):
-        pair = attractor_eval(P, 5.0, pts[[0, k]])
-        assert np.array_equal(pair, whole[[0, k]])
+    for k in range(len(pts)):
+        assert attractor_eval(P, 5.0, pts[k]) == whole[k]
+        for m in range(k + 1, len(pts)):
+            assert np.array_equal(attractor_eval(P, 5.0, pts[[k, m]]), whole[[k, m]])
 
 
 def test_eval_grid_is_checked_against_the_cap(intro_analysis, monkeypatch):

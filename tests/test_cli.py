@@ -53,6 +53,21 @@ def test_analyze_reports_how_far_each_point_was_centred(tmp_path, capsys):
         assert 5e-5 < float(m.group(1)) < 1e-4 and int(m.group(2)) >= 1
 
 
+def test_attractor_reports_its_box_and_fft_grid(tmp_path, capsys):
+    from latconv.attractor import attractor_grid
+    from latconv.verify import default_llt_window
+    code, out = run(tmp_path, "attractor", "--example", "ex73", "--n", "16")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and (out / "attractor_t16.csv").exists()
+    ana = latconv.analyze(latconv.examples.ex73())
+    grid = attractor_grid(ana.minimal_points()[0].classification.poly, 16,
+                          default_llt_window(ana, 16))
+    L = ", ".join(f"{v:.17g}" for v in grid.box_halfwidths)
+    N = " x ".join(str(v) for v in grid.grid_sizes)
+    assert lines[1] == f"quadrature box half-widths ({L}), FFT grid {N}"
+    assert N == "256 x 256"
+
+
 def test_stability_unstable_exit_code(tmp_path, capsys):
     code, out = run(tmp_path, "stability", "--example", "unstable1d",
                     "--nmax", "512")

@@ -470,6 +470,40 @@ def test_extract_sparse_is_canonical_and_consume_keeps_values():
         2, np.argwhere(big) + lo, arr[big])
 
 
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_extract_sparse_bit_identical_at_any_chunk_floor(chunk, monkeypatch):
+    # chunks of at least _EXTRACT_CHUNK_CELLS cells, or of a 64th of the box
+    # at floor 1, or of 7 cells where a small box makes a 64th smaller still;
+    # intro at n = 64 (33,153 cells) takes several chunks at every floor
+    from latconv import lattice
+    from latconv.lattice import _extract_sparse, support_lattice, sweep
+    cases = [(examples.ex75((3,)), 40), (examples.intro(), 64), (examples.srw(2), 12),
+             (examples.ex73(), 9), (examples.get("srw:3"), 6),
+             (examples.get("phim:2,3"), 5)]
+    want = []
+    for f, n in cases:
+        basis = support_lattice(f).basis
+        for arr, lo in sweep(f, n):
+            pass
+        arr = arr.astype(np.complex128)
+        floor = 1e-3 * float(np.abs(arr).max())
+        want.append([_extract_sparse(f.dim, arr.copy(), lo, fl, consume=consume, basis=basis)
+                     for fl in (0.0, floor) for consume in (False, True)])
+    assert any(not np.array_equal(support_lattice(f).basis, np.eye(f.dim)) for f, _ in cases)
+    if chunk is not None:
+        monkeypatch.setattr(lattice, "_EXTRACT_CHUNK_CELLS", chunk)
+    for (f, n), ref in zip(cases, want):
+        basis = support_lattice(f).basis
+        for arr, lo in sweep(f, n):
+            pass
+        arr = arr.astype(np.complex128)
+        floor = 1e-3 * float(np.abs(arr).max())
+        got = [_extract_sparse(f.dim, arr.copy(), lo, fl, consume=consume, basis=basis)
+               for fl in (0.0, floor) for consume in (False, True)]
+        for g, w in zip(got, ref):
+            _assert_bit_identical(g, w)
+
+
 def _torus_vs_direct(f, n, lo, hi):
     arr, alo = latconv.power_torus(f, n, lo, hi)
     exact = latconv.power(f, n, method="direct")

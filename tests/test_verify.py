@@ -662,3 +662,18 @@ def test_drift_box_covers_every_omega_point():
         assert np.all(lo < centre) and np.all(centre < hi)
     win = verify.default_llt_window(ana, 100)
     assert np.all(lo <= [a for a, _ in win]) and np.all(hi >= [b for _, b in win])
+
+
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2",
+                                  "ex75:2,3", "srw:2", "srw:3", "phim:2,1", "phim:2,3",
+                                  "phim:1,2", "unstable1d"])
+def test_direct_work_estimate_equals_the_loop(name):
+    # every term and partial sum is an integer below 2^53, so the vectorized
+    # sum is exact and stability_report's auto picks the same path
+    f = examples.get(name)
+    lo, hi = f.extent()
+    for n_max in (64, 512):
+        loop = 0.0
+        for n in range(1, n_max + 1):
+            loop += len(f) * float(np.prod(n * (hi - lo).astype(float) + 1.0))
+        assert verify._direct_work_estimate(f, n_max) == loop, (name, n_max)
