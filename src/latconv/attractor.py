@@ -227,8 +227,9 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
     for j in range(d):
         xj = np.arange(lo[j], hi[j] + 1)
         idx.append(np.mod(xj * K[j], N[j]))
-        # e^{-i x (-pi K)} factor from the grid origin
-        phase.append(np.exp(1j * np.pi * K[j] * (xj + shift[j])))
+        # e^{-i x (-pi K)} factor from the grid origin; the shift's own
+        # factor e^{i pi K shift} is already in W
+        phase.append(np.exp(1j * np.pi * K[j] * xj))
     vals = spec[np.ix_(*idx)]
     for j in range(d):
         vals *= _along(phase[j], j, d)

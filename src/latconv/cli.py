@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .legendre import ConjugateEvaluator
 from .symbol import SymbolView, check_von_neumann
 from .verify import (default_llt_window, derivative_bound_fit, gaussian_bound_fit,
                      llt_error_ladder, power_near_drifts, stability_report,
-                     subexp_bound_fit, sup_decay_report, theta, walk_profile)
+                     subexp_bound_fit, theta, walk_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .lattice import LatticeFunction, delta, power, tensor
 
 

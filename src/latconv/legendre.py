@@ -6,12 +6,13 @@ x = t^F u (``HomogeneousPolynomial.polar``), by a certified coarse-grid scan
 and one ascent per point from its grid argmax: one grid radius per evaluator,
 grown until the objective is negative on the boundary for every u, pins the
 maximizer inside whatever the batch, and a point never returns less than its
-grid value.  On the corpus this one ascent is within 7.4e-14 relative of the
+grid value.  The ascent is ``symbol.newton_ascent``, the one the Omega scan
+runs: Newton along the objective's concave eigen-directions and its gradient
+along the rest, so it climbs where R is not convex or its Hessian is
+singular.  On the corpus this one ascent is within 7.4e-14 relative of the
 best of a further 64 (d = 2) or 512 (d = 3) random starts per point.
 ``conjugate_batch`` is the one evaluation path: the query points form one
-batch of numpy rows, and a row leaves once it stops moving.  The ascent stops
-for all rows together, so a value depends only on the batch it was computed
-in.
+batch of numpy rows, and a row leaves once it stops moving.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .lattice import _check_box
 from .symbol import newton_ascent
 
 _SEED = 4242
+# grid points per axis of the scan whose argmax starts each ascent
+_SCAN_AXIS = 64
 # objective cells per block of the grid scan (8 MiB of float64)
 _SCAN_BLOCK_CELLS = 2 ** 20
 # complex boxes per query point and coordinate that conjugate_batch's ascent
@@ -51,74 +54,38 @@ class ConjugateEvaluator:
 
     # -- batched ascent ------------------------------------------------------
 
-    def _ascend_batch(self, xs, xis, iters=120, newton_iters=50):
-        """Maximize xi.x - R(xi) from xis (one start per row), vectorized:
-        gradient ascent, then ``newton_ascent`` (|grad| < 1e-10, steps of
-        any length) from where it stopped.
+    def _ascend_batch(self, xs, xis):
+        """Maximize xi.x - R(xi) from xis (one start per row) by
+        ``newton_ascent`` (|grad| < 1e-10, steps of any length, 50 steps).
 
-        Only the rows still moving are evaluated: a row with no accepted step
-        would repeat the same arithmetic on the next pass, so it leaves.  A
-        row also leaves for Newton once a gradient step has not halved
-        |grad|^2 and R is convex at its point (``real_hess`` positive
-        definite): Newton started where R is not convex can stop on a saddle,
-        as it does from the grid points alone for 2 of ex73's 4,096
-        unit-circle directions.
+        Where R is not convex the step climbs the objective's concave
+        directions by Newton and the others by its gradient, so an ascent
+        does not stop where ``real_hess`` is singular, as it is at two of
+        ex73's 4,096 unit-circle directions.
         """
         xs = np.asarray(xs, dtype=float)
-        xi = np.array(xis, dtype=float)
-        val = np.einsum("kd,kd->k", xi, xs) - self.P.real(xi)
-        step = np.ones(len(xi))
-        live = np.arange(len(xi))
-        last = np.inf  # each live row's |grad|^2 before its last step
-        for _ in range(iters):
-            g = xs[live] - self.P.real_grad(xi[live])
-            gn2 = np.einsum("kd,kd->k", g, g)
-            keep = gn2 > 1e-16
-            stalled = np.flatnonzero(keep & (gn2 > 0.5 * last))
-            if len(stalled):
-                hess = self.P.real_hess(xi[live[stalled]])
-                keep[stalled[np.linalg.eigvalsh(hess)[:, 0] > 0]] = False
-            live, g, gn2 = live[keep], g[keep], gn2[keep]
-            t = step[live]
-            moved = np.zeros(len(live), dtype=bool)
-            todo = np.arange(len(live))  # positions in live not yet accepted
-            for _ in range(30):
-                if not len(todo):
-                    break
-                rows = live[todo]
-                cand = xi[rows] + t[todo, None] * g[todo]
-                cval = np.einsum("kd,kd->k", cand, xs[rows]) - self.P.real(cand)
-                good = cval >= val[rows] + 0.25 * t[todo] * gn2[todo]
-                xi[rows[good]] = cand[good]
-                val[rows[good]] = cval[good]
-                step[rows[good]] = np.minimum(t[todo[good]] * 2.0, 1e6)
-                moved[todo[good]] = True
-                todo = todo[~good]
-                t = t * 0.5
-            live, last = live[moved], gn2[moved]
-            if not len(live):
-                break
+
         def objective(rows, x):
             value = np.einsum("kd,kd->k", x, xs[rows]) - self.P.real(x)
             return value, xs[rows] - self.P.real_grad(x), -self.P.real_hess(x)
 
-        xi, val, _ = newton_ascent(objective, xi, 1e-10, max_iter=newton_iters)
+        xi, val, _ = newton_ascent(objective, xis, 1e-10, max_iter=50)
         return val, xi
 
-    def _grid_scan_batch(self, xs, rho, n_axis=64):
+    def _grid_scan_batch(self, xs, rho):
         """Best grid point of the objective per query row, in blocks of rows.
 
         A block holds about ``_SCAN_BLOCK_CELLS`` objective cells and at least
         8 rows: a one-row block takes numpy's matrix-vector product, whose
         rounding differs from the matrix product's.
         """
-        cells = n_axis ** self.dim
+        cells = _SCAN_AXIS ** self.dim
         block = max(8, _SCAN_BLOCK_CELLS // cells)
         n_blocks = max(1, len(xs) // block)
         # float arrays: the mesh and the points (d each), Re P and one block
-        _check_box((n_axis,) * self.dim,
+        _check_box((_SCAN_AXIS,) * self.dim,
                    complex_arrays=(2 * self.dim + 1 + min(len(xs), 2 * block)) / 2)
-        axes = [np.linspace(-rho, rho, n_axis)] * self.dim
+        axes = [np.linspace(-rho, rho, _SCAN_AXIS)] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         # the points as contiguous coordinate rows (d, cells), so that a
         # block's objective is row-major (rows, cells) and each row's argmax

@@ -7,8 +7,9 @@ formula d^beta phi-hat(xi) = sum_x (ix)^beta phi(x) e^{i x.xi}, never from
 finite differences.  The global maximum of |phi-hat| and the set Omega(phi)
 come from one uniform torus grid scan (FFT-sampled) and one batched Newton
 ascent on |phi-hat|^2, using exact derivatives, from all of its seeds
-(``newton_ascent``, which the Legendre transform's Newton phase shares),
-all in double precision; ``expansion.classify`` centres flat maxima.
+(``newton_ascent``, the one ascent of the package, which the Legendre
+transform shares), all in double precision; ``expansion.classify`` centres
+flat maxima.
 
 The grid is sized by Bernstein's inequality for exponential sums.  Let K be
 the Euclidean radius of supp phi about the centre c of its bounding box.
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import _fft
 from .errors import NotNormalizedError, ZeroFunctionError
-from .lattice import LatticeFunction, _check_box
+from .lattice import _check_box
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -43,16 +44,31 @@ DEDUPE_RADIUS = 1e-6
 # the scan grid is the smallest fast length whose Bernstein slack s is at
 # most this; on the corpus s lies in [0.0439, 0.0494]
 SLACK_MAX = 0.05
+# a Hessian eigenvalue below -CONCAVE_SPLIT times the largest in modulus is a
+# concave direction for ``_newton_steps``.  ex74 modulated by e^{i (1, 0.7).x}
+# has an Omega seed whose sextic axis reads -2.66e-9 relative: a split at 1e-8
+# counts it flat, and that seed stalls at |grad| = 2.75e-12 and is dropped
+CONCAVE_SPLIT = 1e-12
 
 
 class SymbolView:
-    """Trigonometric-polynomial view of phi-hat, evaluated term by term."""
+    """Trigonometric-polynomial view of phi-hat, evaluated term by term.
+
+    Terms are formed elementwise, their phases summed in axis order, and
+    added along the support axis, not by matrix products, so a row rounds
+    the same in any batch.
+    """
 
     def __init__(self, source):
         if not len(source):
             raise ZeroFunctionError("cannot build a symbol for the zero function")
         self.source = source
         self.dim = source.dim
+        self._pts = source.points.T.astype(float)            # (d, m)
+
+    def _terms(self, z, w):
+        """w e^{i z.x} per support point x: shape (..., m) for z (..., d)."""
+        return np.exp(1j * (z[..., :, None] * self._pts).sum(axis=-2)) * w
 
     def evaluate(self, z):
         """phi-hat(z) for real or complex z of shape (d,) or (..., d)."""
@@ -62,29 +78,21 @@ class SymbolView:
         """d^beta phi-hat at z via the exact moment formula."""
         z = np.asarray(z)
         scalar = z.ndim == 1
-        pts = z[None, :] if scalar else z
         f = self.source
-        w = f.values.copy()
+        w = f.values
         for j, b in enumerate(beta):
             if b:
                 w = w * (1j * f.points[:, j]) ** b
-        phase = pts @ f.points.T.astype(float) if not np.iscomplexobj(pts) \
-            else pts @ f.points.T.astype(complex)
-        out = np.exp(1j * phase) @ w
+        out = self._terms(z[None, :] if scalar else z, w).sum(axis=-1)
         return complex(out[0]) if scalar else out
 
     # -- gradient / hessian of g = |phi-hat|^2 (exact) -----------------------
 
     def abs2_grad_hess(self, xi):
         """(g, grad g, hess g) for g = |phi-hat|^2 at real points xi (k, d),
-        one row each.
-
-        Terms are formed elementwise and summed along the support axis, not
-        by matrix products, so a row rounds the same in any batch.
-        """
-        pts = self.source.points.T.astype(float)           # (d, m)
-        xi = np.asarray(xi, dtype=float)
-        terms = np.exp(1j * (xi[:, :, None] * pts).sum(axis=1)) * self.source.values
+        one row each."""
+        pts = self._pts
+        terms = self._terms(np.asarray(xi, dtype=float), self.source.values)
         val = terms.sum(axis=-1)
         grad = (terms[:, None, :] * (1j * pts)).sum(axis=-1)
         hess = (terms[:, None, None, :] * -(pts[:, None, :] * pts)).sum(axis=-1)
@@ -148,33 +156,36 @@ def _grid_seeds(vals, depth):
     return seeds[np.argsort(-vals[tuple(seeds.T)], kind="stable")]
 
 
-def _newton_steps(hess, grad, gn, unit, max_step):
-    """One ascent step per row: the Newton step ``-hess^-1 grad`` when it is
-    finite and at most ``max_step`` long; else the minimum-norm
-    least-squares step (singular values below 1e-8 of the largest cut), cut
-    to ``max_step`` long, when it is finite and uphill; else the gradient
-    step ``0.1 grad / max(|grad|, unit)``.
+def _newton_steps(hess, grad, unit, max_step):
+    """One ascent step per row, from the eigen-decomposition of its Hessian.
+
+    A row whose eigenvalues all lie below -``CONCAVE_SPLIT`` times the
+    largest in modulus takes the Newton step ``-hess^-1 grad`` (``solve``)
+    when it is at most ``max_step`` long.  Every other row takes Newton,
+    ``-(v.grad) / lam``, along each such concave eigen-direction v and the
+    gradient component ``(v.grad) / max(max |lam|, unit)`` along each flat
+    or convex one, cut to ``max_step`` long: a step that is always uphill.
 
     A degenerate maximum (a support on a line, say) makes the Hessian
     singular along a flat direction: Newton then fails or steps far along
-    it, while the least-squares step still climbs the other directions at
-    Newton's rate.  The determinant is zero whenever the LU factorisation
-    meets a zero pivot, so ``solve`` only sees systems it can solve, and a
-    row's step does not depend on the rows beside it.
+    it, while this step climbs the concave directions at Newton's rate and
+    keeps the gradient along the flat one.  ``eigh`` and ``solve`` factor
+    each row's matrix alone, so a row's step does not depend on the rows
+    beside it.
     """
-    step = np.full_like(grad, np.nan)
-    with np.errstate(all="ignore"):
-        ok = np.linalg.det(hess) != 0.0
-        step[ok] = np.linalg.solve(hess[ok], -grad[ok, :, None])[..., 0]
-        length = np.linalg.norm(step, axis=1)
-        bad = ~(length <= max_step)
-        if bad.any():
-            lsq = (np.linalg.pinv(hess[bad], rtol=1e-8) @ -grad[bad, :, None])[..., 0]
-            length = np.linalg.norm(lsq, axis=1)
-            uphill = np.isfinite(length) & (np.einsum("kd,kd->k", lsq, grad[bad]) > 0)
-            cut = lsq * np.minimum(1.0, max_step / length)[:, None]
-            short = grad[bad] / np.maximum(gn[bad], unit[bad])[:, None] * 0.1
-            step[bad] = np.where(uphill[:, None], cut, short)
+    lam, vec = np.linalg.eigh(hess)
+    top = np.abs(lam).max(axis=1)
+    concave = lam < -CONCAVE_SPLIT * top[:, None]
+    newton = concave.all(axis=1)
+    step = np.zeros_like(grad)
+    step[newton] = np.linalg.solve(hess[newton], -grad[newton, :, None])[..., 0]
+    rest = ~(newton & (np.linalg.norm(step, axis=1) <= max_step))
+    if rest.any():
+        lam, vec, concave = lam[rest], vec[rest], concave[rest]
+        comp = (vec * grad[rest, :, None]).sum(axis=1)   # v.grad per eigen-direction
+        rate = np.where(concave, -lam, np.maximum(top[rest], unit[rest])[:, None])
+        cut = (vec * (comp / rate)[:, None, :]).sum(axis=2)
+        step[rest] = cut * np.minimum(1.0, max_step / np.linalg.norm(cut, axis=1))[:, None]
     return step
 
 
@@ -208,10 +219,10 @@ def newton_ascent(fun, x0, tol, max_step=np.inf, relative=False, max_iter=100):
         done = gn < tol * unit[rows]
         converged[rows[done]] = True
         live = ~done
-        rows, grad, hess, gn = rows[live], grad[live], hess[live], gn[live]
+        rows, grad, hess = rows[live], grad[live], hess[live]
         if it == max_iter or not len(rows):
             break
-        step = _newton_steps(hess, grad, gn, unit[rows], max_step)
+        step = _newton_steps(hess, grad, unit[rows], max_step)
         cur = val[rows]
         slack = 4 * EPS * np.maximum(np.abs(cur), unit[rows])
         moved = np.zeros(len(rows), dtype=bool)

@@ -74,6 +74,19 @@ def test_grid_matches_pointwise(intro_analysis):
         assert abs(grid.value_at(p) - v) < 1e-7
 
 
+def test_grid_with_fractional_shifts_matches_pointwise(ex72_analysis):
+    # the nodes start at -pi K, so W already carries the shift's factor
+    # e^{i pi K shift}; applied twice it put the grid 1.1e-2 off at
+    # (0.5, 0), against values of at most 7.9e-3, and left (2.5, 1.5) alone
+    P = ex72_analysis.points[0].classification.poly
+    xs = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij"),
+                  axis=-1).reshape(-1, 2).astype(float)
+    for shift in ((0.5, 0.0), (0.25, -0.75), (2.5, 1.5), (-1 / 3, 0.1)):
+        grid = attractor_grid(P, 30.0, [(-3, 3), (-3, 3)], shift=np.array(shift))
+        direct = attractor_eval(P, 30.0, xs + shift).reshape(7, 7)
+        assert np.abs(grid.values - direct).max() < 1e-15
+
+
 def test_grid_is_checked_against_the_cap(intro_analysis, monkeypatch, tmp_path, capsys):
     # a +-600 window at t = 100 takes a 1232^2 grid, 23 MiB, beside a 22 MiB
     # output window; a 16 MiB cap still admits intro's torus scan

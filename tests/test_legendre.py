@@ -231,73 +231,36 @@ def test_conjugate_independent_of_call_history(fixture, request):
     assert np.array_equal(after, fresh)
 
 
-def _full_batch_gradient_phase(P, xs, xis, iters):
-    """Reference gradient phase: every row is evaluated on every step,
-    masked by np.where.  A row leaves for good once a step did not halve
-    |g|^2 and Re P is convex at its point.  Returns the points Newton
-    starts from."""
-    xi = np.array(xis, dtype=float)
-    val = np.einsum("kd,kd->k", xi, xs) - P.real(xi)
-    step = np.ones(len(xi))
-    handed = np.zeros(len(xi), dtype=bool)
-    last = np.full(len(xi), np.inf)
-    for _ in range(iters):
-        g = xs - P.real_grad(xi)
-        gn2 = np.einsum("kd,kd->k", g, g)
-        convex = np.linalg.eigvalsh(P.real_hess(xi))[:, 0] > 0
-        handed |= (gn2 > 1e-16) & (gn2 > 0.5 * last) & convex
-        last = gn2
-        active = (gn2 > 1e-16) & ~handed
-        if not active.any():
-            break
-        t = step.copy()
-        accepted = np.zeros(len(xi), dtype=bool)
-        for _ in range(30):
-            trial = np.where(active & ~accepted, t, 0.0)
-            cand = xi + trial[:, None] * g
-            cval = np.einsum("kd,kd->k", cand, xs) - P.real(cand)
-            good = active & ~accepted & (cval >= val + 0.25 * trial * gn2)
-            xi[good] = cand[good]
-            val[good] = cval[good]
-            step[good] = np.minimum(t[good] * 2.0, 1e6)
-            accepted |= good
-            t = t * 0.5
-            if (accepted | ~active).all():
-                break
-        if not accepted.any():
-            break
-    return xi
-
-
-def _newton_phase(P, xs, xi, newton_iters):
+def _newton_phase(P, xs, xi):
     def objective(rows, p):
         obj = np.einsum("kd,kd->k", p, xs[rows]) - P.real(p)
         return obj, xs[rows] - P.real_grad(p), -P.real_hess(p)
 
-    p, v, _ = newton_ascent(objective, xi, 1e-10, max_iter=newton_iters)
+    p, v, _ = newton_ascent(objective, xi, 1e-10, max_iter=50)
     return v, p
 
 
-def _assert_same_ascent(ev, xs, starts, every=1, iters=120, newton_iters=50):
-    """The live-row ascent against the full-batch gradient phase followed by
-    Newton twice: on all rows in reverse order, so that each row has other
+def _assert_same_ascent(ev, xs, starts, every=1):
+    """The live-row ascent against ``newton_ascent`` from the same starts
+    twice: on all rows in reverse order, so that each row has other
     neighbours, and one row at a time on every ``every``-th row, so that
     each row is also checked in a batch of 1."""
-    vals, args = ev._ascend_batch(xs, starts, iters=iters, newton_iters=newton_iters)
+    vals, args = ev._ascend_batch(xs, starts)
     xs = np.asarray(xs, dtype=float)
-    xi = _full_batch_gradient_phase(ev.P, xs, starts, iters)
-    ref_vals, ref_args = _newton_phase(ev.P, xs[::-1], xi[::-1], newton_iters)
+    xi = np.asarray(starts, dtype=float)
+    ref_vals, ref_args = _newton_phase(ev.P, xs[::-1], xi[::-1])
     assert np.array_equal(vals.view(np.uint64), ref_vals[::-1].view(np.uint64))
     assert np.array_equal(args, ref_args[::-1])
     for k in range(0, len(xs), every):
-        v, p = _newton_phase(ev.P, xs[k:k + 1], xi[k:k + 1], newton_iters)
+        v, p = _newton_phase(ev.P, xs[k:k + 1], xi[k:k + 1])
         assert vals[k:k + 1].view(np.uint64) == v.view(np.uint64), k
         assert np.array_equal(args[k], p[0]), k
 
 
-def _fixed_gradient_ascend(ev, xs, xis, iters=120, newton_iters=50):
-    """Reference: the gradient phase runs all its iterations on every row
-    that still moves, with no hand-off, and Newton follows on all rows."""
+def _fixed_gradient_ascend(ev, xs, xis, iters=120):
+    """Reference: the Armijo gradient ascent that R# ran before its Newton
+    steps, for all its iterations on every row that still moves, and
+    Newton from where it stopped."""
     P = ev.P
     xs = np.asarray(xs, dtype=float)
     xi = np.array(xis, dtype=float)
@@ -329,12 +292,7 @@ def _fixed_gradient_ascend(ev, xs, xis, iters=120, newton_iters=50):
         if not len(live):
             break
 
-    def objective(rows, p):
-        obj = np.einsum("kd,kd->k", p, xs[rows]) - P.real(p)
-        return obj, xs[rows] - P.real_grad(p), -P.real_hess(p)
-
-    xi, val, _ = newton_ascent(objective, xi, 1e-10, max_iter=newton_iters)
-    return val, xi
+    return _newton_phase(P, xs, xi)
 
 
 def _unit_circle(n):
@@ -388,21 +346,25 @@ def test_grid_argmax_ascent_matches_multi_start(name, half):
     assert np.all(np.abs(at_args - vals) <= 1e-12 * np.maximum(vals, 1e-300))
 
 
+def test_newton_from_the_grid_argmax_matches_multi_start(ex73_analysis):
+    # at +-(1.4137, 1.4137), two of these directions' maximisers, real_hess
+    # is singular and the gradient lies along its null direction (1, -1):
+    # a least-squares step dropped it and stopped 8.4e-4 low
+    ev = ConjugateEvaluator(ex73_analysis.points[0].classification.poly)
+    dirs = _unit_circle(4096)
+    t, us = ev.P.polar(dirs)
+    _, grid_arg = ev._grid_scan_batch(us, ev.rho)
+    vals = t * _newton_phase(ev.P, us, grid_arg)[0]
+    ref = multi_start_conjugate(ev, dirs)
+    assert np.all(ref - vals <= 1e-12 * ref)
+
+
 @pytest.mark.parametrize("fixture", ["intro_analysis", "ex73_analysis"])
 def test_live_row_newton_matches_full_batch_from_raw_starts(fixture, request):
-    # Newton from random starts, without the gradient phase, meets
-    # indefinite Hessians: 259 of intro's 2,000 rows and 180 of ex73's
-    # leave unconverged once a step gains nothing
+    # Newton from random starts meets indefinite Hessians: 180 of ex73's
+    # 2,000 rows leave unconverged once a step gains nothing, and none of
+    # intro's (259 when singular Hessians took least-squares steps)
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
-    rng = np.random.default_rng(1)
-    _assert_same_ascent(ev, rng.uniform(-6, 6, size=(2000, 2)),
-                        rng.uniform(-4, 4, size=(2000, 2)), iters=0)
-
-
-def test_live_row_hand_off_matches_full_batch_where_re_p_is_not_convex(intro_analysis):
-    # from these starts the convexity test refuses 36 hand-offs of stalled
-    # rows; on 4,096 unit-circle directions it refuses none
-    ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
     rng = np.random.default_rng(1)
     _assert_same_ascent(ev, rng.uniform(-6, 6, size=(2000, 2)),
                         rng.uniform(-4, 4, size=(2000, 2)))
@@ -410,11 +372,11 @@ def test_live_row_hand_off_matches_full_batch_where_re_p_is_not_convex(intro_ana
 
 @pytest.mark.parametrize("fixture,half", [("ex73_analysis", None),
                                           ("intro_analysis", None), ("ex71_analysis", 8)])
-def test_hand_off_is_below_the_fixed_gradient_phase_by_rounding_only(fixture, half,
-                                                                      request, monkeypatch):
-    # 4,096 unit-circle directions and the ex71 CLI window: handing stalled
-    # rows to Newton moved R# by at most 5e-14 relative on the corpus, lower
-    # on some rows where Re P is flat at the maximum
+def test_newton_is_below_the_gradient_phase_by_rounding_only(fixture, half, request,
+                                                             monkeypatch):
+    # 4,096 unit-circle directions and the ex71 CLI window: Newton alone
+    # from the grid argmax reads R# at most 1.8e-15 relative below the
+    # Armijo gradient phase followed by Newton (ex71), and 7.8e-15 above it
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
     if half is None:
         xs = _unit_circle(4096)
@@ -426,9 +388,10 @@ def test_hand_off_is_below_the_fixed_gradient_phase_by_rounding_only(fixture, ha
     assert np.all(vals >= ref - 1e-13 * np.abs(ref))
 
 
-def test_stalled_rows_leave_the_gradient_phase(ex71_analysis, monkeypatch):
+def test_ascent_evaluates_few_gradient_rows(ex71_analysis, monkeypatch):
     # real_grad evaluated 1.56M rows on this window when the gradient phase
-    # ran all its 120 iterations
+    # ran all its 120 iterations, 4,524 with its hand-off and 1,638 with
+    # Newton alone
     rows = [0]
     real_grad = HomogeneousPolynomial.real_grad
 

@@ -50,3 +50,26 @@ def test_test_extra_matches_test_imports():
              for path in (ROOT / folder).glob("*.py")}
     beyond = _third_party("tests", local) - _declared(project["dependencies"])
     assert beyond == _declared(project["optional-dependencies"]["test"])
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; ``__future__`` imports are
+    directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_package_modules_use_every_name_they_import():
+    # __init__.py imports to re-export
+    paths = sorted((ROOT / "src/latconv").glob("*.py"))
+    assert [u for p in paths if p.name != "__init__.py" for u in _unused_imports(p)] == []

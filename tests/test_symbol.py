@@ -36,6 +36,24 @@ def test_intro_maximum_value():
     assert s.evaluate(np.array([0.0, np.pi / 3])) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex73", "srw:3", "ex75:3,2", "phim:2,3"])
+def test_evaluate_rows_do_not_depend_on_the_batch(name):
+    # as matrix products, 240-257 of these 257 rows (114 on phim:2,3)
+    # rounded differently in the batch and alone
+    sym = SymbolView(examples.get(name))
+    rng = np.random.default_rng(31)
+    z = rng.uniform(-np.pi, np.pi, size=(257, sym.dim))
+    for pts in (z, z + 0.1j * rng.standard_normal(z.shape)):
+        alone = np.array([sym.evaluate(p) for p in pts])
+        assert np.array_equal(sym.evaluate(pts), alone)
+        beta = (1,) + (2,) * (sym.dim - 1)
+        alone = np.array([sym.derivative(beta, p) for p in pts])
+        assert np.array_equal(sym.derivative(beta, pts[::-1])[::-1], alone)
+    if name == "intro":
+        # its supremum 1 is no longer rounded to 0.9999999999999999
+        assert latconv.normalize(sym.source)[1] == 1.0
+
+
 def test_normalize_probability_scale_one():
     g, scale = latconv.normalize(examples.srw(2))
     assert scale == pytest.approx(1.0, abs=1e-12)
@@ -195,24 +213,20 @@ def _abs2_grad_hess(sym, xi):
     return g[0], grad[0], hess[0]
 
 
-def _ascent_step(hess, grad):
+def _ascent_step(hess, grad, unit):
     """Scalar reference of ``symbol._newton_steps`` with max_step 0.5: the
-    Newton step when finite and at most 0.5 long; else the minimum-norm
-    least-squares step, cut to 0.5 long, when finite and uphill; else None,
-    and the caller takes a short gradient step."""
-    try:
+    Newton step when every eigenvalue is concave and it is at most 0.5
+    long; else Newton along the concave eigen-directions and the gradient
+    over max(max |lam|, unit) along the rest, cut to 0.5 long."""
+    lam, vec = np.linalg.eigh(hess)
+    top = np.abs(lam).max()
+    concave = lam < -symbol.CONCAVE_SPLIT * top
+    if concave.all():
         step = np.linalg.solve(hess, -grad)
-        if np.all(np.isfinite(step)) and np.linalg.norm(step) <= 0.5:
+        if np.linalg.norm(step) <= 0.5:
             return step
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        step = np.linalg.lstsq(hess, -grad, rcond=1e-8)[0]
-    except np.linalg.LinAlgError:
-        return None
+    step = vec @ ((vec.T @ grad) / np.where(concave, -lam, max(top, unit)))
     length = np.linalg.norm(step)
-    if not np.isfinite(length) or step @ grad <= 0:
-        return None
     return step if length <= 0.5 else step * (0.5 / length)
 
 
@@ -227,9 +241,7 @@ def _newton_polish(sym, xi0, max_iter=100):
         gn = np.linalg.norm(grad)
         if gn < 1e-12 * unit:
             return xi, True
-        step = _ascent_step(hess, grad)
-        if step is None:
-            step = grad / max(gn, unit) * 0.1
+        step = _ascent_step(hess, grad, unit)
         t = 1.0
         for _ in range(30):
             g_new = _abs2_grad_hess(sym, xi + t * step)[0]
@@ -532,6 +544,22 @@ def test_seed_depth_is_the_grid_slack(monkeypatch):
             continue
         scan = symbol.locate_sup(SymbolView(f))
         assert depths.pop() == scan.slack >= 0.05 * (12 / 14) ** 2
+
+
+def test_newton_steps_climb_along_a_singular_direction():
+    # ex73's R# objective at (1.4137, 1.4137): Hessian eigenvalues -0.5
+    # along (1, 1) and 0 along (1, -1), where the gradient lies; the
+    # least-squares step dropped that direction and the ascent stopped
+    u, v = np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)
+    hess = np.stack([-0.5 * np.outer(u, u), -2.0 * np.eye(2)])
+    grad = np.stack([4.6e-3 * v, [0.8, 0.4]])
+    step = symbol._newton_steps(hess, grad, np.ones(2), 0.5)
+    assert_allclose(step[0], 4.6e-3 * v, rtol=1e-12)
+    assert np.array_equal(step[1], [0.4, 0.2])  # concave: the Newton step
+    # a long step is cut to max_step: Newton 2 along u, the gradient 4.6 along v
+    step = symbol._newton_steps(hess[:1], 1e3 * grad[:1] + u, np.ones(1), 0.5)
+    full = 2.0 * u + 4.6 * v
+    assert_allclose(step[0], 0.5 * full / np.linalg.norm(full), rtol=1e-12)
 
 
 # -- one batched ascent -------------------------------------------------------

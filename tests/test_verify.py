@@ -45,6 +45,15 @@ def test_llt_error_ex74_slope(ex74_analysis):
     assert abs(slope) <= 0.5
 
 
+def test_llt_error_ex72_drift_decreases(ex72_analysis):
+    # n alpha = (0, -+0.414 n) is never integral: with the attractor grid's
+    # shift phase applied twice the scaled errors read 0.865, 0.874, 0.682
+    # and 0.948
+    rep = verify.llt_error_ladder(examples.ex72(), ex72_analysis, (16, 32, 64, 128))
+    assert rep.verdict == "decreasing"
+    assert rep.column("scaled")[-1] < 0.05
+
+
 def test_llt_error_lazy_walk_classical():
     # classical LLT for a 1-d lazy walk; oracle is direct convolution
     lazy = LatticeFunction.from_dict({(0,): 0.5, (1,): 0.25, (-1,): 0.25})
