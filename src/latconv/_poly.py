@@ -141,7 +141,14 @@ def poly_stack(polys, shape):
 
 
 def poly_prune(coeffs, tol=0.0):
-    return {k: v for k, v in coeffs.items() if abs(v) > tol}
+    """``coeffs`` with each real or imaginary part of modulus at most ``tol``
+    set to 0 (a zero part keeps its sign), less the coefficients left 0."""
+    out = {}
+    for k, v in coeffs.items():
+        re, im = (0.0 if 0.0 < abs(p) <= tol else p for p in (v.real, v.imag))
+        if re or im:
+            out[k] = complex(re, im)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

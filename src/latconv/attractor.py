@@ -30,7 +30,7 @@ import numpy as np
 from . import _config, _fft
 from ._poly import grid_scratch
 from .homogeneous import sphere_samples
-from .lattice import LatticeFunction, _check_box
+from .lattice import _check_box, _extract_sparse
 
 _BOUNDARY_DIRS_SEED = 777
 
@@ -275,6 +275,4 @@ def llt_approx(analysis, n, window):
     """Local-limit approximation over an integer window as a function; see
     :func:`_llt_dense`."""
     total = _llt_dense(analysis, n, window)
-    axes = [np.arange(int(a), int(b) + 1) for a, b in window]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, total.ndim)
-    return LatticeFunction(total.ndim, pts, total.reshape(-1))
+    return _extract_sparse(total.ndim, total, np.array([int(a) for a, _ in window]), 0.0)

@@ -233,7 +233,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
     if np.max(np.abs(first.lin.real)) > DRIFT_REAL_TOL:
         diagnostics["reason"] = "linear term has a real component"
         return Classification(VERDICT_NOT, diagnostics=diagnostics)
-    alpha = first.lin.imag.copy()
+    alpha = _drift(sym, first)
     q = first.q
     if not q or max(abs(c) for c in q.values()) <= SUBHOMOGENEOUS_TOL:
         reason = ("pure translation (log-symbol is linear)"
@@ -274,7 +274,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
         diagnostics["weights"] = weights
         diagnostics["centre_steps"] = steps
         diagnostics["centre_shift"] = float(np.linalg.norm(x - xi0))
-        return Classification(VERDICT_PHT, alpha=ex.lin.imag.copy(), poly=poly,
+        return Classification(VERDICT_PHT, alpha=_drift(sym, ex), poly=poly,
                               diagnostics=diagnostics, shift=x - xi0)
 
     # indeterminate unless every assignment has a surviving lower-order term
@@ -291,6 +291,18 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
                              "surviving sub-homogeneous term or a "
                              "non-positive kept part")
     return Classification(VERDICT_NOT, alpha=alpha, diagnostics=diagnostics)
+
+
+def _drift(sym, ex):
+    """Im of Gamma's linear term, less each non-zero component within the
+    rounding of its first-moment sum, eps sum_x |psi(x)| |x_j - c_j| (see
+    :func:`_shifted_series`; |psi| = |phi| at a unit-modulus point)."""
+    f = sym.source
+    lo, hi = f.extent()
+    dust = np.finfo(float).eps * (np.abs(f.values) @ np.abs(f.points - (lo + hi) / 2.0))
+    alpha = ex.lin.imag.copy()
+    alpha[(0.0 < np.abs(alpha)) & (np.abs(alpha) <= dust)] = 0.0
+    return alpha
 
 
 def _residual_norms(q_rot, kept, weights, samples):

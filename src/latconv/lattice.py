@@ -370,8 +370,22 @@ def support_lattice(f):
 
 # Cells of phi^(n) that a sweep step finishes at a time: a complex tile of
 # phi^(n), its product tile and the runs of phi^(n-1) that land in it take
-# about 0.8 MiB, which stays in a 2 MiB L2 cache
+# about 0.8 MiB, which stays in a 2 MiB L2 cache.  Also the rows of one
+# block of the per-point stages (:func:`_blocks`)
 _TILE_CELLS = 2 ** 14
+
+
+def _blocks(count):
+    """Slices of at most ``_TILE_CELLS`` rows that cover ``range(count)``.
+    The per-point stages take one block at a time; a row's arithmetic does
+    not depend on the rows beside it, so nor do their results."""
+    return [slice(s, s + _TILE_CELLS) for s in range(0, count, _TILE_CELLS)]
+
+
+def _block_boxes(numbers, cells):
+    """Complex boxes of ``cells`` cells that one block of at most ``cells``
+    rows of ``numbers`` float64 numbers takes."""
+    return numbers * min(_TILE_CELLS, cells) / (2 * max(cells, 1))
 
 
 def _sweep_boxes(real, cells):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homogeneous import sphere_samples
-from .lattice import _check_box
+from .lattice import _block_boxes, _blocks, _check_box
 from .symbol import newton_ascent
 
 _SEED = 4242
@@ -28,12 +28,6 @@ _SEED = 4242
 _SCAN_AXIS = 64
 # objective cells per block of the grid scan (8 MiB of float64)
 _SCAN_BLOCK_CELLS = 2 ** 20
-# complex boxes per query point and coordinate that conjugate_batch's ascent
-# holds: the point's row and its grid argmax, the ascent's working set and
-# the polynomial evaluator's share.  tracemalloc read per point, at 100
-# points: 20.1 in d = 1 (ex75:3), 57.4 in d = 2 (intro) and 80.9 in d = 3
-# (ex75:3,2,2)
-_ASCENT_BOXES = 30.0
 
 
 class ConjugateEvaluator:
@@ -103,16 +97,35 @@ class ConjugateEvaluator:
             del obj  # before the next block's product is allocated
         return out_val, out_arg
 
+    def _row_numbers(self):
+        """Float64 numbers per row that :meth:`conjugate_batch` allocates
+        beside its input, ``(per query row, per ascent row)``.  Per query
+        row: t, u, the grid's and the ascent's values and points (3d + 3)
+        and ``polar``'s or the final scaling's temporaries (3d + 3).  Per
+        row of one ascent block, at the line search: ``newton_ascent``'s
+        point, value, unit, row, gradient and Hessian and their copies for
+        the moving rows (2d^2 + 3d + 5), the step, gathered point and
+        candidate and the search's value, slack and position (3d + 3), the
+        objective's value terms, two gathers of the query row, gradient,
+        difference, Hessian and negation (2d^2 + 4d + 3), the accepted
+        copies (d^2 + 2d + 1) and the Hessian evaluator's numbers per point.
+        """
+        d = self.dim
+        return 6 * d + 6, 5 * d * d + 12 * d + 12 + self.P._hess._per_point
+
     # -- public API -----------------------------------------------------------
 
     def conjugate_batch(self, xs):
         """R# and its maximiser at many points, each solved at unit scale:
         R#(x) = t R#(u) and xi(x) = t^E xi(u) for x = t^F u."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
+        batch, ascent = self._row_numbers()
+        _check_box((len(xs),), complex_arrays=batch / 2 + _block_boxes(ascent, len(xs)))
         t, us = self.P.polar(xs)
         grid_val, grid_arg = self._grid_scan_batch(us, self.rho)
-        _check_box((len(xs), self.dim), complex_arrays=_ASCENT_BOXES)
-        vals, args = self._ascend_batch(us, grid_arg)
+        vals, args = np.empty(len(xs)), np.empty_like(us)
+        for block in _blocks(len(xs)):
+            vals[block], args[block] = self._ascend_batch(us[block], grid_arg[block])
         worse = grid_val > vals
         vals = np.where(worse, grid_val, vals)
         args[worse] = grid_arg[worse]

@@ -356,7 +356,9 @@ def find_omega(sym, tol=1e-9, scan=None):
     the grid maximum squared, s the grid's Bernstein slack.  Converged
     endpoints within tol of modulus one are taken in seed order, less those
     on the maximum of a kept one (``_one_maximum``): on a flat maximum they
-    can lie 2e-2 off it, and ``expansion.classify`` finds its centre.  Points
+    can lie 2e-2 off it, and ``expansion.classify`` finds its centre.  A seed
+    whose ascent did not converge is dropped, with a warning unless its
+    endpoint is on the maximum of a kept point.  Points
     are ordered by coordinates rounded to 1e-9; phases are the principal
     arguments in (-pi, pi] (see ``_principal_angle``).
     """
@@ -367,13 +369,12 @@ def find_omega(sym, tol=1e-9, scan=None):
     if abs(sup - 1.0) > 1e-3:
         raise NotNormalizedError(f"sup |phi-hat| = {sup:.6g}; normalize first")
 
-    found_pts, found_vals = [], []
+    found_pts, found_vals, lost = [], [], []
     for xi0, end, converged in zip(scan.seeds, scan.endpoints, scan.converged):
-        if not converged:
-            warnings.warn(f"Newton ascent did not converge from seed {xi0}; dropped",
-                          RuntimeWarning)
-            continue
         xi = _wrap_torus(end)
+        if not converged:
+            lost.append((xi0, xi))
+            continue
         val = sym.evaluate(xi)
         if abs(val) < 1.0 - tol:
             continue
@@ -381,6 +382,10 @@ def find_omega(sym, tol=1e-9, scan=None):
             continue  # one maximum with a kept endpoint
         found_pts.append(xi)
         found_vals.append(val)
+    for xi0, xi in lost:
+        if not (found_pts and _one_maximum(sym, xi, found_pts, tol).any()):
+            warnings.warn(f"Newton ascent did not converge from seed {xi0}; dropped",
+                          RuntimeWarning)
     pts = np.array(found_pts).reshape(-1, f.dim)
     order = np.lexsort(np.round(pts, 9).T[::-1])  # not reordered by rounding
     vals_arr = np.array(found_vals, dtype=np.complex128)[order]

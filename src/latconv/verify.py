@@ -17,10 +17,10 @@ import numpy as np
 from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
-from .lattice import (ZERO_DROP, LatticeFunction, _cell_points, _check_box,
-                      _extract_sparse, _is_real, _sparse_above_floor, _sparse_boxes,
-                      _sweep_boxes, convolve, norm_l1, norm_linf, power, power_torus,
-                      support_lattice, sweep, translate)
+from .lattice import (ZERO_DROP, LatticeFunction, _block_boxes, _blocks, _cell_points,
+                      _check_box, _extract_sparse, _is_real, _sparse_above_floor,
+                      _sparse_boxes, _sweep_boxes, convolve, norm_l1, norm_linf, power,
+                      power_torus, support_lattice, sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -58,13 +58,16 @@ def _dyadic_ns(n_max):
     return sorted({2 ** k for k in range(int(n_max).bit_length())} | {n_max})
 
 
-def _direct_stream(f, n_values, beside=0.0):
+def _direct_stream(f, n_values, beside=0.0, block=0.0):
     """Yield ``(n, phi^(n))`` for each requested n from one exact sweep.
 
     Each power is extracted when the sweep reaches it, and the sweep waits
-    while the caller reduces it.  The cap covers the sweep's boxes or the
+    while the caller reduces it; a caller that keeps no power drops it
+    before it asks for the next.  The cap covers the sweep's boxes or the
     box beside one extraction, plus ``beside`` complex boxes of the final
-    size: the powers that the caller keeps, or what it allocates to reduce one.
+    size, the powers that the caller keeps or what it allocates to reduce
+    one, plus one block of ``block`` float64 numbers per row, what it
+    allocates per block of the power's points (:func:`~latconv.lattice._blocks`).
     """
     n_values = sorted(set(int(n) for n in n_values))
     if n_values[0] < 1:
@@ -72,9 +75,9 @@ def _direct_stream(f, n_values, beside=0.0):
     lattice = support_lattice(f)
     real = _is_real(f)
     box = lattice.box(n_values[-1])
-    _check_box(box, complex_arrays=beside + max(
-        _sweep_boxes(real, math.prod(box)),
-        (0.5 if real else 1.0) + _sparse_boxes(f.dim, math.prod(box))))
+    cells = math.prod(box)
+    _check_box(box, complex_arrays=beside + _block_boxes(block, cells) + max(
+        _sweep_boxes(real, cells), (0.5 if real else 1.0) + _sparse_boxes(f.dim, cells)))
     for n, (arr, lo) in enumerate(sweep(f, n_values[-1], lattice), start=1):
         if n in n_values:
             yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
@@ -221,7 +224,16 @@ class _ConjugateField:
     and at 2,000 random x with |x| in [0.05, 20] the relative error was
     6.7e-16 on srw:2, 3.6e-6 on intro, 7.1e-8 on ex71, 2.0e-7 on ex73,
     1.4e-8 on ex75:3,2 and 8.2e-9 on ex74 (a test pins 1e-4).  d >= 3 has no
-    table and evaluates every point in one ``conjugate_batch``.
+    table and evaluates the points of a call, one fit block, in one
+    ``conjugate_batch``.
+
+    ``block_numbers`` counts the float64 numbers per point of an
+    :func:`_envelope_peaks` block: |v| and the shifted points (d + 1),
+    beside the larger of what ``values`` allocates and, after it, n R#,
+    the logs and one M's product and sum (4).  ``values`` allocates, with
+    the table, the adapted coordinates, made from their magnitudes and
+    powers (3d), or beside them the angle, |c|^2, the interpolated value
+    and their product (d + 4); without it, ``conjugate_batch``'s rows.
     """
 
     def __init__(self, poly):
@@ -229,11 +241,14 @@ class _ConjugateField:
         self.ev = ConjugateEvaluator(poly)
         self.table = None
         if self.dim <= 2:
+            self.block_numbers = self.dim + 1 + max(3 * self.dim, self.dim + 4)
             self.n_angles = 4096 if self.dim == 2 else 2
             th = np.linspace(-np.pi, np.pi, self.n_angles, endpoint=False)
             table, _ = self.ev.conjugate_batch(self.sphere(th))
             self.angles = np.append(th, np.pi)
             self.table = np.append(table, table[0])
+        else:
+            self.block_numbers = self.dim + 1 + sum(self.ev._row_numbers())
 
     def sphere(self, th):
         """The points of angle ``th`` on the E-adapted unit sphere."""
@@ -251,29 +266,29 @@ class _ConjugateField:
 
 # the halving grid of the envelope fits' M: 1, 1/2, ..., 2^-12
 _M_GRID = tuple(0.5 ** k for k in range(13))
-# complex boxes per cell of the final box that a fit step allocates beside
-# the power; tracemalloc read, per point of the power: the gaussian fit's
-# magnitudes and _envelope_peaks, 4.6 to 5.5 in d = 2 (intro, srw:2, ex71,
-# ex73, ex75:3,2 at n = 64 and 128) and 3.0 in d = 1 (ex75:3, srw:1 at
-# n = 2048 and 4096), where d >= 3 adds conjugate_batch, which checks its own
-# rows against the cap; a subexp step 6.1 to 6.5 (intro, srw:2, ex71, ex72,
-# ex75:3,2); a derivative step, whose differences merge two sorted supports,
-# 11.1 on ex75:3,2 with beta = (1, 0) and 13.5 with beta = (3, 3) (n = 64
-# and 128)
-_ENVELOPE_BOXES = 5.75
-_SUBEXP_BOXES = 6.75
+# complex boxes per cell of the final box that a derivative step's
+# differences allocate beside the power, merging two sorted supports; its
+# envelope block is counted apart.  tracemalloc read 5.5 on ex75:3,2 with
+# beta = (1, 0) and 6.7 with (3, 3) at n = 64 and 128, but 10.6 and 12.2 on
+# ex75:3 with beta = 1 and 3 at n = 64, whose box is one row
 _DERIVATIVE_BOXES = 14.0
 
 
-def _envelope_peaks(points, mags, n, exponent, conj_field, alpha, normalizer=1.0):
-    """max_x(log|v(x)| + exponent log n - log normalizer + M n R#((x - n alpha)/n))
-    for each M on :data:`_M_GRID`, with ``mags`` the |v| at ``points`` (-inf
-    when there are none)."""
-    if not mags.size:
-        return [-np.inf] * len(_M_GRID)
-    r = n * conj_field.values((points - n * alpha) / n)
-    logs = np.log(mags) + exponent * np.log(n) - np.log(normalizer)
-    return [np.max(logs + M * r) for M in _M_GRID]
+def _envelope_peaks(points, values, n, exponent, conj_field, alpha, normalizer=1.0):
+    """``(max |v|, peaks)`` for the values v at ``points``, with the peaks
+    max_x(log|v(x)| + exponent log n - log normalizer + M n R#((x - n alpha)/n))
+    for each M on :data:`_M_GRID` (0 and -inf when there are no points).
+
+    Both are running maxima over blocks of rows, so they do not depend on
+    the block size."""
+    sup, peaks = 0.0, np.full(len(_M_GRID), -np.inf)
+    for block in _blocks(len(values)):
+        mags = np.abs(values[block])
+        sup = max(sup, float(mags.max()))
+        r = n * conj_field.values((points[block] - n * alpha) / n)
+        logs = np.log(mags) + exponent * np.log(n) - np.log(normalizer)
+        np.maximum(peaks, [np.max(logs + M * r) for M in _M_GRID], out=peaks)
+    return sup, peaks
 
 
 def _envelope_fit(peaks):
@@ -299,7 +314,8 @@ def gaussian_bound_fit(f, analysis, n_values):
 
     Requires every Omega point to share one drift and one polynomial; distinct
     drifts or polynomials get a hypothesis-violated report directing to
-    :func:`subexp_bound_fit`.
+    :func:`subexp_bound_fit`.  Each power is reduced one block of its points
+    at a time (:func:`_envelope_peaks`).
     """
     if analysis.mu_phi is None:
         return BoundReport(kind="gaussian-bound", columns=(), rows=[],
@@ -322,11 +338,11 @@ def gaussian_bound_fit(f, analysis, n_values):
     rows, peaks = [], {}
     # the exact direct path carries true zeros outside the reachable support;
     # transform noise there would otherwise dominate the envelope max
-    for n, pn in _direct_stream(analysis.function, n_values, _ENVELOPE_BOXES):
-        mags = np.abs(pn.values)
-        sup = float(mags.max())
+    for n, pn in _direct_stream(analysis.function, n_values,
+                                block=conj_field.block_numbers):
+        sup, peaks[n] = _envelope_peaks(pn.points, pn.values, n, mu, conj_field, alpha0)
         rows.append((n, sup, n ** mu * sup))
-        peaks[n] = _envelope_peaks(pn.points, mags, n, mu, conj_field, alpha0)
+        del pn
     fit = _envelope_fit(peaks)
     return BoundReport(kind="gaussian-bound", columns=("n", "sup", "scaled"),
                        rows=rows, constants=fit or {},
@@ -340,23 +356,32 @@ def _poly_differs(p1, p2, tol=1e-8):
 
 
 def subexp_bound_fit(f, analysis, n_values, N=4):
-    """Fit C_N in |phi^(n)(x)| <= C_N sum_q n^-mu_q (1 + |n^-Eq*(x - n a_q)|)^-N."""
+    """Fit C_N in |phi^(n)(x)| <= C_N sum_q n^-mu_q (1 + |n^-Eq*(x - n a_q)|)^-N,
+    reducing each power one block of its points at a time."""
     if analysis.mu_phi is None:
         return BoundReport(kind="subexp-bound", columns=(), rows=[],
                            verdict="not-applicable",
                            notes=f"analysis verdict: {analysis.verdict}")
     rows = []
-    for n, pn in _direct_stream(analysis.function, n_values, _SUBEXP_BOXES):
-        pts = pn.points.astype(float)
-        mags = np.abs(pn.values)
-        env = np.zeros_like(mags)
-        for pa in analysis.points:
-            poly, a_q = pa.classification.poly, pa.classification.alpha
-            # n^-Eq* = A^-T diag(n^-lam) A^T, row by row
-            y = ((pts - n * a_q) @ poly.basis) * float(n) ** -poly.lam
-            r = np.linalg.norm(y @ poly.basis_inv, axis=1)
-            env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
-        rows.append((n, float(np.max(mags / env))))
+    # float64 numbers per row of a block: the points, |v| and the envelope
+    # (d + 2); y and r, kept until the next Omega point's (d + 1); and y A^-1,
+    # its conjugate and their product with its row sums (3d + 1), more than
+    # the temporaries that make y (2d) or the envelope term (3)
+    for n, pn in _direct_stream(analysis.function, n_values, block=5 * f.dim + 4):
+        c_n = 0.0
+        for block in _blocks(len(pn)):
+            pts = pn.points[block].astype(float)
+            mags = np.abs(pn.values[block])
+            env = np.zeros_like(mags)
+            for pa in analysis.points:
+                poly, a_q = pa.classification.poly, pa.classification.alpha
+                # n^-Eq* = A^-T diag(n^-lam) A^T, row by row
+                y = ((pts - n * a_q) @ poly.basis) * float(n) ** -poly.lam
+                r = np.linalg.norm(y @ poly.basis_inv, axis=1)
+                env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
+            c_n = max(c_n, float(np.max(mags / env)))
+        rows.append((n, c_n))
+        del pn
     n_top = rows[-1][0]
     oct1 = max(c for n, c in rows if n > n_top / 2)
     oct2_vals = [c for n, c in rows if n_top / 4 < n <= n_top / 2]
@@ -471,7 +496,8 @@ def derivative_bound_fit(f, analysis, vectors, beta, n_values):
     """Fit C_beta for |D_v^beta (prefactored phi^(n))| against the weighted envelope.
 
     Hypotheses: a single Omega point and a P-fitted collection v; violations
-    yield an explicit hypothesis-violated report.
+    yield an explicit hypothesis-violated report.  The differences take whole
+    supports; their envelope is reduced one block of points at a time.
     """
     from .homogeneous import p_fitted
 
@@ -497,13 +523,13 @@ def derivative_bound_fit(f, analysis, vectors, beta, n_values):
                                 for v, b in zip(vectors, beta)]))
     conj_field = _ConjugateField(poly)
     rows, peaks = [], {}
-    for n, pn in _direct_stream(analysis.function, n_values, _DERIVATIVE_BOXES):
+    for n, pn in _direct_stream(analysis.function, n_values, _DERIVATIVE_BOXES,
+                                conj_field.block_numbers):
         diffed = space_diff_multi(_prefactor(pn, pa, n), vectors, beta)
-        mags = np.abs(diffed.values)
-        sup = float(mags.max()) if mags.size else 0.0
+        sup, peaks[n] = _envelope_peaks(diffed.points, diffed.values, n, exponent,
+                                        conj_field, pa.classification.alpha, normalizer)
         rows.append((n, sup, sup * n ** exponent))
-        peaks[n] = _envelope_peaks(diffed.points, mags, n, exponent, conj_field,
-                                   pa.classification.alpha, normalizer)
+        del pn, diffed
     fit = _envelope_fit(peaks)
     return BoundReport(kind="derivative-bound", columns=("n", "sup", "scaled"),
                        rows=rows, constants=fit or {},

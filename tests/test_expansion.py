@@ -75,6 +75,33 @@ def test_classify_intro(intro_analysis):
     assert cls.poly.coeffs[(0, 2)] == pytest.approx(4 / den, abs=1e-8)
 
 
+@pytest.mark.parametrize("name", ["intro", "unstable1d", "ex74", "ex72"])
+def test_rounding_dust_reads_zero(name):
+    # the moment sums left intro's alpha at (0, 6.9e-18), unstable1d's at
+    # -1.35e-16, an imaginary part of 8.2e-34 on intro's P[0,2], of 1.3e-33
+    # on two of ex74's coefficients and of up to 4.1e-16 on ex72's P[0,2],
+    # whose drifts are +-0.414 and whose P[2,0] is complex
+    ana = latconv.analyze(examples.get(name))
+    for pa in ana.points:
+        cls = pa.classification
+        if name == "ex72":
+            assert np.abs(cls.alpha[1]) == pytest.approx(math.sqrt(2) - 1, rel=1e-12)
+            assert cls.poly.semi_coeffs[(0, 2)].imag == 0.0
+            assert cls.poly.semi_coeffs[(2, 0)].imag > 0.1
+        if name in ("intro", "unstable1d"):
+            assert np.array_equal(cls.alpha, np.zeros(len(cls.alpha)))
+        if name in ("intro", "ex74"):
+            assert all(c.imag == 0.0 for c in cls.poly.semi_coeffs.values())
+
+
+def test_poly_prune_drops_each_small_part():
+    got = _poly.poly_prune({(2,): 1.0 + 1e-20j, (1,): 1e-20 - 1e-20j, (0,): complex(-0.0, 2.0),
+                            (3,): complex(0.5, -0.0)}, 1e-13)
+    assert got == {(2,): 1.0, (0,): 2.0j, (3,): 0.5}
+    assert math.copysign(1.0, got[(0,)].real) == -1.0
+    assert math.copysign(1.0, got[(3,)].imag) == -1.0
+
+
 def test_classify_ex73(ex73_analysis):
     assert len(ex73_analysis.points) == 2
     for pa in ex73_analysis.points:

@@ -73,3 +73,35 @@ def test_package_modules_use_every_name_they_import():
     # __init__.py imports to re-export
     paths = sorted((ROOT / "src/latconv").glob("*.py"))
     assert [u for p in paths if p.name != "__init__.py" for u in _unused_imports(p)] == []
+
+
+def _unread_private_names(paths):
+    """Module-level private functions, classes and constants defined in
+    ``paths`` and read in none of them (as a name, an attribute or an
+    import)."""
+    defined, read = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno} {name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert _unread_private_names(sorted((ROOT / "src/latconv").glob("*.py"))) == []

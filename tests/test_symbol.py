@@ -111,6 +111,32 @@ def test_find_omega_ex72():
         assert min(abs(v - ipow), abs(v + ipow)) < 1e-9
 
 
+@pytest.mark.parametrize("M", [[[2, 1], [1, 1]], [[1, 2], [1, 3]], [[2, 3], [1, 2]]])
+def test_find_omega_keeps_quiet_on_seeds_that_end_on_omega(M):
+    # sheared ex72: 2 to 5 seeds stop short of converging on the Omega
+    # points at xi_2 = +-pi, which other seeds report
+    import warnings
+    f = examples.ex72()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ana = latconv.analyze(LatticeFunction(2, f.points @ np.array(M).T, f.values))
+    assert len(ana.omega) == 4 and ana.mu_phi == 1
+
+
+def test_find_omega_warns_on_a_lost_seed():
+    import dataclasses
+    g, _ = latconv.normalize(examples.srw(2))
+    sym = SymbolView(g)
+    scan = symbol.locate_sup(sym)
+    lost = dataclasses.replace(
+        scan, seeds=np.vstack([scan.seeds, [[1.5, 0.0]]]),
+        endpoints=np.vstack([scan.endpoints, [[1.5, 0.2]]]),
+        converged=np.append(scan.converged, False))
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        om = latconv.find_omega(sym, scan=lost)
+    assert np.array_equal(om.points, latconv.find_omega(sym, scan=scan).points)
+
+
 def test_find_omega_requires_normalized():
     f = examples.intro().scale(3.0)
     with pytest.raises(NotNormalizedError):

@@ -337,17 +337,25 @@ def test_direct_powers_cap_counts_kept_powers(monkeypatch):
 
 
 def test_conjugate_batch_cap_counts_the_ascent_rows(monkeypatch):
-    # 40,000 points of ex75:3: the grid scan budgets 16.0 MiB and the ascent
-    # 18.3 MiB, and tracemalloc read 11.8 MiB.  Only the ascent's check
-    # refuses the batch under a 17 MiB cap
+    # 40,000 points of ex75:3, with grid-scan blocks of 256 rows (264 KiB):
+    # the ascent's check counts 12 numbers per row of the batch and 31 per
+    # row of one ascent block, 7.54 MiB, and tracemalloc read 5.44 MiB.  A
+    # cap just below refuses the batch and that cap holds it; with all
+    # 40,000 rows in one block the check counts 13.1 MiB and refuses it
     import tracemalloc
 
-    from latconv import _config
+    from latconv import _config, lattice, legendre
     from latconv.errors import ResourceLimitError
     from latconv.legendre import ConjugateEvaluator
     ev = ConjugateEvaluator(latconv.analyze(examples.get("ex75:3")).points[0].classification.poly)
     xs = np.random.default_rng(7).uniform(-6, 6, size=(40_000, 1))
-    for cap, refused in ((17 * 2 ** 20, True), (24 * 2 ** 20, False)):
+    monkeypatch.setattr(legendre, "_SCAN_BLOCK_CELLS", 2 ** 14)
+    batch, ascent = ev._row_numbers()
+    budget = 8 * (batch * len(xs) + ascent * lattice._TILE_CELLS)
+    for cap, block, refused in ((budget - 2 ** 16, None, True), (budget, None, False),
+                                (budget, len(xs), True)):
+        if block is not None:
+            monkeypatch.setattr(lattice, "_TILE_CELLS", block)
         monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
         tracemalloc.start()
         try:
@@ -421,6 +429,84 @@ def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch
             tracemalloc.stop()
         assert peak is None or peak <= cap
     assert peak is not None
+
+
+@pytest.mark.parametrize("name, ns", [("intro", (16, 32, 64)), ("srw:3", (4, 8, 16))])
+def test_fit_step_peak_is_one_block_beside_the_power(name, ns, monkeypatch):
+    # blocks of 1,024 rows, and in d = 3 a grid scan of 16^3 points in blocks
+    # of 8 rows.  Each fit's tracemalloc peak is within what the stream's
+    # check counts, the sweep and the power plus one block of the fit's
+    # numbers per row, and in d = 3 the grid scan's own budget.  Read in
+    # boxes of the last power: 3.20 of 4.19 on intro; 4.84 of 8.95 + 2.54 on
+    # srw:3.  Unblocked, the envelope alone holds 9 numbers per point on
+    # intro (4.5 boxes) and about 130 on srw:3
+    import tracemalloc
+
+    from latconv import lattice, legendre
+    monkeypatch.setattr(lattice, "_TILE_CELLS", 1024)
+    monkeypatch.setattr(legendre, "_SCAN_AXIS", 16)
+    monkeypatch.setattr(legendre, "_SCAN_BLOCK_CELLS", 2 ** 12)
+    ana = latconv.analyze(examples.get(name))
+    field = verify._ConjugateField(ana.points[0].classification.poly)
+    monkeypatch.setattr(verify, "_ConjugateField", lambda poly: field)
+    requests = {}
+
+    def spy(module):
+        check = module._check_box
+
+        def check_box(shape, complex_arrays=2):
+            shape = tuple(int(s) for s in shape)
+            requests.setdefault(shape, []).append(16 * complex_arrays * np.prod(shape))
+            return check(shape, complex_arrays)
+        monkeypatch.setattr(module, "_check_box", check_box)
+
+    spy(verify)
+    spy(legendre)
+    box = verify.support_lattice(ana.function).box(ns[-1])
+    for fit in (verify.gaussian_bound_fit, verify.subexp_bound_fit):
+        requests.clear()
+        tracemalloc.start()
+        try:
+            fit(ana.function, ana, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scan = max(requests.get((16,) * 3, [0]))
+        assert peak <= requests[box][0] + scan, fit.__name__
+
+
+@pytest.mark.parametrize("name, ns", [("ex75:3", (64, 96, 128)), ("ex75:3,2", (4, 6, 8, 12)),
+                                      ("srw:3", (1, 2, 3, 4)), ("ex75:2,1,1", (1, 2, 3))])
+def test_fits_bit_identical_at_any_block_size(name, ns, monkeypatch):
+    # a row's arithmetic does not depend on the rows beside it, so running
+    # maxima over blocks and R#'s ascent in blocks give the same bits; the
+    # powers and the R# field are made once, at the default block size
+    from latconv import lattice
+    ana = latconv.analyze(examples.get(name))
+    d = ana.function.dim
+    powers = verify.direct_powers(ana.function, ns)
+    field = verify._ConjugateField(ana.points[0].classification.poly)
+    monkeypatch.setattr(verify, "_direct_stream",
+                        lambda f, n_values, beside=0.0, block=0.0: sorted(powers.items()))
+    monkeypatch.setattr(verify, "_ConjugateField", lambda poly: field)
+    vectors, beta = list(np.eye(d, dtype=np.int64)), (1,) + (0,) * (d - 1)
+    xs = np.random.default_rng(26).uniform(-6, 6, size=(40, d))
+
+    def results():
+        fits = [verify.gaussian_bound_fit(ana.function, ana, ns),
+                verify.subexp_bound_fit(ana.function, ana, ns),
+                verify.derivative_bound_fit(ana.function, ana, vectors, beta, ns)]
+        vals, args = field.ev.conjugate_batch(xs)
+        return ([(r.rows, r.constants, r.verdict) for r in fits],
+                vals.view(np.uint64), args.view(np.uint64))
+
+    want = results()
+    assert all(rows for rows, _, _ in want[0][:2]) and (want[0][2][0] or name == "srw:3")
+    for block in (1, 7):
+        monkeypatch.setattr(lattice, "_TILE_CELLS", block)
+        got = results()
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def _reference_envelope_fit(fields, mu_exponent, conj_field, alpha, normalizer=1.0):
