@@ -1,7 +1,11 @@
 """Package-wide knobs with spec'd defaults."""
 
-# Fast-path / grid allocations above this size are refused (bytes).
-MEMORY_CAP_BYTES = 2 * 1024 ** 3
+import contextlib
+import contextvars
+
+# Fast-path / grid allocations above this size are refused (bytes).  A context
+# variable, so each thread and each ``memory_cap`` block reads its own.
+_MEMORY_CAP = contextvars.ContextVar("memory_cap", default=2 * 1024 ** 3)
 
 # e^{-T_CUT} ~ 1e-20: integrand magnitude at the quadrature box boundary.
 T_CUT = 46.0
@@ -11,8 +15,13 @@ T_CUT = 46.0
 FFT_WORKERS = 1
 
 
-def set_memory_cap(nbytes):
-    global MEMORY_CAP_BYTES
-    if nbytes <= 0:
-        raise ValueError("memory cap must be positive")
-    MEMORY_CAP_BYTES = int(nbytes)
+@contextlib.contextmanager
+def memory_cap(nbytes):
+    """Refuse boxes above ``nbytes`` bytes inside the block, and only there."""
+    if not 1 <= nbytes < float("inf"):
+        raise ValueError("memory cap must be finite and positive")
+    token = _MEMORY_CAP.set(int(nbytes))
+    try:
+        yield
+    finally:
+        _MEMORY_CAP.reset(token)

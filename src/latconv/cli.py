@@ -9,6 +9,7 @@ error.  Any other failure is internal and ends with a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -58,6 +59,8 @@ def _load_function(args):
         raise SystemExit2("one of --example or --input is required")
     if not len(f):
         raise SystemExit2("the function is identically zero")
+    if getattr(args, "pgm", False) and f.dim != 2:
+        raise SystemExit2("graymap output needs a 2-d function")
     return f
 
 
@@ -121,14 +124,9 @@ def _write_csv(path, header, rows):
 
 
 def _write_report_csv(path, report):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# verdict: {report.verdict}\n")
-        for key, val in sorted(report.constants.items()):
-            fh.write(f"# {key}: {val}\n")
-        fh.write(",".join(report.columns) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+    comments = [f"# verdict: {report.verdict}"] + [
+        f"# {key}: {val}" for key, val in sorted(report.constants.items())]
+    _write_csv(path, "\n".join(comments + [",".join(report.columns)]), report.rows)
 
 
 def _write_pgm(path, field, label):
@@ -242,8 +240,6 @@ def cmd_power(args):
                    _columns(*g.points[inside].T, vals.real, vals.imag))
         print(f"n = {n}: support {len(g)}, sup |phi^n| = {_fmt(norm_linf(g))}")
         if args.pgm:
-            if f.dim != 2:
-                raise SystemExit2("graymap output needs a 2-d function")
             field = _grid_field(g, window)
             _write_pgm(_out_path(args, f"power_n{n}_re.pgm"),
                        field.real, "Re phi^n")
@@ -272,7 +268,7 @@ def cmd_llt(args):
     _write_csv(_out_path(args, f"llt_approx_n{n_last}.csv"), header,
                _columns(*approx.points.T, approx.values.real,
                         approx.values.imag))
-    if args.pgm and f.dim == 2:
+    if args.pgm:
         field = _grid_field(approx, win)
         _write_pgm(_out_path(args, f"llt_approx_n{n_last}_re.pgm"),
                    field.real, "Re llt approximation")
@@ -302,7 +298,7 @@ def cmd_attractor(args):
     print("quadrature box half-widths ("
           + ", ".join(_fmt(float(v)) for v in grid.box_halfwidths)
           + f"), FFT grid {' x '.join(str(int(v)) for v in grid.grid_sizes)}")
-    if args.pgm and f.dim == 2:
+    if args.pgm:
         _write_pgm(_out_path(args, f"attractor_t{n}_re.pgm"),
                    grid.values.real, "Re H_P^t")
         _write_pgm(_out_path(args, f"attractor_t{n}_abs.pgm"),
@@ -431,7 +427,8 @@ def build_parser():
             p.add_argument("--pgm", action="store_true",
                            help="emit 8-bit P5 graymaps with scale sidecars")
 
-    common(sub.add_parser("analyze", help="spectral classification report"))
+    common(sub.add_parser("analyze", help="spectral classification report"),
+           window=False)
     p = sub.add_parser("power", help="phi^(n) as CSV (optionally graymap)")
     common(p, needs_n=True, pgm=True)
     # "fast" is kept as an alias of "spectral"
@@ -490,14 +487,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    # the run configuration is module state; restore it for in-process callers
-    saved = _config.MEMORY_CAP_BYTES
+    cap = args.memory_cap
     try:
-        if args.memory_cap is not None:
-            if args.memory_cap * 2 ** 30 < 1:
-                raise SystemExit2("--memory-cap must be positive")
-            _config.set_memory_cap(int(args.memory_cap * 2 ** 30))
-        return _COMMANDS[args.command](args)
+        if cap is not None and not 1 <= cap * 2 ** 30 < np.inf:
+            raise SystemExit2("--memory-cap must be finite and positive")
+        with (contextlib.nullcontext() if cap is None
+              else _config.memory_cap(cap * 2 ** 30)):
+            return _COMMANDS[args.command](args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -509,8 +505,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        _config.MEMORY_CAP_BYTES = saved
 
 
 if __name__ == "__main__":

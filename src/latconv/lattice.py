@@ -228,10 +228,11 @@ def norm_linf(f):
 def _check_box(shape, complex_arrays=2):
     cells = int(np.prod([int(s) for s in shape], dtype=np.int64))
     need = cells * 16 * complex_arrays
-    if need > _config.MEMORY_CAP_BYTES:
+    cap = _config._MEMORY_CAP.get()
+    if need > cap:
         raise ResourceLimitError(
             f"box {tuple(int(s) for s in shape)} needs ~{need / 2**30:.2f} GiB "
-            f"(cap {_config.MEMORY_CAP_BYTES / 2**30:.2f} GiB)")
+            f"(cap {cap / 2**30:.2f} GiB)")
     return cells
 
 

@@ -96,10 +96,11 @@ def direct_powers(f, n_values):
 def sup_decay_report(f, analysis, n_values):
     """Rows (n, ||phi^(n)||_inf, n^mu ||phi^(n)||_inf); band verdict on top octave.
 
-    Each power comes from :func:`power_near_drifts`: a certified torus about
-    the drifts for a positive-homogeneous analysis, the full box otherwise.
+    Each power is of ``analysis.function``, the normalized f, as in the
+    bound fits, and comes from :func:`power_near_drifts`: a certified torus
+    about the drifts for a positive-homogeneous analysis, the full box otherwise.
     """
-    sups = [(n, norm_linf(power_near_drifts(f, analysis, n)))
+    sups = [(n, norm_linf(power_near_drifts(analysis.function, analysis, n)))
             for n in sorted(n_values)]
     if analysis.mu_phi is None:
         return BoundReport(kind="sup-decay", columns=("n", "sup", "scaled"),

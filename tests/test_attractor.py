@@ -87,13 +87,13 @@ def test_grid_with_fractional_shifts_matches_pointwise(ex72_analysis):
         assert np.abs(grid.values - direct).max() < 1e-15
 
 
-def test_grid_is_checked_against_the_cap(intro_analysis, monkeypatch, tmp_path, capsys):
+def test_grid_is_checked_against_the_cap(intro_analysis, tmp_path, capsys):
     # a +-600 window at t = 100 takes a 1232^2 grid, 23 MiB, beside a 22 MiB
     # output window; a 16 MiB cap still admits intro's torus scan
     P = intro_analysis.points[0].classification.poly
     window = [(-600, 600)] * 2
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 16 * 2 ** 20)
-    with pytest.raises(ResourceLimitError, match=r"box \(1232, 1232\)"):
+    with _config.memory_cap(16 * 2 ** 20), \
+            pytest.raises(ResourceLimitError, match=r"box \(1232, 1232\)"):
         attractor_grid(P, 100.0, window)
     assert main(["--memory-cap", str(16 / 1024), "attractor", "--example", "intro",
                  "--n", "100", "--window=-600:600,-600:600",
@@ -436,16 +436,16 @@ def test_eval_point_does_not_depend_on_its_batch(ex73_analysis):
             assert np.array_equal(attractor_eval(P, 5.0, pts[[k, m]]), whole[[k, m]])
 
 
-def test_eval_grid_is_checked_against_the_cap(intro_analysis, monkeypatch):
+def test_eval_grid_is_checked_against_the_cap(intro_analysis):
     # x = (60, 60) at t = 25 takes a 423 x 661 grid: 4.3 MiB, and 6 MiB of
     # on_grid slab temporaries beside it
     P = intro_analysis.points[0].classification.poly
     x = np.array([60.0, 60.0])
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 8 * 2 ** 20)
-    with pytest.raises(ResourceLimitError, match=r"box \(423, 661\)"):
+    with _config.memory_cap(8 * 2 ** 20), \
+            pytest.raises(ResourceLimitError, match=r"box \(423, 661\)"):
         attractor_eval(P, 25.0, x)
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 12 * 2 ** 20)
-    assert np.isfinite(attractor_eval(P, 25.0, x))
+    with _config.memory_cap(12 * 2 ** 20):
+        assert np.isfinite(attractor_eval(P, 25.0, x))
 
 
 def test_grid_peak_is_within_its_cap_budget(intro_analysis):

@@ -146,10 +146,7 @@ def test_usage_error_exit():
     assert main(["analyze", "--bogus"]) == 2
 
 
-def test_resource_cap_exit(tmp_path, capsys, monkeypatch):
-    from latconv import _config
-    # register the current cap for restoration; main() mutates it
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", _config.MEMORY_CAP_BYTES)
+def test_resource_cap_exit(tmp_path, capsys):
     code = main(["--memory-cap", "0.0001", "power", "--example", "ex71",
                  "--n", "4096", "--out", str(tmp_path / "o")])
     capsys.readouterr()
@@ -190,14 +187,20 @@ def test_bounds_gaussian_cli(tmp_path, capsys):
     assert (out / "bounds_gaussian.csv").exists()
 
 
-def test_cli_restores_run_configuration(capsys, monkeypatch):
-    from latconv import _config
-    # register the current values for restoration should main() leak them
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", _config.MEMORY_CAP_BYTES)
-    before = _config.MEMORY_CAP_BYTES
-    assert main(["--memory-cap", "0.0001", "examples", "list"]) == 0
-    capsys.readouterr()
-    assert _config.MEMORY_CAP_BYTES == before
+def test_cli_restores_run_configuration(monkeypatch):
+    # --memory-cap holds for its run only, and a run without it keeps the
+    # caller's cap
+    from latconv import _config, cli
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "examples",
+                        lambda args: seen.append(_config._MEMORY_CAP.get()))
+    main(["--memory-cap", "0.0001", "examples", "list"])
+    with _config.memory_cap(12_345):
+        main(["examples", "list"])
+        main(["--memory-cap", "0.0001", "examples", "list"])
+        assert _config._MEMORY_CAP.get() == 12_345
+    assert seen == [int(0.0001 * 2 ** 30), 12_345, int(0.0001 * 2 ** 30)]
+    assert _config._MEMORY_CAP.get() == 2 * 2 ** 30
     latconv.power(latconv.examples.intro(), 64, method="spectral")
 
 
@@ -214,10 +217,19 @@ def test_cli_restores_run_configuration(capsys, monkeypatch):
     ["theta", "--example", "intro", "--n", "1"],
     ["examples", "emit", "nope"],
     ["--memory-cap", "0", "examples", "list"],
+    ["--memory-cap", "-1", "examples", "list"],
+    ["--memory-cap", "nan", "examples", "list"],
+    ["--memory-cap", "inf", "examples", "list"],
+    ["analyze", "--example", "srw:2", "--window=1:2"],
+    # graymaps need d = 2, checked before any power is written
+    ["power", "--example", "srw:1", "--n", "4,8", "--pgm"],
+    ["llt", "--example", "srw:1", "--n", "4,8", "--pgm"],
+    ["attractor", "--example", "srw:1", "--n", "8", "--pgm"],
 ])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_internal_error_is_not_usage_error(tmp_path, monkeypatch):
@@ -301,8 +313,7 @@ def test_power_window_agrees_with_full_box(tmp_path, capsys, monkeypatch):
 
 
 def test_power_window_cap_refuses_the_first_torus(tmp_path, capsys, monkeypatch):
-    from latconv import _config, lattice
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", _config.MEMORY_CAP_BYTES)
+    from latconv import lattice
     transforms = []
     monkeypatch.setattr(lattice, "power_dense", lambda *a, **k: transforms.append(a))
     # 10 MiB is below the first torus's ~16.6 MB; the cap is checked before it
@@ -367,24 +378,29 @@ def test_power_window_files_byte_identical_to_per_point_reference(
         assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
-def test_readme_commands_parse():
-    # every command in the README's command block parses, and every
-    # subcommand has a line there
+def test_readme_commands_parse(tmp_path, capsys):
+    # every command in the README's command block parses and runs to the exit
+    # code that its comment states (3 where it says "exits 3", else 0), and
+    # every subcommand has a line there
     import shlex
     from pathlib import Path
 
     from latconv import cli
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```")[1]
-    lines = [ln.split("#", 1)[0] for ln in block.splitlines()
-             if ln.startswith("latconv ")]
+    lines = [ln for ln in block.splitlines() if ln.startswith("latconv ")]
     parser = cli.build_parser()
     seen = set()
-    for line in lines:
-        argv = shlex.split(line)[1:]
+    for k, line in enumerate(lines):
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
         seen.add(argv[0])
-        if "|" not in argv:  # not the `examples list | emit` synopsis
-            assert parser.parse_args(argv).command == argv[0]
+        if "|" in argv:  # the `examples list | emit` synopsis
+            continue
+        assert parser.parse_args(argv).command == argv[0]
+        want = 3 if "exits 3" in comment else 0
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == want, line
+    capsys.readouterr()
     assert seen == set(cli._COMMANDS)
 
 

@@ -106,14 +106,40 @@ def test_power_rejects_n_zero():
         latconv.power(examples.intro(), 0)
 
 
-def test_memory_cap(monkeypatch):
+def test_memory_cap():
     from latconv import _config
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 10_000)
-    with pytest.raises(ResourceLimitError):
+    with _config.memory_cap(10_000), pytest.raises(ResourceLimitError):
         latconv.power(examples.intro(), 64, method="fast")
 
 
-def test_direct_power_cap_counts_what_a_step_holds(monkeypatch):
+def test_memory_cap_holds_per_thread():
+    # two threads each run under their own cap while the other's is set, and
+    # neither changes the cap that the caller reads
+    import threading
+
+    from latconv import _config
+    barrier, got = threading.Barrier(2), {}
+
+    def run(cap):
+        with _config.memory_cap(cap):
+            barrier.wait()
+            try:
+                got[cap] = len(latconv.power(examples.intro(), 64, method="spectral"))
+            except ResourceLimitError as exc:
+                got[cap] = exc
+            barrier.wait()
+
+    threads = [threading.Thread(target=run, args=(cap,)) for cap in (10_000, 2 * 2 ** 30)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert isinstance(got[10_000], ResourceLimitError)
+    assert got[2 * 2 ** 30] == 4923
+    assert _config._MEMORY_CAP.get() == 2 * 2 ** 30
+
+
+def test_direct_power_cap_counts_what_a_step_holds():
     # a complex sweep step holds three complex boxes of the final size and the
     # sweep's tile buffers, as _sweep_boxes counts them, which bind before the
     # sparse copy does; a cap just under that budget must refuse the run and
@@ -124,11 +150,10 @@ def test_direct_power_cap_counts_what_a_step_holds(monkeypatch):
     f, n = examples.intro(), 64
     cells = int(np.prod(support_lattice(f).box(n)))
     need = cells * 16 * _sweep_boxes(False, cells)
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", math.ceil(need) - 1)
-    with pytest.raises(ResourceLimitError):
+    with _config.memory_cap(math.ceil(need) - 1), pytest.raises(ResourceLimitError):
         latconv.power(f, n, method="direct")
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", math.ceil(need))
-    assert len(latconv.power(f, n, method="direct"))
+    with _config.memory_cap(math.ceil(need)):
+        assert len(latconv.power(f, n, method="direct"))
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])

@@ -449,10 +449,10 @@ def test_shell_table_memory(ex73_poly):
     assert peak < 24 * 2 ** 20
 
 
-def test_grid_scan_respects_memory_cap(intro_analysis, monkeypatch):
+def test_grid_scan_respects_memory_cap(intro_analysis):
     ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 64 * 1024)
-    with pytest.raises(ResourceLimitError, match=r"box \(64, 64\)"):
+    with _config.memory_cap(64 * 1024), \
+            pytest.raises(ResourceLimitError, match=r"box \(64, 64\)"):
         ev.conjugate_batch(np.array([[1.0, 2.0]]))
 
 

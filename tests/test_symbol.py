@@ -647,16 +647,16 @@ def test_point_mass_needs_no_scan(monkeypatch):
     assert ascents == [] and grids == []
 
 
-def test_scan_grid_is_checked_against_the_cap(monkeypatch, capsys):
+def test_scan_grid_is_checked_against_the_cap(capsys):
     # ex71's 120^2 grid is budgeted at two complex arrays, 450 KiB
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 256 * 2 ** 10)
-    with pytest.raises(ResourceLimitError, match=r"\(120, 120\)"):
+    with _config.memory_cap(256 * 2 ** 10), \
+            pytest.raises(ResourceLimitError, match=r"\(120, 120\)"):
         latconv.locate_sup(SymbolView(examples.ex71()))
     assert main(["--memory-cap", str(256 / 2 ** 20),
                  "analyze", "--example", "ex71"]) == 4
     assert "resource error" in capsys.readouterr().err
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", 512 * 2 ** 10)
-    ana = latconv.analyze(examples.ex71())
+    with _config.memory_cap(512 * 2 ** 10):
+        ana = latconv.analyze(examples.ex71())
     assert len(ana.omega) == 1 and ana.mu_phi == Fraction(5, 12)
 
 

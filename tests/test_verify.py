@@ -20,6 +20,22 @@ def test_sup_decay_intro(intro_analysis):
     assert scaled.max() / scaled.min() < 2.0
 
 
+def test_sup_decay_powers_the_normalized_function():
+    # srw:2 times 0.9 normalizes back to srw:2, whose sups hold the n^-1 band;
+    # the scaled walk's own fall by a further 0.9^n.  Where the scale is
+    # exactly 1 the rows are those of f's own powers
+    f = examples.srw(2)
+    ana = latconv.analyze(f.scale(0.9))
+    rep = verify.sup_decay_report(f.scale(0.9), ana, [64, 128, 256])
+    assert rep.verdict == "bounded-band"
+    assert rep.rows == verify.sup_decay_report(ana.function, ana, [64, 128, 256]).rows
+    intro = examples.intro()
+    ana = latconv.analyze(intro)
+    assert ana.scale == 1.0
+    assert verify.sup_decay_report(intro, ana, [16, 32]).column("sup").tolist() == [
+        latconv.norm_linf(verify.power_near_drifts(intro, ana, n)) for n in (16, 32)]
+
+
 def test_sup_decay_delta_not_applicable():
     d = latconv.delta((1, 1))
     ana = latconv.analyze(d)
@@ -313,7 +329,7 @@ def test_direct_powers_match_oracle():
         assert abs(powers[5].value_at(k) - v) < 1e-14
 
 
-def test_direct_powers_cap_counts_kept_powers(monkeypatch):
+def test_direct_powers_cap_counts_kept_powers():
     # the earlier powers are kept while the sweep runs on: tracemalloc measured
     # 3.53 boxes of the final size here, so a cap of 3.25 boxes must either
     # refuse the run or hold it
@@ -324,10 +340,10 @@ def test_direct_powers_cap_counts_kept_powers(monkeypatch):
     f, ns = examples.intro(), [1, 2, 4, 8, 16, 32, 64, 128, 256]
     lo, hi = f.extent()
     cap = int(3.25 * 16 * np.prod(ns[-1] * (hi - lo) + 1))
-    monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
     tracemalloc.start()
     try:
-        verify.direct_powers(f, ns)
+        with _config.memory_cap(cap):
+            verify.direct_powers(f, ns)
         peak = tracemalloc.get_traced_memory()[1]
     except ResourceLimitError:
         peak = 0
@@ -356,10 +372,10 @@ def test_conjugate_batch_cap_counts_the_ascent_rows(monkeypatch):
                                 (budget, len(xs), True)):
         if block is not None:
             monkeypatch.setattr(lattice, "_TILE_CELLS", block)
-        monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
         tracemalloc.start()
         try:
-            ev.conjugate_batch(xs)
+            with _config.memory_cap(cap):
+                ev.conjugate_batch(xs)
             peak = tracemalloc.get_traced_memory()[1]
         except ResourceLimitError:
             peak = None
@@ -373,7 +389,7 @@ def test_conjugate_batch_cap_counts_the_ascent_rows(monkeypatch):
     (examples.srw(2), 96),
     (LatticeFunction.from_dict({(0, 0): 0.5, (1, 0): 0.125, (-1, 0): 0.125,
                                 (0, 1): 0.125, (0, -1): 0.125}), 96)], ids=["srw:2", "lazy"])
-def test_support_periodicity_cap_counts_theta(f, n, monkeypatch):
+def test_support_periodicity_cap_counts_theta(f, n):
     # beside the power, Theta over the support's points: tracemalloc read 2.45
     # final boxes on srw:2 (half the cells) and 3.18 on the lazy walk (all of
     # them), where the sweep alone budgets 1.72.  Each cap must refuse the
@@ -386,10 +402,10 @@ def test_support_periodicity_cap_counts_theta(f, n, monkeypatch):
     lo, hi = f.extent()
     box = 16 * np.prod(n * (hi - lo) + 1)
     for boxes in (2.0, 4.25):
-        monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", int(boxes * box))
         tracemalloc.start()
         try:
-            assert verify.support_periodicity_check(f, prof, n)
+            with _config.memory_cap(int(boxes * box)):
+                assert verify.support_periodicity_check(f, prof, n)
             peak = tracemalloc.get_traced_memory()[1]
         except ResourceLimitError:
             peak = None
@@ -418,10 +434,10 @@ def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch
     box = 16 * np.prod(ns[-1] * (hi - lo) + 1)
     for boxes in (3.5, 6.0, 13.0):
         cap = int(boxes * box)
-        monkeypatch.setattr(_config, "MEMORY_CAP_BYTES", cap)
         tracemalloc.start()
         try:
-            verify.gaussian_bound_fit(ana.function, ana, ns)
+            with _config.memory_cap(cap):
+                verify.gaussian_bound_fit(ana.function, ana, ns)
             peak = tracemalloc.get_traced_memory()[1]
         except ResourceLimitError:
             peak = None
