@@ -18,7 +18,7 @@ from .homogeneous import (HomogeneousPolynomial, contraction_check,
                           from_quadratic_form, is_exponent, p_fitted,
                           trace_invariance_check)
 from .attractor import AttractorGrid, attractor_eval, attractor_grid, llt_approx
-from .legendre import (ConjugateEvaluator, conjugate, conjugate_bounds_check,
+from .legendre import (ConjugateEvaluator, conjugate_bounds_check,
                        conjugate_compare, weighted_norm)
 from .verify import (BoundReport, WalkProfile, derivative_bound_fit,
                      gaussian_bound_fit, llt_error, llt_error_ladder,
@@ -40,7 +40,7 @@ __all__ = [
     "HomogeneousPolynomial", "from_quadratic_form", "is_exponent",
     "trace_invariance_check", "contraction_check", "p_fitted",
     "AttractorGrid", "attractor_eval", "attractor_grid", "llt_approx",
-    "ConjugateEvaluator", "conjugate", "conjugate_compare",
+    "ConjugateEvaluator", "conjugate_compare",
     "conjugate_bounds_check", "weighted_norm",
     "BoundReport", "WalkProfile", "sup_decay_report", "llt_error",
     "llt_error_ladder", "power_near_drifts", "gaussian_bound_fit",

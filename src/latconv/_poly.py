@@ -3,10 +3,10 @@
 At the API boundary a polynomial is a dict mapping exponent tuples to
 coefficients: keys are plain int tuples of a fixed length d, values may be
 complex.  :class:`CompiledPoly` is the one evaluator; derivatives are taken on
-the dict.  Products run on dense truncated series instead: an array of shape
-(m+1,)*d whose entry beta is the coefficient of xi^beta, kept zero wherever
-|beta| > m (Brent & Kung, *Fast algorithms for manipulating formal power
-series*, 1978).
+the dict.  Products and linear changes of variable run on dense truncated
+series instead: an array of shape (m+1,)*d whose entry beta is the coefficient
+of xi^beta, kept zero wherever |beta| > m (Brent & Kung, *Fast algorithms for
+manipulating formal power series*, 1978).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ class CompiledPoly:
     __slots__ = ("dim", "degree", "_rows", "_coef", "_to_points", "_per_point")
 
     def __init__(self, coeffs, dim):
+        if isinstance(coeffs, np.ndarray):  # a dense series
+            coeffs = from_dense(coeffs)
         self.dim = int(dim)
         keys = sorted(coeffs) or [(0,) * self.dim]
         vals = [coeffs.get(b, 0.0) for b in keys]
@@ -152,9 +154,9 @@ def poly_prune(coeffs, tol=0.0):
 
 
 @functools.lru_cache(maxsize=None)
-def _total_degree(m, dim):
-    """|beta| at every entry of a dense series of order m in dim variables."""
-    return np.indices((m + 1,) * dim).sum(axis=0)
+def weighted_degree(m, scales):
+    """sum_j scales_j beta_j at every entry beta of a dense series of order m."""
+    return sum(s * i for s, i in zip(scales, np.indices((m + 1,) * len(scales))))
 
 
 def from_dense(arr):
@@ -170,7 +172,7 @@ def series_mul(a, b):
     <= m past the lowest-degree term of ``a``; entries above m are zeroed.
     """
     m = a.shape[0] - 1
-    deg = _total_degree(m, a.ndim)
+    deg = weighted_degree(m, (1,) * a.ndim)
     low = deg[a != 0].min(initial=m + 1)
     out = np.zeros(a.shape, dtype=np.result_type(a, b))
     for beta in np.argwhere((b != 0) & (deg <= m - low)).tolist():
@@ -192,12 +194,11 @@ def log1p_series(u):
     return out
 
 
-def poly_compose_linear(coeffs, mat):
-    """Coefficients of xi -> P(M xi) for a d x d matrix M."""
+def series_compose_linear(q, mat):
+    """Dense series of xi -> Q(M xi) for a dense series Q and a d x d matrix M."""
     mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    m = max([1] + [sum(beta) for beta in coeffs])
-    one = np.zeros((m + 1,) * d)
+    d, m = q.ndim, q.shape[0] - 1
+    one = np.zeros(q.shape)
     one[(0,) * d] = 1.0
     # pows[i][p] = L_i^p for the linear forms L_i(xi) = sum_j M[i, j] xi_j
     pows = []
@@ -207,11 +208,19 @@ def poly_compose_linear(coeffs, mat):
         pows.append([one])
         while len(pows[-1]) <= m:
             pows[-1].append(series_mul(pows[-1][-1], form))
-    out = np.zeros((m + 1,) * d, dtype=np.complex128)
-    for beta, c in coeffs.items():
+    out = np.zeros(q.shape, dtype=np.complex128)
+    for beta in np.argwhere(q).tolist():
         term = pows[0][beta[0]]
         for p, b in zip(pows[1:], beta[1:]):
             if b:
                 term = series_mul(term, p[b])
-        out += complex(c) * term
-    return from_dense(out)
+        out += q[tuple(beta)] * term
+    return out
+
+
+def poly_compose_linear(coeffs, mat):
+    """Coefficients of xi -> P(M xi) for a d x d matrix M."""
+    q = np.zeros((max([1, *map(sum, coeffs)]) + 1,) * len(mat), dtype=complex)
+    for beta, c in coeffs.items():
+        q[beta] = c
+    return from_dense(series_compose_linear(q, mat))

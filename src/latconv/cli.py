@@ -341,6 +341,8 @@ def cmd_bounds(args):
                 else tuple([1] + [0] * (f.dim - 1)))
         if len(beta) != f.dim:
             raise SystemExit2(f"--beta needs {f.dim} entries, got {len(beta)}")
+        if min(beta) < 0:
+            raise SystemExit2(f"--beta entries must be >= 0, got {args.beta}")
         rep = derivative_bound_fit(f, ana, vectors, beta, n_values)
     _write_report_csv(_out_path(args, f"bounds_{args.kind}.csv"), rep)
     print(f"verdict: {rep.verdict}")

@@ -127,14 +127,8 @@ def ex75(m, lam=None):
 
 
 def srw(d):
-    d = int(d)
-    entries = {}
-    for j in range(d):
-        e = [0] * d
-        e[j] = 1
-        entries[tuple(e)] = 1.0 / (2 * d)
-        entries[tuple(-v for v in e)] = 1.0 / (2 * d)
-    return LatticeFunction.from_dict(entries)
+    """The simple random walk on Z^d."""
+    return phim((1,) * int(d))
 
 
 def phim(m):

@@ -3,9 +3,9 @@
 For xi0 with |phi-hat(xi0)| = 1 the function Gamma(xi) = log(phi-hat(xi + xi0)
 / phi-hat(xi0)) is expanded about 0 by composing the exact Taylor coefficients
 of the shifted, renormalized symbol with the log(1+u) series.  Both series are
-dense truncated arrays (``_poly.series_mul`` multiplies them); the result is
-handed on as the coefficient dict of :class:`TaylorSeries`.  Classification
-then asks whether Gamma = i a.xi - P(xi) + o(Re P) for a polynomial P whose
+dense truncated arrays (``_poly.series_mul`` multiplies them), and so is Gamma
+until the kept part, which becomes a coefficient dict.  Classification then
+asks whether Gamma = i a.xi - P(xi) + o(Re P) for a polynomial P whose
 real part is positive definite and which scales as t P(xi) = P(t^E xi): the
 quadratic part of Re(-Gamma) fixes the weight-one directions, remaining axes
 are searched over even orders, sub-homogeneous coefficients must vanish, and
@@ -57,16 +57,19 @@ COSET_TOL = 1e-9
 
 @dataclass
 class TaylorSeries:
-    """Taylor coefficients of Gamma about 0, orders 1..m (no constant term)."""
+    """Taylor coefficients of Gamma about 0, orders 1..m, as a dense series."""
 
     dim: int
     order: int
-    coeffs: dict
+    series: np.ndarray
+
+    @property
+    def coeffs(self):
+        """The non-zero coefficients, as a dict made afresh from the series."""
+        return _poly.from_dense(self.series)
 
     def linear(self):
-        units = np.eye(self.dim, dtype=int).tolist()
-        return np.array([self.coeffs.get(tuple(e), 0.0) for e in units],
-                        dtype=np.complex128)
+        return self.series[tuple(np.eye(self.dim, dtype=int))]
 
 
 @dataclass
@@ -94,14 +97,15 @@ def gamma_taylor(sym, xi0, m):
     """Taylor series of Gamma_{xi0} = log(phi-hat(.+xi0)/phi-hat(xi0)) to order m.
 
     The log is a formal composition of :func:`_shifted_series` with log(1+u)
-    truncated at total order m; only the result becomes a dict.  Moments
-    are taken about the centre c of the support's box, and i c.xi added back:
-    about 0 a translate of phi loses |c|^k eps to cancellation at order k.
+    truncated at total order m.  Moments are taken about the centre c of the
+    support's box, and i c.xi added back: about 0 a translate of phi loses
+    |c|^k eps to cancellation at order k.
     """
     lo, hi = sym.source.extent()
     series = _poly.log1p_series(_shifted_series(sym, xi0, m))
     series[tuple(np.eye(sym.dim, dtype=int))] += 0.5j * (lo + hi)
-    return TaylorSeries(dim=sym.dim, order=m, coeffs=_poly.from_dense(series))
+    series[series == 0] = 0.0  # an absent term reads +0, never -0
+    return TaylorSeries(dim=sym.dim, order=m, series=series)
 
 
 def _shifted_series(sym, xi0, m):
@@ -132,14 +136,12 @@ def _shifted_series(sym, xi0, m):
     return u
 
 
-def _quadratic_hessian(q_coeffs, dim):
+def _quadratic_hessian(q, dim):
     """Symmetric H with Re(quadratic part of Q)(xi) = xi . H xi."""
-    H = np.zeros((dim, dim))
-    for beta, c in q_coeffs.items():
-        if sum(beta) == 2:
-            j, k = np.repeat(np.arange(dim), beta)
-            H[j, k] = H[k, j] = c.real if j == k else c.real / 2.0
-    return H
+    eye = np.eye(dim, dtype=int)
+    c = q[tuple(np.moveaxis(eye[:, None] + eye, -1, 0))]  # c[j, k] = q[e_j + e_k]
+    # a zero coefficient gives +0, whatever the sign of its zero parts
+    return np.where(c != 0, c.real, 0.0) / np.where(eye, 1.0, 2.0)
 
 
 def _weight_assignments(evals, m_max, reverse=False):
@@ -154,28 +156,26 @@ def _weight_assignments(evals, m_max, reverse=False):
         yield tuple(order // 2 for order in combo)
 
 
-def _split_by_weight(coeffs, weights):
-    """(survivors below homogeneity, kept part at |beta:2m| = 1)."""
-    kept, survivors = {}, {}
-    for beta, c in coeffs.items():
-        h = sum(Fraction(b, 2 * m) for b, m in zip(beta, weights))
-        if h == 1:
-            kept[beta] = c
-        elif h < 1:
-            survivors[beta] = c
-    return survivors, kept
+def _split_by_weight(q, weights):
+    """(largest |coefficient| below homogeneity, dense kept part at
+    |beta:2m| = 1), |beta:2m| read exactly as the integer |beta:2m| lcm(2 m_j)."""
+    lcm = math.lcm(*(2 * m for m in weights))
+    h = _poly.weighted_degree(q.shape[0] - 1, tuple(lcm // (2 * m) for m in weights))
+    return np.abs(q[h < lcm]).max(initial=0.0), np.where(h == lcm, q, 0.0)
 
 
-# Gamma about one point: its linear coefficient, Q = -(Gamma - i alpha.xi)
-# (orders 2..m), the eigenvalues and basis A of Q's quadratic real part (A = I
-# when that is diagonal to 1e-9), and Q in A-coordinates
-_Expansion = namedtuple("_Expansion", "lin q evals A q_rot")
+# Gamma about one point: its linear coefficient, the largest |coefficient| of
+# Q = -(Gamma - i alpha.xi) (orders 2..m), the eigenvalues and basis A of Q's
+# quadratic real part (A = I when that is diagonal to 1e-9), and Q in
+# A-coordinates
+_Expansion = namedtuple("_Expansion", "lin q_max evals A q_rot")
 
 
 def _expand(sym, xi, m_max):
     d = sym.dim
     series = gamma_taylor(sym, xi, m_max)
-    q = {beta: -c for beta, c in series.coeffs.items() if sum(beta) >= 2}
+    q = -series.series
+    q[tuple(np.eye(d, dtype=int))] = 0.0
     H = _quadratic_hessian(q, d)
     off = np.abs(H - np.diag(np.diag(H))).max() if d > 1 else 0.0
     if off <= 1e-9 * max(1.0, np.abs(H).max()):
@@ -183,7 +183,8 @@ def _expand(sym, xi, m_max):
     else:
         A = _canonical_signs(np.linalg.eigh(H)[1])
         evals = np.diag(A.T @ H @ A)
-    return _Expansion(series.linear(), q, evals, A, _poly.poly_compose_linear(q, A))
+    return _Expansion(series.linear(), np.abs(q).max(), evals, A,
+                      _poly.series_compose_linear(q, A))
 
 
 def _centre(sym, xi0, ex, weights, m_max):
@@ -200,7 +201,7 @@ def _centre(sym, xi0, ex, weights, m_max):
     while True:
         step = np.zeros(d)
         for j, m in enumerate(weights):
-            lo, hi = (ex.q_rot.get(tuple(k if i == j else 0 for i in range(d)), 0.0).real
+            lo, hi = (ex.q_rot[tuple(k if i == j else 0 for i in range(d))].real
                       for k in (2 * m - 1, 2 * m))
             lo = -(ex.A[:, j] @ ex.lin.real) if m == 1 else lo
             if lo and hi > SUBHOMOGENEOUS_TOL:
@@ -234,8 +235,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
         diagnostics["reason"] = "linear term has a real component"
         return Classification(VERDICT_NOT, diagnostics=diagnostics)
     alpha = _drift(sym, first)
-    q = first.q
-    if not q or max(abs(c) for c in q.values()) <= SUBHOMOGENEOUS_TOL:
+    if first.q_max <= SUBHOMOGENEOUS_TOL:
         reason = ("pure translation (log-symbol is linear)"
                   if len(sym.source) == 1 else
                   f"no nonlinear content through order {m_max}")
@@ -253,12 +253,12 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
         if at is None:
             continue
         x, ex, weights, steps = at
-        survivors, kept = _split_by_weight(ex.q_rot, weights)
-        if max(map(abs, survivors.values()), default=0.0) > SUBHOMOGENEOUS_TOL:
+        survivor, kept = _split_by_weight(ex.q_rot, weights)
+        if survivor > SUBHOMOGENEOUS_TOL:
             continue
         # sign certification on each axis: the pure monomial xi_j^{2 m_j}
         # must be present with positive real part
-        pure = [kept.get(tuple(2 * m if k == j else 0 for k in range(d)), 0.0)
+        pure = [kept[tuple(2 * m if k == j else 0 for k in range(d))]
                 for j, m in enumerate(weights)]
         bad = next((c for c in pure
                     if abs(c) <= SUBHOMOGENEOUS_TOL or c.real <= 0.0), None)
@@ -268,7 +268,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
             continue
         if _poly.CompiledPoly(kept, d)(samples).real.min() <= 0.0:
             continue
-        kept = _poly.poly_prune(kept, 1e-13 * max(abs(c) for c in kept.values()))
+        kept = _poly.poly_prune(_poly.from_dense(kept), 1e-13 * np.abs(kept).max())
         poly = HomogeneousPolynomial(d, kept, ex.A, weights)
         diagnostics["residual_norms"] = _residual_norms(ex.q_rot, kept, weights, samples)
         diagnostics["weights"] = weights
@@ -279,8 +279,7 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
 
     # indeterminate unless every assignment has a surviving lower-order term
     if vanishing_at is not None and not all(
-            max(map(abs, _split_by_weight(vanishing_at.q_rot, w)[0].values()),
-                default=0.0) > SUBHOMOGENEOUS_TOL
+            _split_by_weight(vanishing_at.q_rot, w)[0] > SUBHOMOGENEOUS_TOL
             for w in _weight_assignments(first.evals, m_max)):
         diagnostics["reason"] = (
             f"order {m_max} insufficient: some null axis carries no "
@@ -314,12 +313,14 @@ def _residual_norms(q_rot, kept, weights, samples):
     evaluated once; |beta:2m| is exact, so P's terms cancel exactly.
     """
     ts = np.array([10.0, 100.0, 1000.0])
+    lcm = math.lcm(*(2 * m for m in weights))
+    h = _poly.weighted_degree(q_rot.shape[0] - 1, tuple(lcm // (2 * m) for m in weights))
+    rest = q_rot != 0
+    rest[tuple(zip(*kept))] = False
+    keys = [tuple(beta) for beta in np.argwhere(rest).tolist()]
+    coef = q_rot[rest][:, None] * ts ** ((lcm - h[rest]) / lcm)[:, None]
     # a zero constant term fixes the coefficient shape when all of Q is kept
-    residual = {(0,) * len(weights): np.zeros(len(ts))}
-    for beta, c in q_rot.items():
-        if beta not in kept:
-            h = sum(Fraction(b, 2 * m) for b, m in zip(beta, weights))
-            residual[beta] = c * ts ** float(1 - h)
+    residual = {(0,) * len(weights): np.zeros(len(ts)), **dict(zip(keys, coef))}
     norms = np.abs(_poly.CompiledPoly(residual, len(weights))(samples)).max(axis=0)
     return dict(zip(ts.tolist(), norms.tolist()))
 
@@ -343,10 +344,6 @@ class SpectralAnalysis:
     points: list
     mu_phi: Fraction | None
     minimal: list                      # indices attaining mu_phi
-
-    @property
-    def ok(self):
-        return bool(self.points) and all(p.classification.ok for p in self.points)
 
     @property
     def verdict(self):

@@ -146,11 +146,6 @@ class ConjugateEvaluator:
         return float(self.conjugate_batch(x)[0][0])
 
 
-def conjugate(P, x):
-    """One-shot R#(x) for R = Re P."""
-    return ConjugateEvaluator(P).conjugate(x)
-
-
 def weighted_norm(x, weights):
     """|x|_m = sum_j |x_j|^{2 m_j / (2 m_j - 1)}."""
     x = np.asarray(x, dtype=float)

@@ -407,9 +407,6 @@ class VonNeumannResult:
     maximum: float
     argmax: np.ndarray
 
-    def __bool__(self):
-        return self.satisfied
-
 
 def check_von_neumann(sym):
     """sup |phi-hat| <= 1 + 1e-9, with the maximum ``locate_sup`` found."""

@@ -499,8 +499,13 @@ def derivative_bound_fit(f, analysis, vectors, beta, n_values):
     Hypotheses: a single Omega point and a P-fitted collection v; violations
     yield an explicit hypothesis-violated report.  The differences take whole
     supports; their envelope is reduced one block of points at a time.
+    Raises ValueError unless ``beta`` holds one order >= 0 per vector.
     """
     from .homogeneous import p_fitted
+
+    if len(beta) != len(vectors) or min(beta, default=0) < 0:
+        raise ValueError(f"beta {tuple(beta)} needs one order >= 0 for each "
+                         f"of {len(vectors)} vectors")
 
     if len(analysis.points) != 1:
         return BoundReport(kind="derivative-bound", columns=(), rows=[],
@@ -548,13 +553,6 @@ def walk_profile(f, omega=None):
     mean = pts.T @ w
     centered = pts - mean
     cov = (centered * w[:, None]).T @ centered
-    if len(f) == 1:
-        # point mass: |phi-hat| is constant one, Omega is the whole torus;
-        # report the canonical representative only
-        return WalkProfile(mean=mean, covariance=cov,
-                           genuinely_d_dimensional=False,
-                           omega_points=np.zeros((1, f.dim)),
-                           omega_phases=np.zeros(1))
     if omega is None:
         from .symbol import SymbolView, find_omega
         omega = find_omega(SymbolView(f))

@@ -78,6 +78,19 @@ def test_stability_unstable_exit_code(tmp_path, capsys):
     assert first == "# verdict: unstable"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["llt", "--n", "8"], "no local limit"),
+    (["attractor", "--n", "8"], "no attractor"),
+    (["legendre"], "no conjugate"),
+])
+def test_unstable_input_has_no_attractor_exit_code(tmp_path, capsys, argv, line):
+    code, out = run(tmp_path, *argv, "--example", "unstable1d")
+    assert code == 3
+    assert capsys.readouterr().out == (
+        f"analysis verdict: not-positive-homogeneous-type; {line}\n")
+    assert not out.exists()
+
+
 def test_stability_stable_exit_code(tmp_path, capsys):
     code, _ = run(tmp_path, "stability", "--example", "srw:2", "--nmax", "32")
     capsys.readouterr()
@@ -225,6 +238,9 @@ def test_cli_restores_run_configuration(monkeypatch):
     ["power", "--example", "srw:1", "--n", "4,8", "--pgm"],
     ["llt", "--example", "srw:1", "--n", "4,8", "--pgm"],
     ["attractor", "--example", "srw:1", "--n", "8", "--pgm"],
+    # a negative order would take no difference but count in the exponent
+    ["bounds", "--example", "ex75:3,2", "--n", "2:32", "--kind", "derivative",
+     "--beta=-1,0"],
 ])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -144,6 +144,21 @@ def test_classify_unstable1d_rejected():
     assert cls.verdict == VERDICT_NOT
 
 
+# the two rejections classify makes before it tries any weights
+@pytest.mark.parametrize("entries, xi0, reason", [
+    # |phi-hat| = 1.6 |cos(xi / 2)| is 1 here, on its slope
+    ({(0,): 0.8, (1,): 0.8}, 2 * math.acos(0.625), "linear term has a real component"),
+    # |phi-hat| = |2 - e^{i xi}| has its minimum 1 at 0
+    ({(0,): 2.0, (1,): -1.0}, 0.0, "quadratic real part is indefinite"),
+])
+def test_classify_rejects_a_unit_point_off_a_maximum(entries, xi0, reason):
+    f = LatticeFunction.from_dict(entries)
+    cls = classify(SymbolView(f), np.array([xi0]))
+    assert cls.verdict == VERDICT_NOT
+    assert cls.diagnostics["reason"] == reason
+    assert cls.poly is None
+
+
 def test_classify_pure_translation():
     ana = latconv.analyze(latconv.delta((3, 1)))
     assert ana.mu_phi is None

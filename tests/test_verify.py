@@ -116,6 +116,13 @@ def test_subexp_bound_ex74(ex74_analysis):
     assert rep.verdict == "fit"
 
 
+def test_gaussian_bound_unstable_not_applicable():
+    f = examples.unstable1d()
+    rep = verify.gaussian_bound_fit(f, latconv.analyze(f), [2, 4])
+    assert rep.verdict == "not-applicable"
+    assert rep.notes == "analysis verdict: not-positive-homogeneous-type"
+
+
 def test_subexp_delta_not_applicable():
     d = latconv.delta((2,))
     ana = latconv.analyze(d)
@@ -189,6 +196,32 @@ def test_derivative_bound_fit_rejects_ex73(ex73_analysis):
     rep = verify.derivative_bound_fit(examples.ex73(), ex73_analysis,
                                       vectors, (1, 0), [4, 8])
     assert rep.verdict == "hypothesis-violated"
+
+
+def test_derivative_bound_fit_not_applicable_when_indeterminate():
+    # (1 - cos xi)^7 leads: order 14 is past m_max = 12
+    f = examples.ex75((7,), (2.0 ** -7,))
+    ana = latconv.analyze(f)
+    assert ana.verdict == "indeterminate" and len(ana.points) == 1
+    rep = verify.derivative_bound_fit(f, ana, [np.array([1])], (1,), [2, 4])
+    assert rep.verdict == "not-applicable"
+
+
+def test_derivative_bound_fit_needs_a_fitted_collection(intro_analysis):
+    vectors = [np.array([1, 1]), np.array([1, -1])]
+    rep = verify.derivative_bound_fit(examples.intro(), intro_analysis,
+                                      vectors, (1, 0), [2, 4])
+    assert rep.verdict == "hypothesis-violated"
+    assert rep.notes == "collection is not P-fitted"
+
+
+@pytest.mark.parametrize("beta", [(-1, 0), (0, -2), (1,), (1, 0, 0)])
+def test_derivative_bound_fit_rejects_bad_orders(ex75_analysis, beta):
+    # a negative order takes no difference, and zip would drop unpaired ones
+    vectors = [np.array([1, 0]), np.array([0, 1])]
+    with pytest.raises(ValueError, match="order >= 0"):
+        verify.derivative_bound_fit(examples.get("ex75:3,2"), ex75_analysis,
+                                    vectors, beta, [2, 4])
 
 
 def test_time_diff_simple(ex75_analysis):
@@ -271,6 +304,16 @@ def test_walk_profile_phim():
 def test_walk_profile_delta_not_genuine():
     prof = verify.walk_profile(latconv.delta((1, 1)))
     assert not prof.genuinely_d_dimensional
+
+
+@pytest.mark.parametrize("y", [(0,), (2, -1), (5,), (0, 0, 3)])
+def test_walk_profile_point_mass(y):
+    # |phi-hat| is 1 everywhere: Omega is reported by its representative 0
+    prof = verify.walk_profile(latconv.delta(y))
+    assert not prof.genuinely_d_dimensional
+    assert prof.mean.tolist() == list(y)
+    assert prof.omega_points.tolist() == [[0.0] * len(y)]
+    assert prof.omega_phases.tolist() == [0.0]
 
 
 def test_walk_profile_rejects_nonprobability():
