@@ -250,12 +250,12 @@ def cmd_power(args):
 
 def cmd_llt(args):
     f = _load_function(args)
+    n_values = _parse_n_list(args.n)
+    window = _parse_window(args.window, f.dim) if args.window else None
     ana = analyze(f)
     if ana.mu_phi is None:
         print(f"analysis verdict: {ana.verdict}; no local limit")
         return EXIT_VERDICT
-    n_values = _parse_n_list(args.n)
-    window = _parse_window(args.window, f.dim) if args.window else None
     rep = llt_error_ladder(f, ana, n_values, window=window)
     _write_report_csv(_out_path(args, "llt_error.csv"), rep)
     for n, err, scaled in rep.rows:
@@ -279,13 +279,13 @@ def cmd_llt(args):
 
 def cmd_attractor(args):
     f = _load_function(args)
+    n = _parse_n_list(args.n)[-1]
+    window = _parse_window(args.window, f.dim) if args.window else None
     ana = analyze(f)
     if ana.mu_phi is None:
         print(f"analysis verdict: {ana.verdict}; no attractor")
         return EXIT_VERDICT
-    n = _parse_n_list(args.n)[-1]
-    window = (_parse_window(args.window, f.dim) if args.window
-              else default_llt_window(ana, n))
+    window = window or default_llt_window(ana, n)
     pa = ana.minimal_points()[0]
     grid = attractor_grid(pa.classification.poly, n, window)
     coords = np.indices(grid.values.shape).reshape(f.dim, -1) + grid.lo[:, None]
@@ -308,14 +308,14 @@ def cmd_attractor(args):
 
 def cmd_legendre(args):
     f = _load_function(args)
+    window = (_parse_window(args.window, f.dim) if args.window
+              else [(-8, 8)] * f.dim)
     ana = analyze(f)
     if ana.mu_phi is None:
         print(f"analysis verdict: {ana.verdict}; no conjugate")
         return EXIT_VERDICT
     pa = ana.minimal_points()[0]
     ev = ConjugateEvaluator(pa.classification.poly)
-    window = (_parse_window(args.window, f.dim) if args.window
-              else [(-8, 8)] * f.dim)
     axes = [np.arange(a, b + 1) for a, b in window]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
     vals, argmax = ev.conjugate_batch(pts.astype(float))
@@ -329,20 +329,21 @@ def cmd_legendre(args):
 
 def cmd_bounds(args):
     f = _load_function(args)
-    ana = analyze(f)
     n_values = _parse_n_list(args.n)
-    if args.kind == "gaussian":
-        rep = gaussian_bound_fit(f, ana, n_values)
-    elif args.kind == "subexp":
-        rep = subexp_bound_fit(f, ana, n_values, N=args.decay_order)
-    else:
-        vectors = [np.eye(f.dim, dtype=np.int64)[j] for j in range(f.dim)]
+    if args.kind == "derivative":
         beta = (tuple(_parse_ints(args.beta, ",", "multi-index")) if args.beta
                 else tuple([1] + [0] * (f.dim - 1)))
         if len(beta) != f.dim:
             raise SystemExit2(f"--beta needs {f.dim} entries, got {len(beta)}")
         if min(beta) < 0:
             raise SystemExit2(f"--beta entries must be >= 0, got {args.beta}")
+    ana = analyze(f)
+    if args.kind == "gaussian":
+        rep = gaussian_bound_fit(f, ana, n_values)
+    elif args.kind == "subexp":
+        rep = subexp_bound_fit(f, ana, n_values, N=args.decay_order)
+    else:
+        vectors = [np.eye(f.dim, dtype=np.int64)[j] for j in range(f.dim)]
         rep = derivative_bound_fit(f, ana, vectors, beta, n_values)
     _write_report_csv(_out_path(args, f"bounds_{args.kind}.csv"), rep)
     print(f"verdict: {rep.verdict}")
@@ -367,10 +368,10 @@ def cmd_theta(args):
     f = _load_function(args)
     if not f.is_probability():
         raise SystemExit2("theta requires a probability distribution")
-    profile = walk_profile(f)
     n_values = _parse_n_list(args.n)
     window = (_parse_window(args.window, f.dim) if args.window
               else [(-4, 4)] * f.dim)
+    profile = walk_profile(f)
     axes = [np.arange(a, b + 1) for a, b in window]
     rows = []
     for n in n_values:

@@ -5,11 +5,13 @@ lexicographically sorted integer point array plus matching complex values,
 with entries of magnitude below 1e-300 (true zeros) dropped.  All operations
 are pure; results are new canonical functions.
 
-Powers take one of two paths: the exact dense :func:`sweep` on the lattice
-that the support spans (the oracle of record, bit-identical to iterated
-pairwise :func:`convolve`; float64 when phi is real) or one spectral
-transform (:func:`power_dense`), which raises the spectrum to the n-th power
-by binary powering.
+Every power comes from one of two producers, each with one cap check:
+:func:`_direct_stream`, which extracts the requested powers from one exact
+dense :func:`sweep` on the lattice that the support spans (the oracle of
+record, bit-identical to iterated pairwise :func:`convolve`; float64 when
+phi is real), or :func:`power_torus`, which certifies a box of phi^(n) from
+one spectral transform (:func:`power_dense`, the spectrum raised to the n-th
+power by binary powering) and is exact on the full ``n * span + 1`` box.
 """
 
 from __future__ import annotations
@@ -425,13 +427,13 @@ def sweep(f, n_max, lattice=None):
     phi sweeps in float64 and yields float64 arrays: with zero imaginary
     parts a complex product's real part is ``ar * br - 0`` and its
     imaginary part accumulates to +0, so the real arithmetic gives the
-    same bits.  The yielded arrays are fresh each step.
+    same bits.  The yielded arrays are fresh each step.  The caller checks
+    the cap for at least :func:`_sweep_boxes`.
     """
     if lattice is None:
         lattice = support_lattice(f)
     real = _is_real(f)
     cells = math.prod(lattice.box(n_max))
-    _check_box(lattice.box(n_max), complex_arrays=_sweep_boxes(real, cells))
     values = f.values.real if real else f.values
     span = lattice.coords.max(axis=0, initial=0).tolist()
     coords = lattice.coords.tolist()
@@ -487,6 +489,37 @@ def sweep(f, n_max, lattice=None):
         del source
         cur = nxt
         yield cur, n * lattice.origin
+
+
+def _direct_stream(f, n_values, beside=0.0, block=0.0):
+    """Yield ``(n, phi^(n))`` for each requested n from one exact :func:`sweep`.
+
+    Each power is extracted when the sweep reaches it, and the sweep waits
+    while the caller reduces it; a caller that keeps no power drops it
+    before it asks for the next.  The last power is extracted once the
+    sweep has freed its tile buffers, and when it is the only one, from the
+    sweep's own array, in place when it is complex.  The cap covers
+    the sweep's boxes or the box beside one extraction, plus ``beside``
+    complex boxes of the final size, the powers that the caller keeps or
+    what it allocates to reduce one, plus one block of ``block`` float64
+    numbers per row, what it allocates per block of the power's points
+    (:func:`_blocks`).
+    """
+    n_values = sorted(set(int(n) for n in n_values))
+    if n_values[0] < 1:
+        raise ValueError("n values must be >= 1")
+    *early, last = n_values
+    lattice = support_lattice(f)
+    real = _is_real(f)
+    box = lattice.box(last)
+    cells = math.prod(box)
+    _check_box(box, complex_arrays=beside + _block_boxes(block, cells) + max(
+        _sweep_boxes(real, cells),
+        (0.5 if real else 1.0) + _sparse_boxes(f.dim, cells, consume=not early and not real)))
+    for n, (arr, lo) in enumerate(sweep(f, last, lattice), start=1):
+        if n in early:
+            yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
+    yield last, _extract_sparse(f.dim, arr, lo, 0.0, consume=not early, basis=lattice.basis)
 
 
 def _flat_offsets(cells, shape):
@@ -612,7 +645,8 @@ def power_dense(f, n, shape=None):
     ``rfftn``/``irfftn`` and gives a real array.  A complex embedding is
     transformed in place, and the spectrum is raised by :func:`_binary_power`
     once ``emb`` is freed, so the peak stays two arrays of the spectrum's
-    size.  This is the only caller of the transform.
+    size.  This is the only caller of the transform; :func:`power_torus`,
+    its only caller, checks the cap.
     """
     n = int(n)
     if n < 1:
@@ -624,8 +658,6 @@ def power_dense(f, n, shape=None):
     if shape is None:
         shape = tuple(_fft.next_fast_len(e, real) for e in n * (fhi - flo) + 1)
     shape = tuple(int(s) for s in shape)
-    # the embedding or the output beside the spectrum; a real spectrum is half
-    _check_box(shape, complex_arrays=1 if real else 2)
     emb = np.zeros(shape, dtype=np.float64 if real else np.complex128)
     # wrapped on the torus; points of phi that alias onto one cell add up
     np.add.at(emb, tuple(((f.points - flo) % shape).T),
@@ -667,7 +699,8 @@ def power_torus(f, n, lo, hi):
     about its centre; the cap is checked before every transform.  An axis
     whose torus would reach the full ``n * span + 1`` extent takes that
     extent and does not alias; when every axis does, this is the
-    exact-extent :func:`power_dense`.
+    exact-extent :func:`power_dense`, and the cap also counts the sparse
+    copy that :func:`_sparse_above_floor` makes of it.
 
     Returns ``(array, lo)`` like :func:`power_dense`, covering every point of
     ``[lo, hi]`` where phi^(n) can be non-zero.
@@ -688,6 +721,10 @@ def power_torus(f, n, lo, hi):
                           for w, s in zip(width, span)])
         exact = shape >= full
         if exact.all():
+            # the transform, then the result beside its magnitudes or its sparse copy
+            held = 0.5 if real else 1.0
+            _check_box(full, complex_arrays=max(2 * held, held + _sparse_boxes(
+                f.dim, math.prod(full.tolist()), consume=not real)))
             return power_dense(f, n)
         shape = np.where(exact, full, shape)
         lo, hi = np.where(exact, slo, lo), np.where(exact, shi, hi)
@@ -711,13 +748,12 @@ def power_torus(f, n, lo, hi):
 def power(f, n, method="spectral"):
     """n-fold convolution power of f on its full ``n * span + 1`` box.
 
-    ``direct`` runs the exact :func:`sweep` (the oracle of record),
-    ``spectral`` samples phi-hat^n on a torus grid covering the whole box
-    (``rfftn`` when phi is real) and inverts, dropping entries below the
-    transform-noise floor; ``fast`` is an alias of ``spectral``.  The paths
-    agree entrywise within 1e-10 at desk scale.  The memory cap covers the
-    path's arrays and the sparse copy of a dense result.  For phi^(n) near
-    its drifts only, see :func:`power_torus`.
+    ``direct`` is the one-power case of :func:`_direct_stream` (the oracle
+    of record); ``spectral`` is :func:`power_torus` on the full box, where
+    every axis is exact (``rfftn`` when phi is real), without the entries
+    below the transform-noise floor; ``fast`` is an alias of ``spectral``.
+    The paths agree entrywise within 1e-10 at desk scale.  The memory cap
+    covers the path's arrays and the sparse copy of a dense result.
     """
     n = int(n)
     if n < 1:
@@ -726,26 +762,11 @@ def power(f, n, method="spectral"):
         raise ValueError(f"unknown method {method!r}")
     if not len(f) or n == 1:
         return f
-    real = _is_real(f)
-    held = 0.5 if real else 1.0
     if method == "direct":
-        # the sweep's boxes, then the result beside its sparse copy; a real
-        # result is copied into new complex values, not in place
-        lattice = support_lattice(f)
-        box = lattice.box(n)
-        _check_box(box, complex_arrays=max(
-            _sweep_boxes(real, math.prod(box)),
-            held + _sparse_boxes(f.dim, math.prod(box), consume=not real)))
-        for arr, lo in sweep(f, n, lattice):
-            pass
-        return _extract_sparse(f.dim, arr, lo, 0.0, consume=True, basis=lattice.basis)
+        [(_, p)] = _direct_stream(f, [n])
+        return p
     flo, fhi = f.extent()
-    shape = tuple(_fft.next_fast_len(e, real) for e in n * (fhi - flo) + 1)
-    # the transform, then the result beside its magnitudes or its sparse copy
-    _check_box(shape, complex_arrays=max(2 * held,
-                                         held + _sparse_boxes(f.dim, math.prod(shape),
-                                                              consume=not real)))
-    arr, lo = power_dense(f, n)
+    arr, lo = power_torus(f, n, n * flo, n * fhi)
     return _sparse_above_floor(f.dim, arr, lo, n)
 
 

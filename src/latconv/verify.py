@@ -17,10 +17,10 @@ import numpy as np
 from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
-from .lattice import (ZERO_DROP, LatticeFunction, _block_boxes, _blocks, _cell_points,
-                      _check_box, _extract_sparse, _is_real, _sparse_above_floor,
-                      _sparse_boxes, _sweep_boxes, convolve, norm_l1, norm_linf, power,
-                      power_torus, support_lattice, sweep, translate)
+from .lattice import (ZERO_DROP, LatticeFunction, _blocks, _cell_points, _check_box,
+                      _direct_stream, _is_real, _sparse_above_floor, _sweep_boxes,
+                      convolve, norm_l1, norm_linf, power, power_torus, support_lattice,
+                      sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -58,33 +58,9 @@ def _dyadic_ns(n_max):
     return sorted({2 ** k for k in range(int(n_max).bit_length())} | {n_max})
 
 
-def _direct_stream(f, n_values, beside=0.0, block=0.0):
-    """Yield ``(n, phi^(n))`` for each requested n from one exact sweep.
-
-    Each power is extracted when the sweep reaches it, and the sweep waits
-    while the caller reduces it; a caller that keeps no power drops it
-    before it asks for the next.  The cap covers the sweep's boxes or the
-    box beside one extraction, plus ``beside`` complex boxes of the final
-    size, the powers that the caller keeps or what it allocates to reduce
-    one, plus one block of ``block`` float64 numbers per row, what it
-    allocates per block of the power's points (:func:`~latconv.lattice._blocks`).
-    """
-    n_values = sorted(set(int(n) for n in n_values))
-    if n_values[0] < 1:
-        raise ValueError("n values must be >= 1")
-    lattice = support_lattice(f)
-    real = _is_real(f)
-    box = lattice.box(n_values[-1])
-    cells = math.prod(box)
-    _check_box(box, complex_arrays=beside + _block_boxes(block, cells) + max(
-        _sweep_boxes(real, cells), (0.5 if real else 1.0) + _sparse_boxes(f.dim, cells)))
-    for n, (arr, lo) in enumerate(sweep(f, n_values[-1], lattice), start=1):
-        if n in n_values:
-            yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
-
-
 def direct_powers(f, n_values):
-    """{n: phi^(n)} from :func:`_direct_stream`, every power kept (oracle of record)."""
+    """{n: phi^(n)} from :func:`~latconv.lattice._direct_stream`, every power
+    kept (oracle of record)."""
     ns = sorted(set(int(n) for n in n_values))
     lattice = support_lattice(f)
     cells = [np.prod(lattice.box(n), dtype=float) for n in ns]
@@ -159,15 +135,16 @@ def drift_box(analysis, n):
 def power_near_drifts(f, analysis, n, window=None):
     """phi^(n) above the transform-noise floor, near its drifts.
 
-    ``analysis`` is that of f.  When f is of positive homogeneous type this
-    is :func:`~latconv.lattice.power_torus` on :func:`drift_box`, united with
-    ``window`` (per-axis ``(a, b)`` ranges) if one is given, so only the
-    certified box is transformed; otherwise it is the full-box
-    ``power(f, n, "spectral")``.
+    ``analysis`` is that of f.  This is :func:`~latconv.lattice.power_torus`
+    on :func:`drift_box` when f is of positive homogeneous type, and on the
+    full ``n * span + 1`` box otherwise, united with ``window`` (per-axis
+    ``(a, b)`` ranges) if one is given, so only the certified box is
+    transformed.
     """
     if analysis.mu_phi is None:
-        return power(f, n, method="spectral")
-    lo, hi = drift_box(analysis, n)
+        lo, hi = (n * e for e in f.extent())
+    else:
+        lo, hi = drift_box(analysis, n)
     if window is not None:
         lo = np.minimum(lo, [a for a, _ in window])
         hi = np.maximum(hi, [b for _, b in window])
@@ -191,13 +168,11 @@ def llt_error(f, analysis, n, window=None):
     whi = np.array([w[1] for w in window], dtype=np.int64)
     box_lo = np.minimum(lo, wlo)
     box_hi = np.maximum(lo + np.array(arr.shape) - 1, whi)
-    full = np.zeros(tuple(int(b - a + 1) for a, b in zip(box_lo, box_hi)),
-                    dtype=np.complex128)
-    sl = tuple(slice(int(l - bl), int(l - bl) + s)
-               for l, bl, s in zip(lo, box_lo, arr.shape))
-    full[sl] = arr
-    approx = _llt_dense(analysis, n, list(zip(box_lo, box_hi)))
-    err = float(np.abs(full - approx).max())
+    # the error in place of the approximation: |a - b| = |b - a| bit for bit
+    diff = _llt_dense(analysis, n, list(zip(box_lo, box_hi)))
+    diff[tuple(slice(int(l - bl), int(l - bl) + s)
+               for l, bl, s in zip(lo, box_lo, arr.shape))] -= arr
+    err = float(np.abs(diff).max())
     return err, float(analysis.mu_phi and n ** float(analysis.mu_phi) * err)
 
 

@@ -260,6 +260,26 @@ def test_internal_error_is_not_usage_error(tmp_path, monkeypatch):
         main(["analyze", "--example", "intro", "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "2:x"],
+    ["bounds", "--n", "2:8", "--kind", "derivative", "--beta=-1,0"],
+    ["llt", "--n", "8", "--window=1:a,0:1"],
+    ["attractor", "--n", "x"],
+    ["legendre", "--window=1:0,0:1"],
+    ["theta", "--n", "x"],
+])
+def test_arguments_are_parsed_before_any_analysis(tmp_path, capsys, monkeypatch, argv):
+    from latconv import cli
+
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran before the arguments were parsed")
+
+    monkeypatch.setattr(cli, "analyze", analysis)
+    monkeypatch.setattr(cli, "walk_profile", analysis)
+    assert main(argv + ["--example", "srw:2", "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_legendre_grid_matches_closed_form_and_batch(tmp_path, capsys):
     code, out = run(tmp_path, "legendre", "--example", "ex71",
                     "--window=-3:3,-3:3")

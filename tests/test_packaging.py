@@ -105,3 +105,27 @@ def _unread_private_names(paths):
 
 def test_package_reads_every_private_name_it_defines():
     assert _unread_private_names(sorted((ROOT / "src/latconv").glob("*.py"))) == []
+
+
+def _callers(names):
+    """``{name: {"module.function", ...}}``: the top-level functions of the
+    package that call each of ``names``, by name or as an attribute."""
+    callers = {name: set() for name in names}
+    for path in sorted((ROOT / "src/latconv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return callers
+
+
+def test_powers_have_two_producers():
+    # every phi^(n) comes from the exact stream or the certified torus, each
+    # with its own cap check; the support check keeps its own dense sweep
+    assert _callers(("sweep", "power_dense")) == {
+        "sweep": {"lattice._direct_stream", "verify.support_periodicity_check"},
+        "power_dense": {"lattice.power_torus"}}

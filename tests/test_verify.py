@@ -80,6 +80,39 @@ def test_llt_error_lazy_walk_classical():
     assert e256[1] < e32[1] < 0.05
 
 
+@pytest.mark.parametrize("fixture", ["ex72_analysis", "intro_analysis"])
+def test_llt_error_peak_is_the_box_beside_the_approximation(fixture, request, monkeypatch):
+    # the error is taken in place of the approximation, so at n = 256 the
+    # peak is the torus box beside what _llt_dense allocates alone: 29.78
+    # against 4.21 + 25.54 MiB on ex72, 10.92 against 2.14 + 8.77 on intro.
+    # A zeroed window holding the box and |full - approx| took 33.98 and 13.06
+    import tracemalloc
+    ana, n = request.getfixturevalue(fixture), 256
+    torus, dense = verify.power_torus, verify._llt_dense
+    seen = {}
+
+    def power_torus(f, n, lo, hi):
+        seen["box"] = torus(f, n, lo, hi)
+        return seen["box"]
+
+    def llt_dense(analysis, n, window):
+        seen["window"] = window
+        return dense(analysis, n, window)
+
+    monkeypatch.setattr(verify, "power_torus", power_torus)
+    monkeypatch.setattr(verify, "_llt_dense", llt_dense)
+    peaks = []
+    for call in (lambda: verify.llt_error(ana.function, ana, n),
+                 lambda: dense(ana, n, seen["window"])):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= seen["box"][0].nbytes + peaks[1] + 2 ** 18, peaks
+
+
 def test_gaussian_bound_srw(srw2_analysis):
     ns = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
     rep = verify.gaussian_bound_fit(examples.srw(2), srw2_analysis, ns)
@@ -519,7 +552,7 @@ def test_fit_step_peak_is_one_block_beside_the_power(name, ns, monkeypatch):
             return check(shape, complex_arrays)
         monkeypatch.setattr(module, "_check_box", check_box)
 
-    spy(verify)
+    spy(lattice)
     spy(legendre)
     box = verify.support_lattice(ana.function).box(ns[-1])
     for fit in (verify.gaussian_bound_fit, verify.subexp_bound_fit):
