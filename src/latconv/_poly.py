@@ -6,7 +6,9 @@ complex.  :class:`CompiledPoly` is the one evaluator; derivatives are taken on
 the dict.  Products and linear changes of variable run on dense truncated
 series instead: an array of shape (m+1,)*d whose entry beta is the coefficient
 of xi^beta, kept zero wherever |beta| > m (Brent & Kung, *Fast algorithms for
-manipulating formal power series*, 1978).
+manipulating formal power series*, 1978).  A truncated product is one
+gather, multiply and in-order accumulation over the pairs of that simplex, and
+composing with the identity matrix passes the series through.
 """
 
 from __future__ import annotations
@@ -155,8 +157,26 @@ def poly_prune(coeffs, tol=0.0):
 
 @functools.lru_cache(maxsize=None)
 def weighted_degree(m, scales):
-    """sum_j scales_j beta_j at every entry beta of a dense series of order m."""
-    return sum(s * i for s, i in zip(scales, np.indices((m + 1,) * len(scales))))
+    """sum_j scales_j beta_j at every entry beta of a dense series of order m,
+    one read-only array shared by every caller."""
+    deg = sum(s * i for s, i in zip(scales, np.indices((m + 1,) * len(scales))))
+    deg.flags.writeable = False
+    return deg
+
+
+@functools.lru_cache(maxsize=None)
+def _product_pairs(m, d):
+    """Read-only flat indices (gamma, gamma - beta, beta), in the smallest
+    integer type, of every pair beta <= gamma with |gamma| <= m in a dense
+    series of order m, gamma and then beta in row-major order."""
+    flat = np.flatnonzero(weighted_degree(m, (1,) * d) <= m)
+    below = np.ones((len(flat),) * 2, dtype=bool)
+    for i in np.unravel_index(flat, (m + 1,) * d):
+        below &= i <= i[:, None]
+    g, b = (flat[k] for k in np.nonzero(below))
+    pairs = np.stack([g, g - b, b]).astype(np.min_scalar_type(flat[-1]))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def from_dense(arr):
@@ -166,20 +186,19 @@ def from_dense(arr):
 
 
 def series_mul(a, b):
-    """Product of two dense series of order m, truncated at total degree m.
+    """Product of two finite dense series of order m, truncated at total degree m.
 
-    One shifted-slice add per non-zero term of ``b`` that can reach degree
-    <= m past the lowest-degree term of ``a``; entries above m are zeroed.
+    Entry gamma is +0 plus a[gamma - beta] b[beta] added in row-major order
+    of beta <= gamma: the products of :func:`_product_pairs` form in one
+    batch and ``np.add.at`` adds them in that order, less those with a zero
+    factor, whose +-0 changes no bit of such a sum.
     """
-    m = a.shape[0] - 1
-    deg = weighted_degree(m, (1,) * a.ndim)
-    low = deg[a != 0].min(initial=m + 1)
     out = np.zeros(a.shape, dtype=np.result_type(a, b))
-    for beta in np.argwhere((b != 0) & (deg <= m - low)).tolist():
-        dst = tuple(slice(k, None) for k in beta)
-        src = tuple(slice(None, m + 1 - k) for k in beta)
-        out[dst] += a[src] * b[tuple(beta)]
-    out[deg > m] = 0.0
+    out_idx, a_idx, b_idx = _product_pairs(a.shape[0] - 1, a.ndim)
+    a, b = a.reshape(-1), b.reshape(-1)
+    keep = np.flatnonzero(a[a_idx] != 0)
+    keep = keep[b[b_idx[keep]] != 0]
+    np.add.at(out.reshape(-1), out_idx[keep], a[a_idx[keep]] * b[b_idx[keep]])
     return out
 
 
@@ -195,9 +214,12 @@ def log1p_series(u):
 
 
 def series_compose_linear(q, mat):
-    """Dense series of xi -> Q(M xi) for a dense series Q and a d x d matrix M."""
+    """Dense series of xi -> Q(M xi) for a dense series Q and a d x d matrix M;
+    for M = I, Q with each zero part read as +0, as the loop gives it."""
     mat = np.asarray(mat, dtype=float)
     d, m = q.ndim, q.shape[0] - 1
+    if np.array_equal(mat, np.eye(d)):
+        return q + 0j
     one = np.zeros(q.shape)
     one[(0,) * d] = 1.0
     # pows[i][p] = L_i^p for the linear forms L_i(xi) = sum_j M[i, j] xi_j

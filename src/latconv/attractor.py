@@ -245,9 +245,11 @@ def _llt_dense(analysis, n, window):
     mu-minimal points of the analysis; unit-modulus powers are taken as
     e^{i n omega_q} for stability.  The points of one coset share their
     ``Classification``, so P_q and alpha_q: its attractor grid is computed
-    once, and each point multiplies its own phases into a copy, added in
-    the order of the points.  Entry i is the value at ``lo + i`` for the
-    window's lower corner ``lo``.
+    once, and each point multiplies its own phases into a copy, one at a
+    time, added in the order of the points.  Entry i is the value at
+    ``lo + i`` for the window's lower corner ``lo``.  One cap check, made
+    before any of them, counts the windows this holds: the grids, ``total``
+    and a copy; :func:`attractor_grid` checks its own weight grid.
     """
     if analysis.mu_phi is None:
         raise ValueError(f"analysis verdict is {analysis.verdict}; no local limit")
@@ -255,10 +257,12 @@ def _llt_dense(analysis, n, window):
     lo = np.array([int(a) for a, _ in window], dtype=np.int64)
     hi = np.array([int(b) for _, b in window], dtype=np.int64)
     shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
+    points = analysis.minimal_points()
+    _check_box(shape, complex_arrays=len({id(pa.classification) for pa in points}) + 2)
     total = np.zeros(shape, dtype=np.complex128)
     axes = [np.arange(lo[j], hi[j] + 1) for j in range(d)]
     grids = {}
-    for pa in analysis.minimal_points():
+    for pa in points:
         cls = pa.classification
         if id(cls) not in grids:
             grids[id(cls)] = attractor_grid(cls.poly, n, list(zip(lo, hi)),
@@ -268,6 +272,7 @@ def _llt_dense(analysis, n, window):
         for j in range(d):
             vals *= _along(np.exp(-1j * axes[j] * pa.xi[j]), j, d)
         total += vals
+        del vals  # freed before the next point makes its copy
     return total
 
 

@@ -125,14 +125,24 @@ def _shifted_series(sym, xi0, m):
     psi = f.values * np.exp(1j * (pts @ xi0))
     psi /= psi.sum()
     ipts = 1j * pts
+    # tab[j, b] = (i x_j)^b; the betas of one set of non-zero axes form their
+    # rows psi (i x)^beta in one batch, multiplied in axis order
+    tab = np.array([[ipts[:, j] ** b for b in range(m + 1)] for j in range(d)])
+    fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=object)
+    betas = np.argwhere(_poly.weighted_degree(m, (1,) * d) <= m)[1:]  # 0 < |beta|
+    axes = (betas > 0) @ (1 << np.arange(d))  # bit j set where beta_j > 0
     u = np.zeros((m + 1,) * d, dtype=np.complex128)
-    for beta in itertools.product(*(range(m + 1),) * d):
-        if 0 < sum(beta) <= m:
-            term = psi
-            for j, b in enumerate(beta):
-                if b:
-                    term = term * ipts[:, j] ** b
-            u[beta] = complex(term.sum()) / math.prod(map(math.factorial, beta))
+    for mask in range(1, 1 << d):
+        rows = betas[axes == mask]
+        term = psi
+        for j in range(d):
+            if mask >> j & 1:
+                term = term * tab[j, rows[:, j]]
+        s = term.sum(axis=-1)
+        div = np.prod(fact[rows], axis=1).astype(float)
+        # CPython's complex / int: (re + im * 0) / k, (im - re * 0) / k, not * (1 / k)
+        u.real[tuple(rows.T)] = (s.real + s.imag * 0.0) / div
+        u.imag[tuple(rows.T)] = (s.imag - s.real * 0.0) / div
     return u
 
 

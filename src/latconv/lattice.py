@@ -696,11 +696,13 @@ def power_torus(f, n, lo, hi):
     is accepted only when every entry outside the box is below
     :func:`_alias_threshold`, so that phi^(n) is at noise level there and the
     aliases folded into the box are smaller still.  Otherwise the box doubles
-    about its centre; the cap is checked before every transform.  An axis
-    whose torus would reach the full ``n * span + 1`` extent takes that
-    extent and does not alias; when every axis does, this is the
-    exact-extent :func:`power_dense`, and the cap also counts the sparse
-    copy that :func:`_sparse_above_floor` makes of it.
+    about its centre.  An axis whose torus would reach the full
+    ``n * span + 1`` extent takes that extent and does not alias; when every
+    axis does, this is the exact-extent :func:`power_dense`.  The cap is
+    checked once per torus, before its transform, for the larger of its
+    arrays (2 complex torus boxes for a real phi, 3 for a complex one, 1
+    fewer on the exact extent) and the box beside the sparse copy that
+    :func:`_sparse_above_floor` makes of it.
 
     Returns ``(array, lo)`` like :func:`power_dense`, covering every point of
     ``[lo, hi]`` where phi^(n) can be non-zero.
@@ -709,6 +711,7 @@ def power_torus(f, n, lo, hi):
     if not len(f):
         return power_dense(f, n)
     real = _is_real(f)
+    held = 0.5 if real else 1.0
     flo, fhi = f.extent()
     slo, shi = n * flo, n * fhi
     full = np.array([_fft.next_fast_len(e, real) for e in shi - slo + 1])
@@ -720,17 +723,18 @@ def power_torus(f, n, lo, hi):
         shape = np.array([_fft.next_fast_len(max(2 * w, w + 2 * s), real)
                           for w, s in zip(width, span)])
         exact = shape >= full
-        if exact.all():
-            # the transform, then the result beside its magnitudes or its sparse copy
-            held = 0.5 if real else 1.0
-            _check_box(full, complex_arrays=max(2 * held, held + _sparse_boxes(
-                f.dim, math.prod(full.tolist()), consume=not real)))
-            return power_dense(f, n)
         shape = np.where(exact, full, shape)
         lo, hi = np.where(exact, slo, lo), np.where(exact, shi, hi)
         width = hi - lo + 1
-        # the transform's boxes, then the torus's magnitudes and the box copy
-        _check_box(tuple(shape), complex_arrays=2.0 if real else 3.0)
+        cells = math.prod(shape.tolist())
+        kept = cells if exact.all() else math.prod(width.tolist())
+        # the transform's boxes (then the torus's magnitudes and the box copy
+        # when it aliases), or else the box beside its sparse copy
+        _check_box(tuple(shape), complex_arrays=max(
+            2 * held + (not exact.all()),
+            kept / cells * (held + _sparse_boxes(f.dim, kept, consume=not real))))
+        if exact.all():
+            return power_dense(f, n)
         arr, tlo = power_dense(f, n, tuple(shape))
         # centre the box on the torus: cell j of axis k holds tlo_k + j (mod N_k)
         idx = np.ix_(*[(l - t + np.arange(w)) % s
@@ -771,10 +775,9 @@ def power(f, n, method="spectral"):
 
 
 def _sparse_above_floor(dim, arr, lo, n):
-    """The spectral result ``arr`` without the entries below the noise floor;
-    ``arr`` is consumed, and the cap must hold it beside its sparse copy."""
-    held = arr.itemsize / 16
-    _check_box(arr.shape, complex_arrays=held + _sparse_boxes(dim, arr.size, consume=held == 1))
+    """The spectral result ``arr`` of :func:`power_torus`, which counted the
+    cap for it beside its sparse copy, without the entries below the noise
+    floor; ``arr`` is consumed."""
     vmax = float(np.abs(arr).max())
     return _extract_sparse(dim, arr, lo, _fft_noise_floor(n, vmax), consume=True)
 

@@ -355,6 +355,44 @@ def test_llt_dense_one_grid_per_classification(name, grids, monkeypatch):
         assert len(calls) == grids, (name, n)
 
 
+@pytest.mark.parametrize("name", ["ex72", "intro", "phim:2,3"])
+def test_llt_dense_peak_within_its_cap_check(name, monkeypatch):
+    # _llt_dense counts its grids, total and one copy in one check before it
+    # makes any of them; attractor_grid's own weight grid, which it checks
+    # itself, is left out by handing back a copy of each grid made beforehand;
+    # 256 KiB covers the interpreter's own small objects.  Each point's copy
+    # was made while the last point's was still held, one window over
+    import tracemalloc
+    from types import SimpleNamespace
+    from latconv.verify import default_llt_window
+    analysis, n = latconv.analyze(examples.get(name)), 256
+    window = default_llt_window(analysis, n)
+    made = {id(pa.classification.poly): attractor_grid(
+        pa.classification.poly, n, window, shift=-n * pa.classification.alpha).values
+        for pa in analysis.minimal_points()}
+    want = attractor._llt_dense(analysis, n, window)
+    requests = []
+    check = attractor._check_box
+
+    def spy(shape, complex_arrays=2):
+        requests.append(16 * complex_arrays * math.prod(shape))
+        return check(shape, complex_arrays)
+
+    monkeypatch.setattr(attractor, "_check_box", spy)
+    monkeypatch.setattr(attractor, "attractor_grid", lambda P, t, window, shift=None:
+                        SimpleNamespace(values=made[id(P)].copy()))
+    tracemalloc.start()
+    try:
+        got = attractor._llt_dense(analysis, n, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(requests) == 1
+    assert requests[0] == 16 * (len(made) + 2) * want.size
+    assert peak <= requests[0] + 2 ** 18, (peak, requests)
+
+
 def test_box_halfwidths_rejects_flat_ray():
     # Re P = xi_1^2 vanishes on the xi_2 axis, so that ray never reaches T_CUT
     P = HomogeneousPolynomial(2, {(2, 0): 1.0}, np.eye(2), (1, 1),

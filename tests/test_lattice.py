@@ -478,6 +478,41 @@ def test_power_torus_peak_memory_within_its_budget(monkeypatch):
     assert peak <= budget + 2 ** 18, (peak, budget)
 
 
+@pytest.mark.parametrize("name, n, box", [
+    ("intro", 64, None), ("ex73", 32, None), ("srw:3", 8, None), ("unstable1d", 500, None),
+    ("ex72", 64, "drift"), ("intro", 256, "drift"), ("ex71", 4096, "drift"),
+    ("unstable1d", 64, "drift"), ("intro", 256, 5), ("ex72", 256, 4)])
+def test_one_cap_check_per_torus(monkeypatch, name, n, box):
+    # power_torus counts the box's sparse copy with each transform, so a
+    # spectral power, power_near_drifts and a box that doubles five times
+    # (the last two cases) make one check per torus, each before its
+    # transform; _sparse_above_floor made a second one on the box
+    from latconv import _config, lattice, verify
+    f = examples.get(name)
+    ana = latconv.analyze(f)
+    calls = []
+    for fn in ("_check_box", "power_dense"):
+        monkeypatch.setattr(lattice, fn, lambda *a, _fn=getattr(lattice, fn), **k:
+                            calls.append(_fn.__name__) or _fn(*a, **k))
+    if box is None:
+        def run():
+            return latconv.power(f, n, method="spectral")
+    elif box == "drift":
+        def run():
+            return verify.power_near_drifts(f, ana, n)
+    else:
+        def run():
+            arr, lo = lattice.power_torus(f, n, (-box,) * f.dim, (box,) * f.dim)
+            return lattice._sparse_above_floor(f.dim, arr, lo, n)
+    run()
+    assert calls and calls == ["_check_box", "power_dense"] * (len(calls) // 2), calls
+    assert box not in (4, 5) or len(calls) >= 10
+    calls.clear()
+    with _config.memory_cap(10_000), pytest.raises(ResourceLimitError):
+        run()
+    assert calls == ["_check_box"]
+
+
 def test_extract_sparse_is_canonical_and_consume_keeps_values():
     from latconv.lattice import _extract_sparse
     rng = np.random.default_rng(5)

@@ -83,8 +83,8 @@ def test_llt_error_lazy_walk_classical():
 @pytest.mark.parametrize("fixture", ["ex72_analysis", "intro_analysis"])
 def test_llt_error_peak_is_the_box_beside_the_approximation(fixture, request, monkeypatch):
     # the error is taken in place of the approximation, so at n = 256 the
-    # peak is the torus box beside what _llt_dense allocates alone: 29.78
-    # against 4.21 + 25.54 MiB on ex72, 10.92 against 2.14 + 8.77 on intro.
+    # peak is the torus box beside what _llt_dense allocates alone: 25.57
+    # against 4.21 + 21.34 MiB on ex72, 10.92 against 2.14 + 8.77 on intro.
     # A zeroed window holding the box and |full - approx| took 33.98 and 13.06
     import tracemalloc
     ana, n = request.getfixturevalue(fixture), 256
