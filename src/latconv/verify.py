@@ -18,9 +18,9 @@ from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
 from .lattice import (ZERO_DROP, LatticeFunction, _blocks, _cell_points, _check_box,
-                      _direct_stream, _is_real, _sparse_above_floor, _sweep_boxes,
-                      convolve, norm_l1, norm_linf, power, power_torus, support_lattice,
-                      sweep, translate)
+                      _direct_stream, _fft_noise_floor, _is_real, _sparse_above_floor,
+                      _sweep_boxes, convolve, norm_l1, norm_linf, power, power_torus,
+                      support_lattice, sweep, translate)
 from .legendre import ConjugateEvaluator
 
 
@@ -73,11 +73,11 @@ def sup_decay_report(f, analysis, n_values):
     """Rows (n, ||phi^(n)||_inf, n^mu ||phi^(n)||_inf); band verdict on top octave.
 
     Each power is of ``analysis.function``, the normalized f, as in the
-    bound fits, and comes from :func:`power_near_drifts`: a certified torus
+    bound fits, and comes from :func:`_certified_ladder`: certified tori
     about the drifts for a positive-homogeneous analysis, the full box otherwise.
     """
-    sups = [(n, norm_linf(power_near_drifts(analysis.function, analysis, n)))
-            for n in sorted(n_values)]
+    sups = [(n, float(np.abs(arr).max()))
+            for n, arr, _ in _certified_ladder(analysis.function, analysis, n_values)]
     if analysis.mu_phi is None:
         return BoundReport(kind="sup-decay", columns=("n", "sup", "scaled"),
                            rows=[(n, sup, float("nan")) for n, sup in sups],
@@ -94,11 +94,14 @@ def sup_decay_report(f, analysis, n_values):
                        verdict=verdict)
 
 
+def _lambda_max(points):
+    """max 1/(2m) over the points' weights: the fastest growth rate of t^E*."""
+    return max(1.0 / (2 * m) for pa in points for m in pa.classification.poly.weights)
+
+
 def _window_half(analysis, points, n):
-    """6 n^(lambda_max) sqrt(d), lambda_max = max 1/(2m) over the points' weights."""
-    lam_max = max(1.0 / (2 * m) for pa in points
-                  for m in pa.classification.poly.weights)
-    return 6.0 * n ** lam_max * np.sqrt(analysis.function.dim)
+    """6 n^(lambda_max) sqrt(d), lambda_max from :func:`_lambda_max`."""
+    return 6.0 * n ** _lambda_max(points) * np.sqrt(analysis.function.dim)
 
 
 def _covering_box(centers, half):
@@ -124,12 +127,77 @@ def drift_box(analysis, n):
     flattens as m grows, so phi^(n) reaches further past that window: on the
     corpus, the entries above the alias threshold reach at most 0.85 of the
     half-width when every weight is 1 or 2, and 1.91 of it with a weight of
-    3 (ex71).
+    3 (ex71).  The margin ignores P's coefficients, so it is too wide on most
+    inputs and too narrow on some: phim:2,1 doubles from n = 128 on and
+    phim:2,3 from n = 64.  Single-n paths take this box; a ladder of n
+    takes it for its first rung only (:func:`_certified_ladder`).
     """
     points = analysis.points
     m_max = max(m for pa in points for m in pa.classification.poly.weights)
     return _covering_box([n * pa.classification.alpha for pa in points],
                          max(1, m_max - 1) * _window_half(analysis, points, n))
+
+
+# a ladder rung's box widens the drift hull on each side by the previous
+# rung's reach beyond its hull, scaled by homogeneity, times this factor and
+# plus these cells.  Without the factor, ex71, ex74 and phim:2,3 double in
+# their stability ladders to 512; without the cells, no corpus ladder does
+_LADDER_MARGIN = 1.1
+_LADDER_CELLS = 2
+
+
+def _kept_extent(arr, lo, n):
+    """The first and last lattice coordinate per axis of the entries of
+    ``arr`` (at ``lo + i``) that :func:`~latconv.lattice._sparse_above_floor`
+    keeps."""
+    mag = np.abs(arr)
+    keep = mag > _fft_noise_floor(n, float(mag.max()))
+    del mag
+    first, last = np.empty_like(lo), np.empty_like(lo)
+    for k in range(arr.ndim):
+        cells = np.flatnonzero(keep.any(axis=tuple(j for j in range(arr.ndim) if j != k)))
+        first[k], last[k] = lo[k] + cells[0], lo[k] + cells[-1]
+    return first, last
+
+
+def _certified_ladder(f, analysis, n_values):
+    """Yield ``(n, arr, lo)``, phi^(n) on a certified box from
+    :func:`~latconv.lattice.power_torus`, for the sorted ``n_values``;
+    ``analysis`` is that of f, and ``arr`` may be consumed.
+
+    By homogeneity, ``H_P^t(x) = t^-mu H_P^1(t^-E* x)``, the region where
+    phi^(n) stands above noise grows about the drifts by at most
+    ``(n / n_prev)^lambda_max`` per axis from one n to the next.  The first
+    rung takes :func:`drift_box`.  Each later rung widens the hull of the
+    drifts ``n alpha_q`` on each side by the previous rung's reach beyond
+    its own hull (its entries above the extraction floor), scaled by that
+    factor and :data:`_LADDER_MARGIN`, plus :data:`_LADDER_CELLS`; the box
+    is not clipped to the drift box.  ``power_torus``'s acceptance test and
+    doubling stay the certificate.  A non-positive-homogeneous f takes the
+    full box at every rung.
+    """
+    if analysis.mu_phi is None:
+        for n in sorted(n_values):
+            yield (n, *power_torus(f, n, *(n * e for e in f.extent())))
+        return
+    points = analysis.points
+    lam = _lambda_max(points)
+    prev = None
+    ns = sorted(n_values)
+    for n in ns:
+        hull_lo, hull_hi = _covering_box([n * pa.classification.alpha for pa in points], 0.0)
+        if prev is None:
+            lo, hi = drift_box(analysis, n)
+        else:
+            n_prev, below, above = prev
+            scale = _LADDER_MARGIN * (n / n_prev) ** lam
+            lo = hull_lo - np.ceil(scale * below).astype(np.int64) - _LADDER_CELLS
+            hi = hull_hi + np.ceil(scale * above).astype(np.int64) + _LADDER_CELLS
+        arr, lo = power_torus(f, n, lo, hi)
+        if n < ns[-1]:
+            first, last = _kept_extent(arr, lo, n)
+            prev = n, np.maximum(hull_lo - first, 0), np.maximum(last - hull_hi, 0)
+        yield n, arr, lo
 
 
 def power_near_drifts(f, analysis, n, window=None):
@@ -156,31 +224,31 @@ def llt_error(f, analysis, n, window=None):
     """(sup error, n^mu * sup error) over the drift box united with the window.
 
     phi^(n) comes from :func:`~latconv.lattice.power_torus` on
-    :func:`drift_box`; outside that box it is certified to be at noise level.
+    :func:`drift_box`, the first rung of :func:`_certified_ladder`; outside
+    that box it is certified to be at noise level.
     """
-    if analysis.mu_phi is None:
-        raise ValueError(f"analysis verdict is {analysis.verdict}")
-    g = analysis.function
-    arr, lo = power_torus(g, n, *drift_box(analysis, n))
-    if window is None:
-        window = default_llt_window(analysis, n)
-    wlo = np.array([w[0] for w in window], dtype=np.int64)
-    whi = np.array([w[1] for w in window], dtype=np.int64)
-    box_lo = np.minimum(lo, wlo)
-    box_hi = np.maximum(lo + np.array(arr.shape) - 1, whi)
-    # the error in place of the approximation: |a - b| = |b - a| bit for bit
-    diff = _llt_dense(analysis, n, list(zip(box_lo, box_hi)))
-    diff[tuple(slice(int(l - bl), int(l - bl) + s)
-               for l, bl, s in zip(lo, box_lo, arr.shape))] -= arr
-    err = float(np.abs(diff).max())
-    return err, float(analysis.mu_phi and n ** float(analysis.mu_phi) * err)
+    [(_, err, scaled)] = llt_error_ladder(f, analysis, [n], window).rows
+    return err, scaled
 
 
 def llt_error_ladder(f, analysis, n_values, window=None):
+    """:func:`llt_error`'s rows per n, with the powers from :func:`_certified_ladder`."""
+    if analysis.mu_phi is None:
+        raise ValueError(f"analysis verdict is {analysis.verdict}")
     rows = []
-    for n in sorted(n_values):
-        err, scaled = llt_error(f, analysis, n, window=window)
-        rows.append((n, err, scaled))
+    for n, arr, lo in _certified_ladder(analysis.function, analysis, n_values):
+        win = default_llt_window(analysis, n) if window is None else window
+        box_lo = np.minimum(lo, np.array([w[0] for w in win], dtype=np.int64))
+        box_hi = np.maximum(lo + np.array(arr.shape) - 1,
+                            np.array([w[1] for w in win], dtype=np.int64))
+        # the error in place of the approximation: |a - b| = |b - a| bit for bit
+        diff = _llt_dense(analysis, n, list(zip(box_lo, box_hi)))
+        diff[tuple(slice(int(l - bl), int(l - bl) + s)
+                   for l, bl, s in zip(lo, box_lo, arr.shape))] -= arr
+        err = float(np.abs(diff).max())
+        rows.append((n, err, n ** float(analysis.mu_phi) * err))
+        # freed before the next rung's torus is made
+        del diff
     verdict = "decreasing" if all(rows[i + 1][2] < rows[i][2]
                                   for i in range(len(rows) - 1)) else "non-monotone"
     return BoundReport(kind="llt-error", columns=("n", "sup_error", "scaled"),
@@ -389,9 +457,9 @@ def stability_report(f, n_max, method="auto"):
     counts the bounding box of Z^d, not the sweep's smaller box on the
     support's lattice, so ``auto`` takes the same path as when the sweep
     ran on the bounding box, and no verdict changes path.  The spectral path
-    analyzes f and takes :func:`power_near_drifts`: a certified torus about
-    the drifts when f is of positive homogeneous type, the full box
-    otherwise.
+    analyzes f and takes :func:`_certified_ladder`'s powers above the
+    extraction floor: certified tori about the drifts when f is of positive
+    homogeneous type, the full box otherwise.
     """
     n_values = _dyadic_ns(n_max)
     if method == "auto":
@@ -402,8 +470,8 @@ def stability_report(f, n_max, method="auto"):
     elif method not in ("fast", "spectral"):
         raise ValueError(f"unknown method {method!r}")
     else:
-        analysis = analyze(f)
-        powers = ((n, power_near_drifts(f, analysis, n)) for n in n_values)
+        powers = ((n, _sparse_above_floor(f.dim, arr, lo, n))
+                  for n, arr, lo in _certified_ladder(f, analyze(f), n_values))
     rows = [(n, norm_l1(p), norm_linf(p)) for n, p in powers]
     l1 = {n: r for n, r, _ in rows}
     top = max(v for n, v in l1.items() if n > n_max / 2)

@@ -851,6 +851,134 @@ def test_drift_box_covers_every_omega_point():
     assert np.all(lo <= [a for a, _ in win]) and np.all(hi >= [b for _, b in win])
 
 
+# the ladders of stability_report's spectral path, sup_decay_report and
+# llt_error_ladder that the corpus and the benchmark run: (kind, name, n)
+_LADDERS = ([("stability", name, 64 if name == "srw:3" else 512)
+             for name in ("intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2", "srw:2",
+                          "srw:3", "phim:2,1", "phim:2,3", "unstable1d")]
+            + [("sup_decay", name, (64, 128, 256, 512))
+               for name in ("intro", "ex73", "ex74", "phim:2,3")]
+            + [("llt", "intro", (32, 64, 128, 256)), ("llt", "ex71", (32, 64, 128)),
+               ("llt", "ex75:3,2", (32, 64, 128)), ("llt", "ex73", (32, 64)),
+               ("llt", "ex72", (16, 32, 64, 128, 256)),
+               ("llt", "ex74", (16, 32, 64, 128, 256))])
+_LADDER_IDS = [f"{kind}-{name}" for kind, name, _ in _LADDERS]
+
+
+def _ladder_report(kind, name, n):
+    f = examples.get(name)
+    if kind == "stability":
+        return verify.stability_report(f, n, method="spectral")
+    ana = latconv.analyze(f)
+    if kind == "sup_decay":
+        return verify.sup_decay_report(f, ana, n)
+    return verify.llt_error_ladder(f, ana, n)
+
+
+def _drift_box_ladder(f, analysis, n_values):
+    """The per-n reference of :func:`verify._certified_ladder`: a torus on
+    drift_box, or the full box, at every n."""
+    for n in sorted(n_values):
+        box = (verify.drift_box(analysis, n) if analysis.mu_phi is not None
+               else [n * e for e in f.extent()])
+        yield (n, *verify.power_torus(f, n, *box))
+
+
+def _count_transforms(monkeypatch):
+    from collections import Counter
+    from latconv import lattice
+    per_n = Counter()
+    dense = lattice.power_dense
+
+    def spy(f, n, shape=None):
+        per_n[n] += 1
+        return dense(f, n, shape)
+
+    monkeypatch.setattr(lattice, "power_dense", spy)
+    return per_n
+
+
+@pytest.mark.parametrize("kind,name,n", _LADDERS, ids=_LADDER_IDS)
+def test_ladder_rungs_after_the_first_certify_at_the_first_transform(kind, name, n,
+                                                                     monkeypatch):
+    per_n = _count_transforms(monkeypatch)
+    _ladder_report(kind, name, n)
+    assert all(per_n[m] == 1 for m in sorted(per_n)[1:]), dict(per_n)
+    if (kind, name) == ("stability", "phim:2,3"):
+        # drift_box ignores P's coefficients and doubles phim:2,3 from n = 64
+        # on, single-n; the ladder sizes its later rungs from the rung before
+        assert sum(per_n.values()) == len(per_n), dict(per_n)
+        per_n.clear()
+        f = examples.get(name)
+        ana = latconv.analyze(f)
+        for m in (64, 128, 256, 512):
+            verify.power_near_drifts(f, ana, m)
+        assert sum(per_n.values()) - len(per_n) == 4, dict(per_n)
+
+
+@pytest.mark.parametrize("kind,name,n", _LADDERS, ids=_LADDER_IDS)
+def test_ladder_agrees_with_the_drift_box_path(kind, name, n, monkeypatch):
+    # only the tori change, so every row is the drift_box path's within
+    # roundoff.  The LLT error is a difference of two quantities of size
+    # max|phi^(n)|, so its roundoff is bounded by the torus's own noise,
+    # the alias threshold: intro's at n = 256 moves by 1.3e-16, 1.4e-12 of
+    # the error and 0.15 of that threshold
+    from latconv.lattice import _alias_threshold
+    got = _ladder_report(kind, name, n)
+    sups = {}
+
+    def ladder(f, analysis, n_values):
+        for m, arr, lo in _drift_box_ladder(f, analysis, n_values):
+            sups[m] = float(np.abs(arr).max())
+            yield m, arr, lo
+
+    monkeypatch.setattr(verify, "_certified_ladder", ladder)
+    want = _ladder_report(kind, name, n)
+    assert got.verdict == want.verdict
+    assert [r[0] for r in got.rows] == [r[0] for r in want.rows]
+    for g, w in zip(got.rows, want.rows):
+        for a, b in zip(g[1:], w[1:]):
+            tol = 1e-12 * abs(b)
+            if kind == "llt":
+                # b / w[1] is 1 for the error and n^mu for the scaled error
+                tol = max(tol, _alias_threshold(g[0], sups[g[0]]) * b / w[1])
+            assert abs(a - b) <= tol, (g, w)
+
+
+@pytest.mark.parametrize("name,n", [("intro", 512), ("ex73", 128), ("phim:2,3", 64),
+                                    ("ex72", 256), ("unstable1d", 64)])
+def test_kept_extent_is_that_of_the_kept_points(name, n):
+    from latconv.lattice import _sparse_above_floor
+    f = examples.get(name)
+    ana = latconv.analyze(f)
+    [(_, arr, lo)] = _drift_box_ladder(f, ana, [n])
+    first, last = verify._kept_extent(arr, lo, n)
+    kept = _sparse_above_floor(f.dim, arr, lo, n)
+    assert first.tolist() == kept.points.min(axis=0).tolist()
+    assert last.tolist() == kept.points.max(axis=0).tolist()
+
+
+# tracemalloc peaks (MiB) of the ladder, and after them those of the
+# drift_box path at every n: each bound leaves 1.6-2.0 MiB of slack above the ladder's
+# peak and lies 3.5 MiB or more below the drift_box path's
+@pytest.mark.parametrize("kind,name,n,mib", [
+    ("stability", "intro", 512, 8.5),                  # 6.89 (+1.61), 19.23
+    ("sup_decay", "intro", (64, 128, 256, 512), 8.5),  # 6.66 (+1.84), 18.76
+    ("llt", "intro", (32, 64, 128, 256), 7.0),         # 5.37 (+1.63), 10.91
+    ("stability", "ex73", 512, 9.0),                   # 7.03 (+1.97), 12.56
+], ids=["stability-intro", "sup_decay-intro", "llt-intro", "stability-ex73"])
+def test_ladder_peak_memory(kind, name, n, mib):
+    import tracemalloc
+    _ladder_report(kind, name, n)
+    tracemalloc.start()
+    try:
+        _ladder_report(kind, name, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2 ** 20, peak / 2 ** 20
+
+
 @pytest.mark.parametrize("name", ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2",
                                   "ex75:2,3", "srw:2", "srw:3", "phim:2,1", "phim:2,3",
                                   "phim:1,2", "unstable1d"])
