@@ -13,6 +13,14 @@ singular.  On the corpus this one ascent is within 7.4e-14 relative of the
 best of a further 64 (d = 2) or 512 (d = 3) random starts per point.
 ``conjugate_batch`` is the one evaluation path: the query points form one
 batch of numpy rows, and a row leaves once it stops moving.
+
+The grid scan scores only the grid points that can win a row.  With U the
+batch's largest row norm, x.xi - R(xi) is within U|xi| of -R(xi), so
+tau = max(-U|xi| - R(xi)) bounds every row's grid maximum from below and xi
+can reach it only if U|xi| - R(xi) >= tau, each side with a rounding slack
+of 64 eps (U|xi| + |R(xi)|).  The kept points stay in grid order under the
+same product and first argmax, so every value and argmax is the full grid's,
+bit for bit.  At unit scale 1.4-21% of the grid is kept on the corpus.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ from .symbol import newton_ascent
 _SEED = 4242
 # grid points per axis of the scan whose argmax starts each ascent
 _SCAN_AXIS = 64
-# objective cells per block of the grid scan (8 MiB of float64)
-_SCAN_BLOCK_CELLS = 2 ** 20
+# objective cells per block of the grid scan (2 MiB of float64)
+_SCAN_BLOCK_CELLS = 2 ** 18
+# the grid scan's pruning slack, 64 float64 eps, relative to U|xi| + |R(xi)|
+_PRUNE_SLACK = 64 * 2.0 ** -52
 
 
 class ConjugateEvaluator:
@@ -45,6 +55,15 @@ class ConjugateEvaluator:
             if P.real(self.rho * dirs).min() > umax * self.rho * sqrt_d + 1.0:
                 break
             self.rho *= 2.0
+        # the grid as coordinate rows (d, cells), so that each row's argmax
+        # runs along contiguous memory; float arrays: the points and their
+        # squares (d each), Re P and the norms
+        _check_box((_SCAN_AXIS,) * self.dim, complex_arrays=self.dim + 1)
+        axes = [np.linspace(-self.rho, self.rho, _SCAN_AXIS)] * self.dim
+        mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+        self.grid = np.stack(mesh).reshape(self.dim, -1)
+        self.grid_re = P.real(self.grid.T)
+        self.grid_norm = np.linalg.norm(self.grid, axis=0)
 
     # -- batched ascent ------------------------------------------------------
 
@@ -66,34 +85,38 @@ class ConjugateEvaluator:
         xi, val, _ = newton_ascent(objective, xis, 1e-10, max_iter=50)
         return val, xi
 
-    def _grid_scan_batch(self, xs, rho):
+    def _grid_columns(self, U):
+        """Indices, in grid order, of the grid points that can win a row of
+        norm at most U (module docstring); a NaN U keeps every point."""
+        reach = U * self.grid_norm
+        slack = _PRUNE_SLACK * (reach + np.abs(self.grid_re))
+        tau = np.max(-reach - self.grid_re - slack)
+        return np.flatnonzero(~(reach - self.grid_re + slack < tau))
+
+    def _grid_scan_batch(self, xs):
         """Best grid point of the objective per query row, in blocks of rows.
 
-        A block holds about ``_SCAN_BLOCK_CELLS`` objective cells and at least
-        8 rows: a one-row block takes numpy's matrix-vector product, whose
-        rounding differs from the matrix product's.
+        Only the :meth:`_grid_columns` are scored.  A block holds about
+        ``_SCAN_BLOCK_CELLS`` objective cells and at least 8 rows: a one-row
+        block takes numpy's matrix-vector product, whose rounding differs
+        from the matrix product's.
         """
-        cells = _SCAN_AXIS ** self.dim
-        block = max(8, _SCAN_BLOCK_CELLS // cells)
-        n_blocks = max(1, len(xs) // block)
-        # float arrays: the mesh and the points (d each), Re P and one block
+        # float arrays of the grid: the pruning's temporaries (4), the kept
+        # points, their Re P and indices (d + 2) and one block
+        block = max(8, _SCAN_BLOCK_CELLS / self.grid_re.size)
         _check_box((_SCAN_AXIS,) * self.dim,
-                   complex_arrays=(2 * self.dim + 1 + min(len(xs), 2 * block)) / 2)
-        axes = [np.linspace(-rho, rho, _SCAN_AXIS)] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        # the points as contiguous coordinate rows (d, cells), so that a
-        # block's objective is row-major (rows, cells) and each row's argmax
-        # runs along contiguous memory
-        pts_t = np.stack([m.reshape(-1) for m in mesh])
-        rvals = self.P.real(pts_t.T)
+                   complex_arrays=(self.dim + 6 + min(len(xs), 2 * block)) / 2)
+        keep = self._grid_columns(np.linalg.norm(xs, axis=1).max(initial=0.0))
+        pts, rvals = self.grid[:, keep], self.grid_re[keep]
+        n_blocks = max(1, len(xs) // max(8, _SCAN_BLOCK_CELLS // len(keep)))
         out_val = np.empty(len(xs))
         out_arg = np.empty((len(xs), self.dim))
         for rows in np.array_split(np.arange(len(xs)), n_blocks):
-            obj = xs[rows] @ pts_t
+            obj = xs[rows] @ pts
             obj -= rvals
             best = np.argmax(obj, axis=1)
             out_val[rows] = obj[np.arange(len(rows)), best]
-            out_arg[rows] = pts_t[:, best].T
+            out_arg[rows] = pts[:, best].T
             del obj  # before the next block's product is allocated
         return out_val, out_arg
 
@@ -122,7 +145,7 @@ class ConjugateEvaluator:
         batch, ascent = self._row_numbers()
         _check_box((len(xs),), complex_arrays=batch / 2 + _block_boxes(ascent, len(xs)))
         t, us = self.P.polar(xs)
-        grid_val, grid_arg = self._grid_scan_batch(us, self.rho)
+        grid_val, grid_arg = self._grid_scan_batch(us)
         vals, args = np.empty(len(xs)), np.empty_like(us)
         for block in _blocks(len(xs)):
             vals[block], args[block] = self._ascend_batch(us[block], grid_arg[block])

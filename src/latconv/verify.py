@@ -269,7 +269,8 @@ class _ConjugateField:
     6.7e-16 on srw:2, 3.6e-6 on intro, 7.1e-8 on ex71, 2.0e-7 on ex73,
     1.4e-8 on ex75:3,2 and 8.2e-9 on ex74 (a test pins 1e-4).  d >= 3 has no
     table and evaluates the points of a call, one fit block, in one
-    ``conjugate_batch``.
+    ``conjugate_batch``, whose scan keeps 1.4-3.2% of its 64^3 grid: the
+    Gaussian fit to n = 64 took 2.9 s on srw:3, 11.1 s on ex75:2,1,1 (2 cores).
 
     ``block_numbers`` counts the float64 numbers per point of an
     :func:`_envelope_peaks` block: |v| and the shifted points (d + 1),

@@ -50,7 +50,7 @@ def multi_start_rows(ev, xs):
     shells = np.geomspace(0.25, 8.0, n_shells)
     starts = (shells[:, None, None] * dirs[None, :, :]).reshape(-1, ev.dim)
     _, us = ev.P.polar(np.asarray(xs, dtype=float).reshape(-1, ev.dim))
-    _, grid_arg = ev._grid_scan_batch(us, ev.rho)
+    _, grid_arg = ev._grid_scan_batch(us)
     scale = np.maximum(np.linalg.norm(grid_arg, axis=1), 1e-2)
     rows = (scale[:, None, None] * starts[None, :, :]).reshape(-1, ev.dim)
     return np.repeat(us, len(starts), axis=0), rows

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import latconv
-from latconv import _config, examples, legendre
+from latconv import _config, examples, legendre, verify
 from latconv.errors import ResourceLimitError
-from latconv.homogeneous import HomogeneousPolynomial
+from latconv.homogeneous import HomogeneousPolynomial, sphere_samples
 from latconv.legendre import (ConjugateEvaluator, conjugate_bounds_check,
                               conjugate_compare, weighted_norm)
 from latconv.symbol import newton_ascent
@@ -25,6 +25,16 @@ def ex73_poly(ex73_analysis):
 @pytest.fixture(scope="module")
 def srw3_poly():
     return latconv.analyze(examples.srw(3)).points[0].classification.poly
+
+
+@pytest.fixture(scope="module")
+def intro_poly(intro_analysis):
+    return intro_analysis.points[0].classification.poly
+
+
+@pytest.fixture(scope="module")
+def ex75_3_poly():
+    return latconv.analyze(examples.get("ex75:3")).points[0].classification.poly
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +145,7 @@ def test_ascent_at_least_grid(intro_analysis, rng):
         x = rng.uniform(-5, 5, size=2)
         # R# is solved at u = t^-F x, on the grid of radius ev.rho
         t, u = P.polar(x[None, :])
-        grid_val, _ = ev._grid_scan_batch(u, ev.rho)
+        grid_val, _ = ev._grid_scan_batch(u)
         assert ev.conjugate(x) >= t[0] * grid_val[0] - 1e-12
     # the grid is certified for every u: the objective is negative on its boundary
     side = np.linspace(-ev.rho, ev.rho, 257)
@@ -306,7 +316,7 @@ def test_live_row_ascent_matches_full_batch_on_tables(fixture, request):
     # 4,096 unit-circle directions, grid starts
     ev = ConjugateEvaluator(request.getfixturevalue(fixture).points[0].classification.poly)
     dirs = _unit_circle(4096)
-    _, grid_arg = ev._grid_scan_batch(dirs, ev.rho)
+    _, grid_arg = ev._grid_scan_batch(dirs)
     _assert_same_ascent(ev, dirs, grid_arg)
 
 
@@ -353,7 +363,7 @@ def test_newton_from_the_grid_argmax_matches_multi_start(ex73_analysis):
     ev = ConjugateEvaluator(ex73_analysis.points[0].classification.poly)
     dirs = _unit_circle(4096)
     t, us = ev.P.polar(dirs)
-    _, grid_arg = ev._grid_scan_batch(us, ev.rho)
+    _, grid_arg = ev._grid_scan_batch(us)
     vals = t * _newton_phase(ev.P, us, grid_arg)[0]
     ref = multi_start_conjugate(ev, dirs)
     assert np.all(ref - vals <= 1e-12 * ref)
@@ -423,22 +433,24 @@ def test_ascent_evaluates_live_rows_only(ex71_analysis, monkeypatch):
 @pytest.mark.parametrize("fixture,counts", [
     ("ex73_poly", (1, 7, 9, 300, 515, 777)), ("srw3_poly", (1, 7, 9, 17, 26))])
 def test_grid_scan_blocks_match_one_block(fixture, counts, request, monkeypatch):
-    # row counts about the block sizes (256 rows in d = 2, 8 in d = 3)
+    # row counts about the block sizes: these rows keep 1,564-2,162 of ex73's
+    # 4,096 grid points (121-167 rows a block) and all of srw:3's (8 rows)
     ev = ConjugateEvaluator(request.getfixturevalue(fixture))
     rng = np.random.default_rng(23)
     for rows in counts:
         xs = rng.uniform(-6, 6, size=(rows, ev.dim))
-        vals, args = ev._grid_scan_batch(xs, ev.rho)
+        vals, args = ev._grid_scan_batch(xs)
         with monkeypatch.context() as m:
             m.setattr(legendre, "_SCAN_BLOCK_CELLS", 2 ** 40)
-            one_vals, one_args = ev._grid_scan_batch(xs, ev.rho)
+            one_vals, one_args = ev._grid_scan_batch(xs)
         assert np.array_equal(vals.view(np.uint64), one_vals.view(np.uint64))
         assert np.array_equal(args, one_args)
 
 
 def test_shell_table_memory(ex73_poly):
-    # the grid scan's objective blocks are 8 MiB; one 4,096-row block
-    # peaked at 256 MiB
+    # the grid scan's objective blocks are about 2 MiB, and the table peaked
+    # at 2.65 MiB (13.1 MiB with blocks of 2^20 cells); one 4,096-row block
+    # over the whole grid peaked at 256 MiB
     ev = ConjugateEvaluator(ex73_poly)
     tracemalloc.start()
     try:
@@ -446,35 +458,133 @@ def test_shell_table_memory(ex73_poly):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def test_grid_scan_respects_memory_cap(intro_analysis):
-    ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
+    # the evaluator checks its 64^d grid before it allocates it
     with _config.memory_cap(64 * 1024), \
             pytest.raises(ResourceLimitError, match=r"box \(64, 64\)"):
-        ev.conjugate_batch(np.array([[1.0, 2.0]]))
+        ConjugateEvaluator(intro_analysis.points[0].classification.poly)
 
 
 def test_grid_scan_peak_within_its_budget(intro_analysis, monkeypatch):
-    # one objective block is held at a time: 600 points of intro (two blocks
-    # of 300 rows) peaked at 9.7 MiB against a budget of 16.2 MiB, and at
-    # 19.0 MiB while the next block was built beside the last
+    # one objective block is held at a time: 600 points of intro keep 1,498
+    # of the 4,096 grid points (three blocks of 200 rows) and peaked at
+    # 2.4 MiB against a budget of 4.25 MiB.  Over the whole grid, two blocks
+    # of 300 rows peaked at 9.7 MiB, and at 19.0 MiB while the next block
+    # was built beside the last
     budget = []
 
     def check_box(shape, complex_arrays=2):
         budget.append(int(np.prod(shape)) * 16 * complex_arrays)
         return check(shape, complex_arrays)
 
+    ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
     check = legendre._check_box
     monkeypatch.setattr(legendre, "_check_box", check_box)
-    ev = ConjugateEvaluator(intro_analysis.points[0].classification.poly)
     xs = np.random.default_rng(7).uniform(-8, 8, size=(600, 2))
     tracemalloc.start()
     try:
-        ev._grid_scan_batch(xs, ev.rho)
+        ev._grid_scan_batch(xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(budget) == 1
     assert peak <= budget[0]
+
+
+def _full_grid_scan(ev, xs):
+    """Reference for ``_grid_scan_batch``: every one of the 64^d grid points
+    scored for every row, in blocks of at least 8 rows and about 2^20
+    objective cells, as the scan ran before it pruned its columns."""
+    cells = legendre._SCAN_AXIS ** ev.dim
+    block = max(8, 2 ** 20 // cells)
+    n_blocks = max(1, len(xs) // block)
+    axes = [np.linspace(-ev.rho, ev.rho, legendre._SCAN_AXIS)] * ev.dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts_t = np.stack([m.reshape(-1) for m in mesh])
+    rvals = ev.P.real(pts_t.T)
+    out_val = np.empty(len(xs))
+    out_arg = np.empty((len(xs), ev.dim))
+    for rows in np.array_split(np.arange(len(xs)), n_blocks):
+        obj = xs[rows] @ pts_t
+        obj -= rvals
+        best = np.argmax(obj, axis=1)
+        out_val[rows] = obj[np.arange(len(rows)), best]
+        out_arg[rows] = pts_t[:, best].T
+    return out_val, out_arg
+
+
+def _assert_scan_is_full_scan(ev, xs):
+    vals, args = ev._grid_scan_batch(xs)
+    ref_vals, ref_args = _full_grid_scan(ev, xs)
+    assert np.array_equal(vals.view(np.uint64), ref_vals.view(np.uint64))
+    assert np.array_equal(args.view(np.uint64), ref_args.view(np.uint64))
+    # the certificate itself: no row of norm at most U scores a dropped point
+    # above U|xi| - R(xi), and that ceiling is below every row's maximum.  The
+    # argmaxes lie far inside the kept points, so this catches an unsound
+    # prune that the bits above miss: halving U|xi| in the keep test drops
+    # no argmax of these batches
+    U = np.linalg.norm(xs, axis=1).max()
+    dropped = np.ones(ev.grid_re.size, dtype=bool)
+    dropped[ev._grid_columns(U)] = False
+    ceiling = U * ev.grid_norm[dropped] - ev.grid_re[dropped]
+    assert ceiling.max(initial=-np.inf) < ref_vals.min()
+
+
+@pytest.mark.parametrize("name", ["intro", "ex71", "ex72", "ex73", "ex74", "ex75:3,2",
+                                  "ex75:2,3", "srw:2", "phim:2,1", "phim:2,3", "phim:1,2",
+                                  "ex75:3", "srw:3", "ex75:2,1,1"])
+def test_pruned_grid_scan_is_the_full_scan_on_the_corpus(name):
+    # every Omega point's P at its R# table's unit-scale rows: the 4,096
+    # angles in d = 2, the two in d = 1, and 300 sphere directions in d = 3.
+    # The kept share of the grid was 6.0-20.7% in d = 2 (intro, srw:2) and
+    # 1.35-3.2% in d = 3 (ex75:2,1,1, srw:3)
+    polys = []
+    for point in latconv.analyze(examples.get(name)).points:
+        P = point.classification.poly
+        if all(P is not q for q in polys):
+            polys.append(P)
+    for P in polys:
+        ev = ConjugateEvaluator(P)
+        if P.dim == 3:
+            xs = sphere_samples(3, 300, seed=31)
+        else:
+            th = np.linspace(-np.pi, np.pi, 4096 if P.dim == 2 else 2, endpoint=False)
+            xs = P.unadapted(np.stack([np.cos(th), np.sin(th)], axis=1)[:, :P.dim])
+        _, us = P.polar(xs)
+        _assert_scan_is_full_scan(ev, us)
+        kept = ev._grid_columns(np.linalg.norm(us, axis=1).max()).size
+        assert kept <= {1: 1.0, 2: 0.25, 3: 0.05}[P.dim] * ev.grid_re.size
+
+
+@pytest.mark.parametrize("fixture", ["ex75_3_poly", "intro_poly", "srw3_poly"])
+def test_pruned_grid_scan_is_the_full_scan_on_any_batch(fixture, request):
+    # raw and unit-scale batches about the 8-row minimum block, with rows
+    # at 0 and |x| up to 40; the whole grid is kept for the larger raw rows
+    P = request.getfixturevalue(fixture)
+    ev = ConjugateEvaluator(P)
+    rng = np.random.default_rng(37)
+    for rows in (1, 7, 8, 9, 300):
+        xs = rng.standard_normal((rows, P.dim))
+        xs *= rng.uniform(0.0, 40.0, rows)[:, None] / np.linalg.norm(xs, axis=1)[:, None]
+        xs[::5] = 0.0
+        for batch in (xs, P.polar(xs)[1]):
+            _assert_scan_is_full_scan(ev, batch)
+
+
+def test_d3_fits_are_the_full_scan_fits(monkeypatch):
+    # srw:3's Gaussian and sub-exponential fits to n = 16 read every point's
+    # R# through conjugate_batch, so its grid scan reaches their rows
+    ana = latconv.analyze(examples.srw(3))
+    ns = (1, 2, 4, 8, 16)
+
+    def fits():
+        return [(r.rows, r.constants, r.verdict)
+                for r in (verify.gaussian_bound_fit(ana.function, ana, ns),
+                          verify.subexp_bound_fit(ana.function, ana, ns))]
+
+    got = fits()
+    monkeypatch.setattr(ConjugateEvaluator, "_grid_scan_batch", _full_grid_scan)
+    assert got == fits()

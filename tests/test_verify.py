@@ -429,9 +429,9 @@ def test_direct_powers_cap_counts_kept_powers():
 
 
 def test_conjugate_batch_cap_counts_the_ascent_rows(monkeypatch):
-    # 40,000 points of ex75:3, with grid-scan blocks of 256 rows (264 KiB):
+    # 40,000 points of ex75:3, with a grid-scan check of 260 KiB:
     # the ascent's check counts 12 numbers per row of the batch and 31 per
-    # row of one ascent block, 7.54 MiB, and tracemalloc read 5.44 MiB.  A
+    # row of one ascent block, 7.54 MiB, and tracemalloc read 5.43 MiB.  A
     # cap just below refuses the batch and that cap holds it; with all
     # 40,000 rows in one block the check counts 13.1 MiB and refuses it
     import tracemalloc
