@@ -23,6 +23,7 @@ BLAS thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ def _check_grid(shape, extra=0):
     """Refuse a weight grid the memory cap cannot hold: the complex grid, the
     slab temporaries of ``on_grid`` beside it and ``extra`` complex numbers
     held with it (an FFT output window)."""
-    cells = np.prod(shape, dtype=np.int64)
+    cells = math.prod(int(s) for s in shape)
     _check_box(shape, complex_arrays=1.0 + (grid_scratch(shape) + extra) / cells)
 
 
@@ -212,7 +213,7 @@ def attractor_grid(P, t, window, shift=None, oversample=2):
     reach = np.maximum(np.abs(lo + np.floor(shift)), np.abs(hi + np.ceil(shift)))
     N = [_fft.next_fast_len(max(256, oversample * K[j] * (reach[j] + 16)))
          for j in range(d)]
-    _check_grid(N, extra=np.prod(hi - lo + 1))
+    _check_grid(N, extra=math.prod((hi - lo + 1).tolist()))
     nodes = [(-np.pi * K[j] + 2.0 * np.pi * K[j] * np.arange(N[j]) / N[j])
              for j in range(d)]
     W = _weight_grid(P, t, nodes)
@@ -249,7 +250,7 @@ def _llt_dense(analysis, n, window):
     time, added in the order of the points.  Entry i is the value at
     ``lo + i`` for the window's lower corner ``lo``.  One cap check, made
     before any of them, counts the windows this holds: the grids, ``total``
-    and a copy; :func:`attractor_grid` checks its own weight grid.
+    and a copy, of which it holds the first two around :func:`attractor_grid`.
     """
     if analysis.mu_phi is None:
         raise ValueError(f"analysis verdict is {analysis.verdict}; no local limit")
@@ -265,8 +266,8 @@ def _llt_dense(analysis, n, window):
     for pa in points:
         cls = pa.classification
         if id(cls) not in grids:
-            grids[id(cls)] = attractor_grid(cls.poly, n, list(zip(lo, hi)),
-                                            shift=-n * cls.alpha).values
+            with _config.holding(total.nbytes * (1 + len(grids))):
+                grids[id(cls)] = attractor_grid(cls.poly, n, window, shift=-n * cls.alpha).values
         vals = grids[id(cls)].copy()
         vals *= np.exp(1j * n * pa.phase)
         for j in range(d):

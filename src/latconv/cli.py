@@ -19,7 +19,7 @@ from . import _config, examples
 from .attractor import attractor_grid, llt_approx
 from .errors import ResourceLimitError
 from .expansion import analyze
-from .lattice import norm_linf, power, read_function, write_function
+from .lattice import _check_box, norm_linf, power, read_function, write_function
 from .legendre import ConjugateEvaluator
 from .symbol import SymbolView, check_von_neumann
 from .verify import (default_llt_window, derivative_bound_fit, gaussian_bound_fit,
@@ -310,6 +310,7 @@ def cmd_legendre(args):
     f = _load_function(args)
     window = (_parse_window(args.window, f.dim) if args.window
               else [(-8, 8)] * f.dim)
+    _check_box([b - a + 1 for a, b in window], complex_arrays=f.dim)  # the mesh and its stack
     ana = analyze(f)
     if ana.mu_phi is None:
         print(f"analysis verdict: {ana.verdict}; no conjugate")
@@ -318,7 +319,8 @@ def cmd_legendre(args):
     ev = ConjugateEvaluator(pa.classification.poly)
     axes = [np.arange(a, b + 1) for a, b in window]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
-    vals, argmax = ev.conjugate_batch(pts.astype(float))
+    with _config.holding(2 * pts.nbytes):  # the points and their float copy
+        vals, argmax = ev.conjugate_batch(pts.astype(float))
     header = ",".join([f"x_{j + 1}" for j in range(f.dim)] + ["value"]
                       + [f"argmax_{j + 1}" for j in range(f.dim)])
     _write_csv(_out_path(args, "legendre.csv"), header,
@@ -355,6 +357,8 @@ def cmd_bounds(args):
 
 
 def cmd_stability(args):
+    if args.nmax < 1:
+        raise SystemExit2("n values must be positive")
     f = _load_function(args)
     rep = stability_report(f, args.nmax)
     _write_report_csv(_out_path(args, "stability.csv"), rep)
@@ -371,6 +375,7 @@ def cmd_theta(args):
     n_values = _parse_n_list(args.n)
     window = (_parse_window(args.window, f.dim) if args.window
               else [(-4, 4)] * f.dim)
+    _check_box([b - a + 1 for a, b in window], complex_arrays=f.dim)  # the mesh and its stack
     profile = walk_profile(f)
     axes = [np.arange(a, b + 1) for a, b in window]
     rows = []

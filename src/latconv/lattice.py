@@ -5,7 +5,7 @@ lexicographically sorted integer point array plus matching complex values,
 with entries of magnitude below 1e-300 (true zeros) dropped.  All operations
 are pure; results are new canonical functions.
 
-Every power comes from one of two producers, each with one cap check:
+Every power comes from one of two producers, each with its own cap checks:
 :func:`_direct_stream`, which extracts the requested powers from one exact
 dense :func:`sweep` on the lattice that the support spans (the oracle of
 record, bit-identical to iterated pairwise :func:`convolve`; float64 when
@@ -219,6 +219,10 @@ def translate(f, y):
     return LatticeFunction._from_sorted(f.dim, f.points + y, f.values)
 
 
+def _nbytes(f):
+    return f.points.nbytes + f.values.nbytes
+
+
 def norm_l1(f):
     return float(np.abs(f.values).sum())
 
@@ -228,14 +232,14 @@ def norm_linf(f):
 
 
 def _check_box(shape, complex_arrays=2):
-    cells = int(np.prod([int(s) for s in shape], dtype=np.int64))
-    need = cells * 16 * complex_arrays
-    cap = _config._MEMORY_CAP.get()
-    if need > cap:
-        raise ResourceLimitError(
-            f"box {tuple(int(s) for s in shape)} needs ~{need / 2**30:.2f} GiB "
-            f"(cap {cap / 2**30:.2f} GiB)")
-    return cells
+    """Refuse ``complex_arrays`` complex boxes of ``shape`` beside the held bytes past the cap."""
+    shape = tuple(int(s) for s in shape)
+    need = math.prod(shape) * 16 * complex_arrays
+    held, cap = _config._HELD.get(), _config._MEMORY_CAP.get()
+    if held + need > cap:
+        size = [f"{b / 2**30:.2f} GiB" if b >= 2**30 else f"{b / 2**20:.2f} MiB"
+                for b in (need, held, cap)]
+        raise ResourceLimitError("box {} needs ~{} beside {} held (cap {})".format(shape, *size))
 
 
 def convolve(f, g):
@@ -391,18 +395,6 @@ def _block_boxes(numbers, cells):
     return numbers * min(_TILE_CELLS, cells) / (2 * max(cells, 1))
 
 
-def _sweep_boxes(real, cells):
-    """Complex boxes of the final size, ``cells`` cells, that a :func:`sweep`
-    step holds: phi^(n-1), phi^(n) and phi^(n-1) laid out in phi^(n)'s row
-    widths (at most one box each, half a box each for a real sweep), and
-    the tile buffers that the sweep allocates once: a product tile of at
-    most ``_TILE_CELLS`` cells, whose memory also takes the tile's
-    magnitudes, and the tile's mask of one byte per cell."""
-    held = 0.5 if real else 1.0
-    tile = min(_TILE_CELLS, cells)
-    return 3 * held + tile * (16 * held + 1) / (16 * cells)
-
-
 def sweep(f, n_max, lattice=None):
     """Yield ``(array, lo)`` for n = 1..n_max, ``array[i] = phi^(n)(lo + i @ B)``.
 
@@ -427,8 +419,8 @@ def sweep(f, n_max, lattice=None):
     phi sweeps in float64 and yields float64 arrays: with zero imaginary
     parts a complex product's real part is ``ar * br - 0`` and its
     imaginary part accumulates to +0, so the real arithmetic gives the
-    same bits.  The yielded arrays are fresh each step.  The caller checks
-    the cap for at least :func:`_sweep_boxes`.
+    same bits.  The yielded arrays are fresh each step.  Each step checks
+    the cap for its boxes and tile buffers, and holds both across ``yield``.
     """
     if lattice is None:
         lattice = support_lattice(f)
@@ -450,6 +442,10 @@ def sweep(f, n_max, lattice=None):
     count = len(f)
     for n in range(2, n_max + 1):
         shape = tuple(n * s + 1 for s in span)
+        # phi^(n-1), phi^(n) and phi^(n-1) laid out in phi^(n)'s row widths,
+        # beside a product tile that also takes its magnitudes and a byte mask
+        _check_box(shape, complex_arrays=(
+            3 * cur.itemsize + tile * (cur.itemsize + 1) / math.prod(shape)) / 16)
         nxt = np.zeros(shape, dtype=cur.dtype)
         flat = nxt.reshape(-1)
         # the run of phi^(n-1) ends at its last cell; on one axis it is cur
@@ -488,38 +484,34 @@ def sweep(f, n_max, lattice=None):
             count += t1 - t0 - np.count_nonzero(drop)
         del source
         cur = nxt
-        yield cur, n * lattice.origin
+        with _config.holding(cur.nbytes + tile * (cur.itemsize + 1)):
+            yield cur, n * lattice.origin
 
 
-def _direct_stream(f, n_values, beside=0.0, block=0.0):
+def _direct_stream(f, n_values):
     """Yield ``(n, phi^(n))`` for each requested n from one exact :func:`sweep`.
 
     Each power is extracted when the sweep reaches it, and the sweep waits
     while the caller reduces it; a caller that keeps no power drops it
     before it asks for the next.  The last power is extracted once the
     sweep has freed its tile buffers, and when it is the only one, from the
-    sweep's own array, in place when it is complex.  The cap covers
-    the sweep's boxes or the box beside one extraction, plus ``beside``
-    complex boxes of the final size, the powers that the caller keeps or
-    what it allocates to reduce one, plus one block of ``block`` float64
-    numbers per row, what it allocates per block of the power's points
-    (:func:`_blocks`).
+    sweep's own array, in place when it is complex.  Each extraction checks
+    the cap for its sparse copy, the last one beside the array, which it
+    holds across the last ``yield``.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if n_values[0] < 1:
         raise ValueError("n values must be >= 1")
     *early, last = n_values
     lattice = support_lattice(f)
-    real = _is_real(f)
-    box = lattice.box(last)
-    cells = math.prod(box)
-    _check_box(box, complex_arrays=beside + _block_boxes(block, cells) + max(
-        _sweep_boxes(real, cells),
-        (0.5 if real else 1.0) + _sparse_boxes(f.dim, cells, consume=not early and not real)))
     for n, (arr, lo) in enumerate(sweep(f, last, lattice), start=1):
         if n in early:
+            _check_box(arr.shape, complex_arrays=_sparse_boxes(f.dim, arr.size))
             yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
-    yield last, _extract_sparse(f.dim, arr, lo, 0.0, consume=not early, basis=lattice.basis)
+    _check_box(arr.shape, complex_arrays=arr.itemsize / 16 + _sparse_boxes(
+        f.dim, arr.size, consume=not early and arr.dtype == np.complex128))
+    with _config.holding(arr.nbytes):
+        yield last, _extract_sparse(f.dim, arr, lo, 0.0, consume=not early, basis=lattice.basis)
 
 
 def _flat_offsets(cells, shape):
@@ -698,11 +690,11 @@ def power_torus(f, n, lo, hi):
     aliases folded into the box are smaller still.  Otherwise the box doubles
     about its centre.  An axis whose torus would reach the full
     ``n * span + 1`` extent takes that extent and does not alias; when every
-    axis does, this is the exact-extent :func:`power_dense`.  The cap is
-    checked once per torus, before its transform, for the larger of its
-    arrays (2 complex torus boxes for a real phi, 3 for a complex one, 1
-    fewer on the exact extent) and the box beside the sparse copy that
-    :func:`_sparse_above_floor` makes of it.
+    axis does, this is the exact-extent :func:`power_dense`.  Each torus is
+    checked, beside what the caller holds, for the larger of its arrays (2
+    complex torus boxes for a real phi, 3 for a complex one, 1 fewer on the
+    exact extent) and the box beside the sparse copy that
+    :func:`_sparse_above_floor` makes of it, before its transform.
 
     Returns ``(array, lo)`` like :func:`power_dense`, covering every point of
     ``[lo, hi]`` where phi^(n) can be non-zero.

@@ -8,18 +8,19 @@ That is the strongest falsifiable desk-scale reading of an asymptotic bound.
 
 from __future__ import annotations
 
-import math
+import contextlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from . import _config
 from .attractor import _llt_dense
 from .errors import DimensionMismatchError
 from .expansion import analyze
 from .lattice import (ZERO_DROP, LatticeFunction, _blocks, _cell_points, _check_box,
-                      _direct_stream, _fft_noise_floor, _is_real, _sparse_above_floor,
-                      _sweep_boxes, convolve, norm_l1, norm_linf, power, power_torus,
+                      _direct_stream, _fft_noise_floor, _nbytes, _sparse_above_floor,
+                      convolve, norm_l1, norm_linf, power, power_torus,
                       support_lattice, sweep, translate)
 from .legendre import ConjugateEvaluator
 
@@ -60,13 +61,13 @@ def _dyadic_ns(n_max):
 
 def direct_powers(f, n_values):
     """{n: phi^(n)} from :func:`~latconv.lattice._direct_stream`, every power
-    kept (oracle of record)."""
-    ns = sorted(set(int(n) for n in n_values))
-    lattice = support_lattice(f)
-    cells = [np.prod(lattice.box(n), dtype=float) for n in ns]
-    # the sparse copies (values and d coordinates per cell) of the powers kept
-    # while the sweep goes on
-    return dict(_direct_stream(f, ns, (1.0 + f.dim / 2) * sum(cells[:-1]) / cells[-1]))
+    kept (oracle of record) and held while the sweep goes on."""
+    powers = {}
+    with contextlib.ExitStack() as kept:
+        for n, p in _direct_stream(f, n_values):
+            powers[n] = p
+            kept.enter_context(_config.holding(_nbytes(p)))
+    return powers
 
 
 def sup_decay_report(f, analysis, n_values):
@@ -174,30 +175,30 @@ def _certified_ladder(f, analysis, n_values):
     factor and :data:`_LADDER_MARGIN`, plus :data:`_LADDER_CELLS`; the box
     is not clipped to the drift box.  ``power_torus``'s acceptance test and
     doubling stay the certificate.  A non-positive-homogeneous f takes the
-    full box at every rung.
+    full box at every rung.  Each box is held until the next replaces it.
     """
-    if analysis.mu_phi is None:
-        for n in sorted(n_values):
-            yield (n, *power_torus(f, n, *(n * e for e in f.extent())))
-        return
     points = analysis.points
-    lam = _lambda_max(points)
-    prev = None
+    prev, arr = None, np.empty(0)
     ns = sorted(n_values)
     for n in ns:
-        hull_lo, hull_hi = _covering_box([n * pa.classification.alpha for pa in points], 0.0)
-        if prev is None:
-            lo, hi = drift_box(analysis, n)
+        if analysis.mu_phi is None:
+            lo, hi = (n * e for e in f.extent())
         else:
-            n_prev, below, above = prev
-            scale = _LADDER_MARGIN * (n / n_prev) ** lam
-            lo = hull_lo - np.ceil(scale * below).astype(np.int64) - _LADDER_CELLS
-            hi = hull_hi + np.ceil(scale * above).astype(np.int64) + _LADDER_CELLS
-        arr, lo = power_torus(f, n, lo, hi)
-        if n < ns[-1]:
+            hull_lo, hull_hi = _covering_box([n * pa.classification.alpha for pa in points], 0.0)
+            if prev is None:
+                lo, hi = drift_box(analysis, n)
+            else:
+                n_prev, below, above = prev
+                scale = _LADDER_MARGIN * (n / n_prev) ** _lambda_max(points)
+                lo = hull_lo - np.ceil(scale * below).astype(np.int64) - _LADDER_CELLS
+                hi = hull_hi + np.ceil(scale * above).astype(np.int64) + _LADDER_CELLS
+        with _config.holding(arr.nbytes):
+            arr, lo = power_torus(f, n, lo, hi)
+        if analysis.mu_phi is not None and n < ns[-1]:
             first, last = _kept_extent(arr, lo, n)
             prev = n, np.maximum(hull_lo - first, 0), np.maximum(last - hull_hi, 0)
-        yield n, arr, lo
+        with _config.holding(arr.nbytes):
+            yield n, arr, lo
 
 
 def power_near_drifts(f, analysis, n, window=None):
@@ -271,14 +272,6 @@ class _ConjugateField:
     table and evaluates the points of a call, one fit block, in one
     ``conjugate_batch``, whose scan keeps 1.4-3.2% of its 64^3 grid: the
     Gaussian fit to n = 64 took 2.9 s on srw:3, 11.1 s on ex75:2,1,1 (2 cores).
-
-    ``block_numbers`` counts the float64 numbers per point of an
-    :func:`_envelope_peaks` block: |v| and the shifted points (d + 1),
-    beside the larger of what ``values`` allocates and, after it, n R#,
-    the logs and one M's product and sum (4).  ``values`` allocates, with
-    the table, the adapted coordinates, made from their magnitudes and
-    powers (3d), or beside them the angle, |c|^2, the interpolated value
-    and their product (d + 4); without it, ``conjugate_batch``'s rows.
     """
 
     def __init__(self, poly):
@@ -286,14 +279,11 @@ class _ConjugateField:
         self.ev = ConjugateEvaluator(poly)
         self.table = None
         if self.dim <= 2:
-            self.block_numbers = self.dim + 1 + max(3 * self.dim, self.dim + 4)
             self.n_angles = 4096 if self.dim == 2 else 2
             th = np.linspace(-np.pi, np.pi, self.n_angles, endpoint=False)
             table, _ = self.ev.conjugate_batch(self.sphere(th))
             self.angles = np.append(th, np.pi)
             self.table = np.append(table, table[0])
-        else:
-            self.block_numbers = self.dim + 1 + sum(self.ev._row_numbers())
 
     def sphere(self, th):
         """The points of angle ``th`` on the E-adapted unit sphere."""
@@ -311,12 +301,6 @@ class _ConjugateField:
 
 # the halving grid of the envelope fits' M: 1, 1/2, ..., 2^-12
 _M_GRID = tuple(0.5 ** k for k in range(13))
-# complex boxes per cell of the final box that a derivative step's
-# differences allocate beside the power, merging two sorted supports; its
-# envelope block is counted apart.  tracemalloc read 5.5 on ex75:3,2 with
-# beta = (1, 0) and 6.7 with (3, 3) at n = 64 and 128, but 10.6 and 12.2 on
-# ex75:3 with beta = 1 and 3 at n = 64, whose box is one row
-_DERIVATIVE_BOXES = 14.0
 
 
 def _envelope_peaks(points, values, n, exponent, conj_field, alpha, normalizer=1.0):
@@ -383,9 +367,9 @@ def gaussian_bound_fit(f, analysis, n_values):
     rows, peaks = [], {}
     # the exact direct path carries true zeros outside the reachable support;
     # transform noise there would otherwise dominate the envelope max
-    for n, pn in _direct_stream(analysis.function, n_values,
-                                block=conj_field.block_numbers):
-        sup, peaks[n] = _envelope_peaks(pn.points, pn.values, n, mu, conj_field, alpha0)
+    for n, pn in _direct_stream(analysis.function, n_values):
+        with _config.holding(_nbytes(pn)):
+            sup, peaks[n] = _envelope_peaks(pn.points, pn.values, n, mu, conj_field, alpha0)
         rows.append((n, sup, n ** mu * sup))
         del pn
     fit = _envelope_fit(peaks)
@@ -408,23 +392,20 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
                            verdict="not-applicable",
                            notes=f"analysis verdict: {analysis.verdict}")
     rows = []
-    # float64 numbers per row of a block: the points, |v| and the envelope
-    # (d + 2); y and r, kept until the next Omega point's (d + 1); and y A^-1,
-    # its conjugate and their product with its row sums (3d + 1), more than
-    # the temporaries that make y (2d) or the envelope term (3)
-    for n, pn in _direct_stream(analysis.function, n_values, block=5 * f.dim + 4):
+    for n, pn in _direct_stream(analysis.function, n_values):
         c_n = 0.0
-        for block in _blocks(len(pn)):
-            pts = pn.points[block].astype(float)
-            mags = np.abs(pn.values[block])
-            env = np.zeros_like(mags)
-            for pa in analysis.points:
-                poly, a_q = pa.classification.poly, pa.classification.alpha
-                # n^-Eq* = A^-T diag(n^-lam) A^T, row by row
-                y = ((pts - n * a_q) @ poly.basis) * float(n) ** -poly.lam
-                r = np.linalg.norm(y @ poly.basis_inv, axis=1)
-                env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
-            c_n = max(c_n, float(np.max(mags / env)))
+        with _config.holding(_nbytes(pn)):
+            for block in _blocks(len(pn)):
+                pts = pn.points[block].astype(float)
+                mags = np.abs(pn.values[block])
+                env = np.zeros_like(mags)
+                for pa in analysis.points:
+                    poly, a_q = pa.classification.poly, pa.classification.alpha
+                    # n^-Eq* = A^-T diag(n^-lam) A^T, row by row
+                    y = ((pts - n * a_q) @ poly.basis) * float(n) ** -poly.lam
+                    r = np.linalg.norm(y @ poly.basis_inv, axis=1)
+                    env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
+                c_n = max(c_n, float(np.max(mags / env)))
         rows.append((n, c_n))
         del pn
     n_top = rows[-1][0]
@@ -466,14 +447,17 @@ def stability_report(f, n_max, method="auto"):
     if method == "auto":
         method = "direct" if _direct_work_estimate(f, n_max) <= 3e8 else "spectral"
     if method == "direct":
-        # the magnitudes that each norm takes
-        powers = _direct_stream(f, n_values, beside=0.5)
+        powers = _direct_stream(f, n_values)
     elif method not in ("fast", "spectral"):
         raise ValueError(f"unknown method {method!r}")
     else:
         powers = ((n, _sparse_above_floor(f.dim, arr, lo, n))
                   for n, arr, lo in _certified_ladder(f, analyze(f), n_values))
-    rows = [(n, norm_l1(p), norm_linf(p)) for n, p in powers]
+    rows = []
+    for n, p in powers:
+        with _config.holding(_nbytes(p)):
+            _check_box((len(p),), complex_arrays=0.5)  # the magnitudes each norm takes
+        rows.append((n, norm_l1(p), norm_linf(p)))
     l1 = {n: r for n, r, _ in rows}
     top = max(v for n, v in l1.items() if n > n_max / 2)
     bottom = max(v for n, v in l1.items() if n <= n_max / 2)
@@ -498,15 +482,18 @@ def space_diff(psi, w):
     w = np.asarray(w, dtype=np.int64)
     if w.shape != (psi.dim,):
         raise DimensionMismatchError("shift dimension mismatch")
+    # the shift, negation and merge: tracemalloc read 19.1-22.4 numbers a point
+    _check_box((len(psi),), complex_arrays=psi.dim + 9)
     return translate(psi, -w) - psi
 
 
 def space_diff_multi(psi, vectors, beta):
-    """D_v^beta = prod_j (D_{v_j})^{beta_j}."""
+    """D_v^beta = prod_j (D_{v_j})^{beta_j}, holding psi and the last difference."""
     out = psi
     for v, b in zip(vectors, beta):
         for _ in range(int(b)):
-            out = space_diff(out, v)
+            with _config.holding(_nbytes(psi) + (out is not psi) * _nbytes(out)):
+                out = space_diff(out, v)
     return out
 
 
@@ -529,6 +516,8 @@ def time_diff(f, point_analysis, l, psi):
 def _prefactor(g, point_analysis, n):
     """e^{-i n phase} e^{i x.xi0} g(x): a unit factor keeps g's canonical
     order, so only values that fall below ``ZERO_DROP`` leave."""
+    # the phase and two products, or the phase, values, |values| and kept copy
+    _check_box((len(g),), complex_arrays=(g.dim + 7) / 2)
     phase = np.exp(1j * (g.points.astype(float) @ point_analysis.xi))
     values = g.values * phase * np.exp(-1j * n * point_analysis.phase)
     keep = np.abs(values) >= ZERO_DROP
@@ -573,11 +562,12 @@ def derivative_bound_fit(f, analysis, vectors, beta, n_values):
                                 for v, b in zip(vectors, beta)]))
     conj_field = _ConjugateField(poly)
     rows, peaks = [], {}
-    for n, pn in _direct_stream(analysis.function, n_values, _DERIVATIVE_BOXES,
-                                conj_field.block_numbers):
-        diffed = space_diff_multi(_prefactor(pn, pa, n), vectors, beta)
-        sup, peaks[n] = _envelope_peaks(diffed.points, diffed.values, n, exponent,
-                                        conj_field, pa.classification.alpha, normalizer)
+    for n, pn in _direct_stream(analysis.function, n_values):
+        with _config.holding(_nbytes(pn)):
+            diffed = space_diff_multi(_prefactor(pn, pa, n), vectors, beta)
+            with _config.holding(_nbytes(diffed)):
+                sup, peaks[n] = _envelope_peaks(diffed.points, diffed.values, n, exponent,
+                                                conj_field, pa.classification.alpha, normalizer)
         rows.append((n, sup, sup * n ** exponent))
         del pn, diffed
     fit = _envelope_fit(peaks)
@@ -627,20 +617,16 @@ def support_periodicity_check(f, profile, n_max, tol=1e-8):
     """Exact inclusion supp(phi^(n)) within supp(Theta(n, .)) for n <= n_max.
 
     Theta is summed one Omega point at a time over the support's points.
-    The cap counts the larger of the sweep's boxes and the power beside what
-    the check holds when every cell is in the support: ``np.argwhere``'s
-    coordinates and their stacked copy (d/2 boxes each), or the float
-    coordinates, Theta and one Omega point's phases and exponentials
-    (d/2 + 2.5).
+    Beside each power, the cap counts what the check holds if every cell is
+    in the support: ``np.argwhere``'s coordinates and their stacked copy
+    (d/2 boxes each), or the float coordinates, Theta and one Omega point's
+    phases and exponentials (d/2 + 2.5).
     """
     if not f.is_probability():
         raise ValueError("support periodicity check requires a probability input")
     lattice = support_lattice(f)
-    real = _is_real(f)
-    box = lattice.box(n_max)
-    _check_box(box, complex_arrays=max(_sweep_boxes(real, math.prod(box)),
-                                       (0.5 if real else 1.0) + max(f.dim, f.dim / 2 + 2.5)))
     for n, (arr, lo) in enumerate(sweep(f, n_max, lattice), start=1):
+        _check_box(arr.shape, complex_arrays=max(f.dim, f.dim / 2 + 2.5))
         cells = np.argwhere(arr)
         points = np.empty((len(cells), f.dim))
         _cell_points(cells.T, lo, lattice.basis, points)

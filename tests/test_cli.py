@@ -166,6 +166,34 @@ def test_resource_cap_exit(tmp_path, capsys):
     assert code == 4
 
 
+def test_window_of_2_64_cells_is_refused(tmp_path, capsys):
+    # counted in int64 the window's 2^64 cells wrapped to 0 and passed the
+    # cap, and numpy refused the array with a traceback
+    code = main(["llt", "--example", "srw:2", "--n", "4",
+                 "--window=-2147483648:2147483647,-2147483648:2147483647",
+                 "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "box (4294967296, 4294967296)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["legendre", "--example", "ex71", "--window=-500:500,-500:500"],
+    ["theta", "--example", "srw:2", "--n", "4", "--window=-150:150,-150:150"]])
+def test_query_mesh_is_checked_before_it_is_built(tmp_path, capsys, argv):
+    # without the check the legendre mesh peaked at 31.8 MiB before the batch
+    # refused it, and theta ran to the end at 13.6 MiB
+    import tracemalloc
+    cap = 0.001
+    tracemalloc.start()
+    try:
+        code = main(["--memory-cap", str(cap)] + argv + ["--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and "resource error" in capsys.readouterr().err
+    assert peak < cap * 2 ** 30, peak
+
+
 def test_theta_csv(tmp_path, capsys):
     code, out = run(tmp_path, "theta", "--example", "srw:2", "--n", "1,2",
                     "--window=-1:1,-1:1")
@@ -241,6 +269,8 @@ def test_cli_restores_run_configuration(monkeypatch):
     # a negative order would take no difference but count in the exponent
     ["bounds", "--example", "ex75:3,2", "--n", "2:32", "--kind", "derivative",
      "--beta=-1,0"],
+    ["stability", "--example", "srw:2", "--nmax", "0"],
+    ["stability", "--example", "srw:2", "--nmax", "-3"],
 ])
 def test_input_errors_are_usage_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

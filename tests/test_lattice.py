@@ -114,15 +114,18 @@ def test_memory_cap():
 
 def test_memory_cap_holds_per_thread():
     # two threads each run under their own cap while the other's is set, and
-    # neither changes the cap that the caller reads
+    # neither changes the cap that the caller reads.  Each also holds 1 GiB:
+    # were the holds one count, the 2 GiB thread would see 2 GiB held and
+    # refuse its power
     import threading
 
     from latconv import _config
-    barrier, got = threading.Barrier(2), {}
+    barrier, got, held = threading.Barrier(2), {}, {}
 
     def run(cap):
-        with _config.memory_cap(cap):
+        with _config.memory_cap(cap), _config.holding(2 ** 30):
             barrier.wait()
+            held[cap] = _config._HELD.get()
             try:
                 got[cap] = len(latconv.power(examples.intro(), 64, method="spectral"))
             except ResourceLimitError as exc:
@@ -136,20 +139,22 @@ def test_memory_cap_holds_per_thread():
         t.join()
     assert isinstance(got[10_000], ResourceLimitError)
     assert got[2 * 2 ** 30] == 4923
+    assert held == {10_000: 2 ** 30, 2 * 2 ** 30: 2 ** 30}
     assert _config._MEMORY_CAP.get() == 2 * 2 ** 30
+    assert _config._HELD.get() == 0
 
 
 def test_direct_power_cap_counts_what_a_step_holds():
     # a complex sweep step holds three complex boxes of the final size and the
-    # sweep's tile buffers, as _sweep_boxes counts them, which bind before the
-    # sparse copy does; a cap just under that budget must refuse the run and
-    # the budget must admit it.  A real phi sweeps in half boxes and would not
-    # test this
+    # sweep's tile buffers (a complex product tile and a byte mask), as the
+    # sweep's last step counts them, which bind before the sparse copy does;
+    # a cap just under that budget must refuse the run and the budget must
+    # admit it.  A real phi sweeps in half boxes and would not test this
     from latconv import _config
-    from latconv.lattice import _sweep_boxes, support_lattice
+    from latconv.lattice import _TILE_CELLS, support_lattice
     f, n = examples.intro(), 64
     cells = int(np.prod(support_lattice(f).box(n)))
-    need = cells * 16 * _sweep_boxes(False, cells)
+    need = 48 * cells + 17 * min(_TILE_CELLS, cells)
     with _config.memory_cap(math.ceil(need) - 1), pytest.raises(ResourceLimitError):
         latconv.power(f, n, method="direct")
     with _config.memory_cap(math.ceil(need)):
@@ -162,7 +167,7 @@ def test_sweep_peak_memory_within_its_budget(n):
     # 4.10 boxes at n = 16, 3.50 at 64 and 3.03 at 256, against 4.06, 3.53
     # and 3.03 budgeted
     import tracemalloc
-    from latconv.lattice import _sweep_boxes, sweep
+    from latconv.lattice import _TILE_CELLS, sweep
     f = examples.intro()
     lo, hi = f.extent()
     cells = int(np.prod(n * (hi - lo) + 1))
@@ -173,7 +178,8 @@ def test_sweep_peak_memory_within_its_budget(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * cells * _sweep_boxes(False, cells) + 2 ** 14, peak / (16 * cells)
+    # three complex boxes and the tile buffers, as the last step counts them
+    assert peak <= 48 * cells + 17 * min(_TILE_CELLS, cells) + 2 ** 14, peak / (16 * cells)
 
 
 @settings(max_examples=40, deadline=None)
@@ -800,7 +806,7 @@ def test_direct_paths_bit_identical_on_sublattices(case):
 def test_sweep_peak_memory_on_a_sublattice(name, n):
     # the sweep holds boxes of the lattice's z-box, about half the bounding box
     import tracemalloc
-    from latconv.lattice import _sweep_boxes, support_lattice, sweep
+    from latconv.lattice import _TILE_CELLS, support_lattice, sweep
     f = examples.get(name)
     lattice = support_lattice(f)
     cells = int(np.prod(lattice.box(n)))
@@ -813,7 +819,8 @@ def test_sweep_peak_memory_on_a_sublattice(name, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * cells * _sweep_boxes(True, cells) + 2 ** 14, peak / (16 * cells)
+    # three real boxes and the tile buffers, as the last step counts them
+    assert peak <= 24 * cells + 9 * min(_TILE_CELLS, cells) + 2 ** 14, peak / (16 * cells)
 
 
 def test_sweep_dtype_follows_phi():

@@ -129,3 +129,33 @@ def test_powers_have_two_producers():
     assert _callers(("sweep", "power_dense")) == {
         "sweep": {"lattice._direct_stream", "verify.support_periodicity_check"},
         "power_dense": {"lattice.power_torus"}}
+
+
+def _ledger_uses():
+    """``{use: {"module.function", ...}}`` for each reference to the memory
+    cap or the held bytes: the method called on it (get, set, reset), or
+    ``other`` for any other reference."""
+    uses = {}
+    for path in sorted((ROOT / "src/latconv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            called = {id(node.func.value): node.func.attr for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+            for node in ast.walk(top):
+                name = (node.name if isinstance(node, ast.alias)
+                        else getattr(node, "id", getattr(node, "attr", None)))
+                if name in ("_MEMORY_CAP", "_HELD"):
+                    uses.setdefault(called.get(id(node), "other"), set()).add(where)
+    return uses
+
+
+def test_cap_and_held_bytes_have_one_reader():
+    # lattice._check_box alone reads the cap and the held bytes to refuse a
+    # box; memory_cap and holding alone set them (holding reads the held
+    # bytes only to add to them); _config defines them
+    assert _ledger_uses() == {
+        "get": {"lattice._check_box", "_config.holding"},
+        "set": {"_config.memory_cap", "_config.holding"},
+        "reset": {"_config.memory_cap"},
+        "other": {"_config.<module>"}}

@@ -113,6 +113,25 @@ def test_llt_error_peak_is_the_box_beside_the_approximation(fixture, request, mo
     assert peaks[0] <= seen["box"][0].nbytes + peaks[1] + 2 ** 18, peaks
 
 
+def test_llt_error_ex72_is_refused_within_18_mib(ex72_analysis):
+    # the torus box, 4.21 MiB, is held while _llt_dense asks for its four
+    # windows, 16.82 MiB.  Each layer checked alone, the run went on to a
+    # 25.57 MiB peak, its largest request attractor_grid's 17.09 MiB
+    import tracemalloc
+
+    from latconv import _config
+    from latconv.errors import ResourceLimitError
+    cap = 18 * 2 ** 20
+    tracemalloc.start()
+    try:
+        with _config.memory_cap(cap), pytest.raises(ResourceLimitError, match="4.21 MiB held"):
+            verify.llt_error(ex72_analysis.function, ex72_analysis, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap, peak
+
+
 def test_gaussian_bound_srw(srw2_analysis):
     ns = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
     rep = verify.gaussian_bound_fit(examples.srw(2), srw2_analysis, ns)
@@ -491,6 +510,114 @@ def test_support_periodicity_cap_counts_theta(f, n):
     assert peak is not None
 
 
+def _ledger_cases():
+    """``{name: make(request, monkeypatch)}``, ``make`` returning the call of
+    a public entry point that checks the cap, at small n, with its inputs."""
+    from latconv import attractor, lattice, symbol
+    from latconv.legendre import ConjugateEvaluator
+
+    def intro(request):
+        return request.getfixturevalue("intro_analysis")
+
+    def stability_spectral(request, monkeypatch):
+        # analyze's classification allocates a fixed 4 MiB that no cap
+        # check counts; it does not grow with n, so the ledger test takes
+        # the analysis made beforehand
+        monkeypatch.setattr(verify, "analyze", lambda f: intro(request))
+        return lambda: verify.stability_report(examples.intro(), 128, method="spectral")
+
+    def conjugate_batch(request, monkeypatch):
+        ev = ConjugateEvaluator(intro(request).points[0].classification.poly)
+        xs = np.random.default_rng(1).uniform(-6, 6, size=(20_000, 2))
+        return lambda: ev.conjugate_batch(xs)
+
+    def fit(name, fixture, ns, *args):
+        # the fits reduce blocks of 1,024 rows, with the R# table made
+        # beforehand, so that the power's checks bound the peak
+        def make(request, monkeypatch):
+            ana = request.getfixturevalue(fixture)
+            if name.endswith("_fit"):
+                field = verify._ConjugateField(ana.points[0].classification.poly)
+                monkeypatch.setattr(verify, "_ConjugateField", lambda poly: field)
+                monkeypatch.setattr(lattice, "_TILE_CELLS", 1024)
+            return lambda: getattr(verify, name)(ana.function, ana, *args, ns)
+        return make
+
+    def plain(call):
+        return lambda request, monkeypatch: call
+
+    def poly(request):
+        return intro(request).points[0].classification.poly
+
+    return {
+        "power-direct": plain(lambda: latconv.power(examples.intro(), 64, method="direct")),
+        "power-spectral": plain(lambda: latconv.power(examples.intro(), 128)),
+        "power_near_drifts": fit("power_near_drifts", "ex71_analysis", 512),
+        "llt_error": fit("llt_error", "ex72_analysis", 64),
+        "llt_error_ladder": fit("llt_error_ladder", "intro_analysis", [16, 32, 64]),
+        "direct_powers": plain(lambda: verify.direct_powers(examples.intro(),
+                                                            [1, 2, 4, 8, 16, 32, 64])),
+        "gaussian_bound_fit": fit("gaussian_bound_fit", "intro_analysis", [16, 32, 64]),
+        "subexp_bound_fit": fit("subexp_bound_fit", "intro_analysis", [16, 32, 64]),
+        "derivative_bound_fit": fit("derivative_bound_fit", "ex75_analysis", [8, 16, 32],
+                                    list(np.eye(2, dtype=np.int64)), (1, 1)),
+        "stability-direct": plain(lambda: verify.stability_report(examples.intro(), 64,
+                                                                  method="direct")),
+        "stability-spectral": stability_spectral,
+        "sup_decay_report": fit("sup_decay_report", "intro_analysis", [16, 32, 64, 128]),
+        "conjugate_batch": conjugate_batch,
+        "locate_sup": plain(lambda: symbol.locate_sup(latconv.SymbolView(examples.ex71()))),
+        "attractor_grid": lambda request, monkeypatch: lambda: attractor.attractor_grid(
+            poly(request), 64, [(-60, 60), (-60, 60)]),
+        "attractor_eval": lambda request, monkeypatch: lambda: attractor.attractor_eval(
+            poly(request), 16, np.array([[0.0, 0.0], [30.0, -20.0], [80.0, 5.0]])),
+        "support_periodicity_check": plain(lambda: verify.support_periodicity_check(
+            examples.srw(2), verify.walk_profile(examples.srw(2)), 64)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ledger_cases()))
+def test_cap_at_the_ledger_high_water_mark_bounds_the_peak(name, request, monkeypatch):
+    # the largest held + request that any check saw at the default cap is
+    # the run's high-water mark H.  A cap of H admits the run, and its
+    # tracemalloc peak stays within H plus 256 KiB, for what no check
+    # counts: the interpreter's own objects, numpy's iterator buffers (8,192
+    # elements an operand), on_grid's per-axis power tables, and a fit's
+    # temporaries for one block of rows, which is bounded whatever n is: at
+    # most 19 float64 numbers a row, 152 KiB in the 1,024-row blocks used
+    # here.  A cap one byte below H refuses the run, and every hold is
+    # released either way
+    import sys
+    import tracemalloc
+
+    from latconv import _config, lattice
+    from latconv.errors import ResourceLimitError
+    call = _ledger_cases()[name](request, monkeypatch)
+    check, seen = lattice._check_box, []
+
+    def spy(shape, complex_arrays=2):
+        seen.append(_config._HELD.get() + 16 * complex_arrays * math.prod(int(s) for s in shape))
+        return check(shape, complex_arrays)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("latconv")]:
+        if getattr(module, "_check_box", None) is check:
+            monkeypatch.setattr(module, "_check_box", spy)
+    call()
+    high = max(seen)
+    assert _config._HELD.get() == 0
+    tracemalloc.start()
+    try:
+        with _config.memory_cap(high):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= high + 2 ** 18, (peak, high)
+    with _config.memory_cap(high - 1), pytest.raises(ResourceLimitError):
+        call()
+    assert _config._HELD.get() == 0
+
+
 @pytest.mark.parametrize("fixture", ["intro_analysis", "srw2_analysis"])
 def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch):
     # with the shell table built beforehand, tracemalloc read 9.3 boxes of the
@@ -526,45 +653,45 @@ def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch
 @pytest.mark.parametrize("name, ns", [("intro", (16, 32, 64)), ("srw:3", (4, 8, 16))])
 def test_fit_step_peak_is_one_block_beside_the_power(name, ns, monkeypatch):
     # blocks of 1,024 rows, and in d = 3 a grid scan of 16^3 points in blocks
-    # of 8 rows.  Each fit's tracemalloc peak is within what the stream's
-    # check counts, the sweep and the power plus one block of the fit's
-    # numbers per row, and in d = 3 the grid scan's own budget.  Read in
-    # boxes of the last power: 3.20 of 4.19 on intro; 4.84 of 8.95 + 2.54 on
-    # srw:3.  Unblocked, the envelope alone holds 9 numbers per point on
-    # intro (4.5 boxes) and about 130 on srw:3
+    # of 8 rows.  Each fit's tracemalloc peak is within the largest held +
+    # request of its checks: the sweep's steps, the extractions beside the
+    # sweep's array, and in d = 3 the grid scan beside the power and that
+    # array.  Read in boxes of the last power: peaks of 3.17 of 4.05 on
+    # intro and 3.51 of 5.27 on srw:3, where the stream's one check with a
+    # block per row read 4.19, and 8.95 plus a scan of 2.54.  Unblocked, the
+    # envelope alone holds 9 numbers per point on intro (4.5 boxes) and
+    # about 130 on srw:3
     import tracemalloc
 
-    from latconv import lattice, legendre
+    from latconv import _config, lattice, legendre
     monkeypatch.setattr(lattice, "_TILE_CELLS", 1024)
     monkeypatch.setattr(legendre, "_SCAN_AXIS", 16)
     monkeypatch.setattr(legendre, "_SCAN_BLOCK_CELLS", 2 ** 12)
     ana = latconv.analyze(examples.get(name))
     field = verify._ConjugateField(ana.points[0].classification.poly)
     monkeypatch.setattr(verify, "_ConjugateField", lambda poly: field)
-    requests = {}
+    seen = []
 
     def spy(module):
         check = module._check_box
 
         def check_box(shape, complex_arrays=2):
-            shape = tuple(int(s) for s in shape)
-            requests.setdefault(shape, []).append(16 * complex_arrays * np.prod(shape))
+            seen.append(_config._HELD.get() + 16 * complex_arrays * math.prod(shape))
             return check(shape, complex_arrays)
         monkeypatch.setattr(module, "_check_box", check_box)
 
     spy(lattice)
     spy(legendre)
-    box = verify.support_lattice(ana.function).box(ns[-1])
+    box = 16 * math.prod(verify.support_lattice(ana.function).box(ns[-1]))
     for fit in (verify.gaussian_bound_fit, verify.subexp_bound_fit):
-        requests.clear()
+        seen.clear()
         tracemalloc.start()
         try:
             fit(ana.function, ana, ns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        scan = max(requests.get((16,) * 3, [0]))
-        assert peak <= requests[box][0] + scan, fit.__name__
+        assert peak <= max(seen), (fit.__name__, peak / box, max(seen) / box)
 
 
 @pytest.mark.parametrize("name, ns", [("ex75:3", (64, 96, 128)), ("ex75:3,2", (4, 6, 8, 12)),
@@ -579,7 +706,7 @@ def test_fits_bit_identical_at_any_block_size(name, ns, monkeypatch):
     powers = verify.direct_powers(ana.function, ns)
     field = verify._ConjugateField(ana.points[0].classification.poly)
     monkeypatch.setattr(verify, "_direct_stream",
-                        lambda f, n_values, beside=0.0, block=0.0: sorted(powers.items()))
+                        lambda f, n_values: sorted(powers.items()))
     monkeypatch.setattr(verify, "_ConjugateField", lambda poly: field)
     vectors, beta = list(np.eye(d, dtype=np.int64)), (1,) + (0,) * (d - 1)
     xs = np.random.default_rng(26).uniform(-6, 6, size=(40, d))
@@ -710,7 +837,7 @@ def test_direct_stability_matches_kept_powers_bitwise(name, n_max, monkeypatch):
     rep = verify.stability_report(f, n_max, method="direct")
     powers = verify.direct_powers(f, verify._dyadic_ns(n_max))
     monkeypatch.setattr(verify, "_direct_stream",
-                        lambda f, ns, beside=0.0: sorted(powers.items()))
+                        lambda f, ns: sorted(powers.items()))
     ref = verify.stability_report(f, n_max, method="direct")
     assert (rep.rows, rep.constants, rep.verdict) == (ref.rows, ref.constants, ref.verdict)
 
