@@ -18,6 +18,7 @@ import functools
 import numpy as np
 
 _BLOCK_CELLS = 1 << 18  # numbers held per block: points x terms x (d + coef size)
+_SLAB_CELLS = 1 << 16  # numbers per on_grid slab
 
 
 class CompiledPoly:
@@ -48,10 +49,16 @@ class CompiledPoly:
         self._to_points = (self._coef.ndim - 2,) + tuple(range(self._coef.ndim - 2))
         self._per_point = len(keys) * (self.dim + self._coef[0].size)
 
+    def block_shape(self, count):
+        """(points, numbers per point) of one block of a call at ``count``
+        points: the block's factors, monomials and terms, about
+        ``_BLOCK_CELLS`` numbers, at least one point."""
+        return max(1, min(count, _BLOCK_CELLS // self._per_point)), self._per_point
+
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
         pts = xi.reshape(-1, self.dim)
-        step = max(1, _BLOCK_CELLS // self._per_point)
+        step = self.block_shape(len(pts))[0]
         blocks = [self._block(pts[s:s + step])
                   for s in range(0, max(len(pts), 1), step)]
         out = np.concatenate(blocks, axis=-1) if len(blocks) > 1 else blocks[0]
@@ -66,9 +73,10 @@ class CompiledPoly:
         Each axis gets one power table, each monomial is the outer product
         of its axis powers taken in axis order, and terms are added in key
         order: at every grid point these are the IEEE operations of
-        ``__call__``, so the values are bit-identical to it.  The grid is
-        filled in slabs along axis 0 of about ``_BLOCK_CELLS`` numbers, so
-        the temporaries beside the result stay within a fixed block.
+        ``__call__``, so the values are bit-identical to it, whatever the
+        slab size.  The grid is filled in slabs along axis 0 of about
+        ``_SLAB_CELLS`` numbers, so the temporaries beside the result stay
+        within a fixed block.
         """
         nodes = [np.asarray(g, dtype=float).reshape(-1) for g in nodes]
         shape = tuple(len(g) for g in nodes)
@@ -115,10 +123,10 @@ class CompiledPoly:
 
 
 def _slab_rows(shape, size=1):
-    """Rows of axis 0 in one ``on_grid`` slab: about ``_BLOCK_CELLS``
+    """Rows of axis 0 in one ``on_grid`` slab: about ``_SLAB_CELLS``
     numbers of ``size`` each, at least one row."""
     rest = int(np.prod(shape[1:], dtype=np.int64)) * size
-    return max(1, _BLOCK_CELLS // max(1, rest))
+    return max(1, _SLAB_CELLS // max(1, rest))
 
 
 def grid_scratch(shape):

@@ -21,6 +21,7 @@ e^{i delta.x0} phi-hat(. + xi'), whose ratio to its value at 0 is the same.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import NotNormalizedError
 from .homogeneous import (HomogeneousPolynomial, _canonical_signs,
                           sphere_samples)
-from .lattice import LatticeFunction
+from .lattice import LatticeFunction, _check_box
 from .symbol import (OmegaSet, SymbolView, _normalize, _principal_angle,
                      _one_maximum, _wrap_torus, find_omega)
 
@@ -79,6 +80,8 @@ class Classification:
     poly: HomogeneousPolynomial | None = None
     diagnostics: dict = field(default_factory=dict)
     shift: np.ndarray | None = None     # centre minus the classified point
+    # Q in the basis of P at the centre, which residual_norms reads
+    q_rot: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -91,6 +94,17 @@ class Classification:
     @property
     def mu(self):
         return None if self.poly is None else self.poly.mu
+
+    @functools.cached_property
+    def residual_norms(self):
+        """{t: max |t Q(t^-E xi) - P(xi)|} over the classifier's sphere
+        samples at t = 10, 100, 1000 (:func:`_residual_norms`), made on the
+        first read; None unless the point is of positive homogeneous type."""
+        if self.poly is None:
+            return None
+        P = self.poly
+        return _residual_norms(self.q_rot, P.semi_coeffs, P.weights,
+                               sphere_samples(P.dim, 1000 * P.dim))
 
 
 def gamma_taylor(sym, xi0, m):
@@ -280,12 +294,11 @@ def classify(sym, xi0, m_max=12, reverse_search=False):
             continue
         kept = _poly.poly_prune(_poly.from_dense(kept), 1e-13 * np.abs(kept).max())
         poly = HomogeneousPolynomial(d, kept, ex.A, weights)
-        diagnostics["residual_norms"] = _residual_norms(ex.q_rot, kept, weights, samples)
         diagnostics["weights"] = weights
         diagnostics["centre_steps"] = steps
         diagnostics["centre_shift"] = float(np.linalg.norm(x - xi0))
         return Classification(VERDICT_PHT, alpha=_drift(sym, ex), poly=poly,
-                              diagnostics=diagnostics, shift=x - xi0)
+                              diagnostics=diagnostics, shift=x - xi0, q_rot=ex.q_rot)
 
     # indeterminate unless every assignment has a surviving lower-order term
     if vanishing_at is not None and not all(
@@ -316,11 +329,14 @@ def _drift(sym, ex):
 
 def _residual_norms(q_rot, kept, weights, samples):
     """Numerical surrogate for Upsilon = o(Re P): max |t Q(t^-E xi) - P(xi)|
-    over the samples at t = 10, 100, 1000.
+    over the samples at t = 10, 100, 1000, for the ``kept`` keys of P.
 
     t Q(t^-E xi) - P(xi) is the polynomial with coefficients
     q_beta t^(1 - |beta:2m|) less the kept ones, stacked over the three t and
-    evaluated once; |beta:2m| is exact, so P's terms cancel exactly.
+    evaluated once; |beta:2m| is exact, so P's terms cancel exactly.  Only
+    :attr:`Classification.residual_norms` calls it, on its first read; the
+    cap counts one evaluation block, each of its numbers as a complex one
+    (4 MiB at most; 4.07 MiB on intro with the power table beside it).
     """
     ts = np.array([10.0, 100.0, 1000.0])
     lcm = math.lcm(*(2 * m for m in weights))
@@ -331,7 +347,9 @@ def _residual_norms(q_rot, kept, weights, samples):
     coef = q_rot[rest][:, None] * ts ** ((lcm - h[rest]) / lcm)[:, None]
     # a zero constant term fixes the coefficient shape when all of Q is kept
     residual = {(0,) * len(weights): np.zeros(len(ts)), **dict(zip(keys, coef))}
-    norms = np.abs(_poly.CompiledPoly(residual, len(weights))(samples)).max(axis=0)
+    poly = _poly.CompiledPoly(residual, len(weights))
+    _check_box(poly.block_shape(len(samples)), complex_arrays=1)
+    norms = np.abs(poly(samples)).max(axis=0)
     return dict(zip(ts.tolist(), norms.tolist()))
 
 

@@ -419,8 +419,12 @@ def sweep(f, n_max, lattice=None):
     phi sweeps in float64 and yields float64 arrays: with zero imaginary
     parts a complex product's real part is ``ar * br - 0`` and its
     imaginary part accumulates to +0, so the real arithmetic gives the
-    same bits.  The yielded arrays are fresh each step.  Each step checks
-    the cap for its boxes and tile buffers, and holds both across ``yield``.
+    same bits.  The yielded arrays are fresh each step.  A step builds the
+    relaid copy first and drops phi^(n-1) before it allocates phi^(n), so
+    it holds two boxes, when the caller has dropped the previous array,
+    as :func:`_direct_stream` does.  Each step checks the cap for those two
+    boxes and its tile buffers, and holds its array and the tile buffers
+    across ``yield``.
     """
     if lattice is None:
         lattice = support_lattice(f)
@@ -442,12 +446,11 @@ def sweep(f, n_max, lattice=None):
     count = len(f)
     for n in range(2, n_max + 1):
         shape = tuple(n * s + 1 for s in span)
-        # phi^(n-1), phi^(n) and phi^(n-1) laid out in phi^(n)'s row widths,
-        # beside a product tile that also takes its magnitudes and a byte mask
+        # two boxes: phi^(n-1) beside its copy in phi^(n)'s row widths, then
+        # that copy beside phi^(n); and a product tile that also takes its
+        # magnitudes and a byte mask
         _check_box(shape, complex_arrays=(
-            3 * cur.itemsize + tile * (cur.itemsize + 1) / math.prod(shape)) / 16)
-        nxt = np.zeros(shape, dtype=cur.dtype)
-        flat = nxt.reshape(-1)
+            2 * cur.itemsize + tile * (cur.itemsize + 1) / math.prod(shape)) / 16)
         # the run of phi^(n-1) ends at its last cell; on one axis it is cur
         size = _flat_offsets([[c - 1 for c in cur.shape]], shape)[0] + 1
         if cur.ndim <= 1:
@@ -456,6 +459,9 @@ def sweep(f, n_max, lattice=None):
             source = np.zeros(cur.shape[:1] + shape[1:], dtype=cur.dtype)
             source[tuple(slice(0, s) for s in cur.shape)] = cur
             source = source.reshape(-1)[:size]
+        del cur  # source alone holds phi^(n-1) now
+        nxt = np.zeros(shape, dtype=source.dtype)
+        flat = nxt.reshape(-1)
         # mirror convolve(phi^(n-1), phi): when supp phi^(n-1) is the smaller
         # support it loops over that, which reaches each cell in reverse order
         # of y, with the factors of the product swapped
@@ -482,8 +488,9 @@ def sweep(f, n_max, lattice=None):
             np.less(mag, ZERO_DROP, out=drop)
             dst[drop] = 0.0
             count += t1 - t0 - np.count_nonzero(drop)
-        del source
+        # phi^(n) keeps one name, which the next step drops
         cur = nxt
+        del source, nxt, flat, dst
         with _config.holding(cur.nbytes + tile * (cur.itemsize + 1)):
             yield cur, n * lattice.origin
 
@@ -504,10 +511,16 @@ def _direct_stream(f, n_values):
         raise ValueError("n values must be >= 1")
     *early, last = n_values
     lattice = support_lattice(f)
-    for n, (arr, lo) in enumerate(sweep(f, last, lattice), start=1):
+    # no enumerate: its reused result tuple would keep the last array alive
+    # while the sweep makes the next
+    n = 0
+    for arr, lo in sweep(f, last, lattice):
+        n += 1
         if n in early:
             _check_box(arr.shape, complex_arrays=_sparse_boxes(f.dim, arr.size))
             yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
+        if n < last:
+            del arr  # the sweep drops its own name once it has relaid it
     _check_box(arr.shape, complex_arrays=arr.itemsize / 16 + _sparse_boxes(
         f.dim, arr.size, consume=not early and arr.dtype == np.complex128))
     with _config.holding(arr.nbytes):

@@ -625,9 +625,12 @@ def support_periodicity_check(f, profile, n_max, tol=1e-8):
     if not f.is_probability():
         raise ValueError("support periodicity check requires a probability input")
     lattice = support_lattice(f)
-    for n, (arr, lo) in enumerate(sweep(f, n_max, lattice), start=1):
+    n = 0  # no enumerate, whose result tuple would keep arr through the next step
+    for arr, lo in sweep(f, n_max, lattice):
+        n += 1
         _check_box(arr.shape, complex_arrays=max(f.dim, f.dim / 2 + 2.5))
         cells = np.argwhere(arr)
+        del arr
         points = np.empty((len(cells), f.dim))
         _cell_points(cells.T, lo, lattice.basis, points)
         del cells

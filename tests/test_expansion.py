@@ -10,6 +10,7 @@ import latconv
 from latconv import _poly, examples, expansion, symbol
 from latconv.expansion import (VERDICT_INDETERMINATE, VERDICT_NOT, VERDICT_PHT,
                                _shifted_series, classify, gamma_taylor)
+from latconv.homogeneous import sphere_samples
 from latconv.lattice import LatticeFunction
 from latconv.symbol import SymbolView
 
@@ -244,32 +245,66 @@ def test_classified_polynomial_homogeneity(intro_analysis, rng):
 
 def test_residual_shrinks_with_scale(intro_analysis, ex73_analysis):
     for ana in (intro_analysis, ex73_analysis):
-        res = ana.points[0].classification.diagnostics["residual_norms"]
+        res = ana.points[0].classification.residual_norms
         assert res[10.0] > res[100.0] > res[1000.0]
 
 
 @pytest.mark.parametrize("name", ["intro", "ex71", "ex72", "ex73", "ex74",
                                   "ex75:3,2", "ex75:2,3", "srw:2", "srw:3",
                                   "phim:2,1", "phim:2,3", "unstable1d"])
-def test_residual_norms_match_three_evaluations(name, monkeypatch):
+def test_residual_norms_match_three_evaluations(name):
     # reference: all of Q at t^-E xi for each t, less P, as three calls; its
     # own cancellation rounds at a few eps of |P|, which the one-call form
     # avoids (2.2e-12 relative on srw:2 at t = 1000, against a long-double sum)
-    calls = []
-    real = expansion._residual_norms
-    monkeypatch.setattr(expansion, "_residual_norms",
-                        lambda *a: calls.append(a) or real(*a))
-    latconv.analyze(examples.get(name))
-    assert calls
-    for q_rot, kept, weights, samples in calls:
-        norms = real(q_rot, kept, weights, samples)
-        lam = np.array([1.0 / (2 * m) for m in weights])
-        Q = _poly.CompiledPoly(q_rot, len(weights))
-        p_vals = _poly.CompiledPoly(kept, len(weights))(samples)
+    classes = [p.classification for p in latconv.analyze(examples.get(name)).points
+               if p.classification.ok]
+    assert classes
+    for cls in classes:
+        P = cls.poly
+        samples = sphere_samples(P.dim, 1000 * P.dim)
+        norms = cls.residual_norms
+        lam = np.array([1.0 / (2 * m) for m in P.weights])
+        Q = _poly.CompiledPoly(cls.q_rot, P.dim)
+        p_vals = _poly.CompiledPoly(P.semi_coeffs, P.dim)(samples)
         rounding = 16 * np.finfo(float).eps * np.abs(p_vals).max()
         for t in (10.0, 100.0, 1000.0):
             ref = np.abs(Q(samples * t ** (-lam)) * t - p_vals).max()
             assert abs(norms[t] - ref) <= 1e-12 * ref + rounding
+
+
+def test_residual_norms_are_made_on_request(monkeypatch):
+    # analyze makes no residual norms.  The first read of a point's makes
+    # them once, from the Q and kept keys the classification keeps, bit for
+    # bit what an eager call on classify's kept dict and samples gives
+    real, calls, made = expansion._residual_norms, [], []
+    monkeypatch.setattr(expansion, "_residual_norms",
+                        lambda *a: calls.append(a) or real(*a))
+    build = expansion.HomogeneousPolynomial
+
+    def polynomial(dim, kept, basis, weights):
+        made.append((build(dim, kept, basis, weights), kept))
+        return made[-1][0]
+
+    monkeypatch.setattr(expansion, "HomogeneousPolynomial", polynomial)
+    for name in ("intro", "ex72", "ex73", "srw:3", "phim:2,3", "unstable1d"):
+        made.clear()
+        ana = latconv.analyze(examples.get(name))
+        assert not calls
+        classes = {id(p.classification): p.classification for p in ana.points}
+        for cls in classes.values():
+            if not cls.ok:
+                assert cls.residual_norms is None
+                continue
+            kept = next(k for poly, k in made if poly is cls.poly)
+            d = cls.poly.dim
+            eager = real(cls.q_rot, kept, cls.poly.weights, sphere_samples(d, 1000 * d))
+            norms = cls.residual_norms
+            assert cls.residual_norms is norms
+            assert list(norms) == list(eager) == [10.0, 100.0, 1000.0]
+            assert np.array(list(norms.values())).tobytes() == \
+                np.array(list(eager.values())).tobytes()
+        assert len(calls) == sum(c.ok for c in classes.values())
+        calls.clear()
 
 
 def test_drift_equals_mean_for_probability(srw2_analysis):

@@ -421,6 +421,7 @@ def test_on_grid_bit_identical_to_pointwise(corpus_polys, rng, monkeypatch):
     # coefficient arrays (the stacked gradient) and grids that span several
     # slabs: 8 numbers per slab is one row of a 4-wide grid
     monkeypatch.setattr(_poly, "_BLOCK_CELLS", 8)
+    monkeypatch.setattr(_poly, "_SLAB_CELLS", 8)
     for P in polys:
         nodes = _grid_nodes(rng, (7,) + (4,) * (P.dim - 1))
         assert np.array_equal(P.on_grid(nodes), _pointwise_on_grid(P, nodes))

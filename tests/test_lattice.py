@@ -145,27 +145,68 @@ def test_memory_cap_holds_per_thread():
 
 
 def test_direct_power_cap_counts_what_a_step_holds():
-    # a complex sweep step holds three complex boxes of the final size and the
-    # sweep's tile buffers (a complex product tile and a byte mask), as the
-    # sweep's last step counts them, which bind before the sparse copy does;
-    # a cap just under that budget must refuse the run and the budget must
-    # admit it.  A real phi sweeps in half boxes and would not test this
+    # a complex sweep step holds two complex boxes of the final size (phi^(n-1)
+    # beside its relaid copy, then that copy beside phi^(n)) and the sweep's
+    # tile buffers (a complex product tile and a byte mask), as the sweep's
+    # last step counts them; a cap just under that budget must refuse the
+    # sweep and the budget must admit it.  The direct power's sparse copy
+    # beside the last array asks for more (3.30 boxes against 2.53 here), so
+    # the sweep runs alone.  A real phi sweeps in half boxes and would not
+    # test this
     from latconv import _config
-    from latconv.lattice import _TILE_CELLS, support_lattice
+    from latconv.lattice import _TILE_CELLS, support_lattice, sweep
     f, n = examples.intro(), 64
     cells = int(np.prod(support_lattice(f).box(n)))
-    need = 48 * cells + 17 * min(_TILE_CELLS, cells)
+    need = 32 * cells + 17 * min(_TILE_CELLS, cells)
     with _config.memory_cap(math.ceil(need) - 1), pytest.raises(ResourceLimitError):
-        latconv.power(f, n, method="direct")
+        for arr, _ in sweep(f, n):
+            del arr
     with _config.memory_cap(math.ceil(need)):
-        assert len(latconv.power(f, n, method="direct"))
+        assert sum(1 for _ in sweep(f, n)) == n
+
+
+def test_stream_step_holds_two_boxes(monkeypatch):
+    # a sweep step relays phi^(n-1) and drops it before it allocates phi^(n),
+    # and _direct_stream drops each array before it asks for the next, so a
+    # step of intro's stream to n = 128 holds two boxes of phi^(128) and the
+    # tile buffers: tracemalloc read 2.14 boxes, where a step that kept
+    # phi^(n-1) beside its copy and phi^(n) read 3.13
+    import tracemalloc
+
+    from latconv import lattice
+    from latconv.lattice import _TILE_CELLS, support_lattice
+    real, peaks = lattice.sweep, []
+
+    def sweep(*args):
+        steps = real(*args)
+        while True:
+            tracemalloc.reset_peak()
+            try:
+                item = next(steps)
+            except StopIteration:
+                return
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            yield item
+            del item
+
+    monkeypatch.setattr(lattice, "sweep", sweep)
+    f, n = examples.intro(), 128
+    cells = int(np.prod(support_lattice(f).box(n)))
+    tracemalloc.start()
+    try:
+        [(_, p)] = lattice._direct_stream(f, [n])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == n and len(p)
+    assert max(peaks) <= 32 * cells + 17 * min(_TILE_CELLS, cells) + 2 ** 18, \
+        max(peaks) / (16 * cells)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_sweep_peak_memory_within_its_budget(n):
-    # the tile buffers are a larger share of a smaller box: tracemalloc read
-    # 4.10 boxes at n = 16, 3.50 at 64 and 3.03 at 256, against 4.06, 3.53
-    # and 3.03 budgeted
+    # the tile buffers are a larger share of a smaller box: with each array
+    # dropped before the next step, tracemalloc read 3.21 boxes at n = 16,
+    # 2.54 at 64 and 2.03 at 256, against 3.54, 2.56 and 2.04 budgeted
     import tracemalloc
     from latconv.lattice import _TILE_CELLS, sweep
     f = examples.intro()
@@ -173,13 +214,13 @@ def test_sweep_peak_memory_within_its_budget(n):
     cells = int(np.prod(n * (hi - lo) + 1))
     tracemalloc.start()
     try:
-        for _ in sweep(f, n):
-            pass
+        for arr, _ in sweep(f, n):
+            del arr
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # three complex boxes and the tile buffers, as the last step counts them
-    assert peak <= 48 * cells + 17 * min(_TILE_CELLS, cells) + 2 ** 14, peak / (16 * cells)
+    # two complex boxes and the tile buffers, as the last step counts them
+    assert peak <= 32 * cells + 17 * min(_TILE_CELLS, cells) + 2 ** 14, peak / (16 * cells)
 
 
 @settings(max_examples=40, deadline=None)
@@ -814,13 +855,13 @@ def test_sweep_peak_memory_on_a_sublattice(name, n):
     assert cells < 0.55 * np.prod(n * (hi - lo) + 1)
     tracemalloc.start()
     try:
-        for _ in sweep(f, n, lattice):
-            pass
+        for arr, _ in sweep(f, n, lattice):
+            del arr
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # three real boxes and the tile buffers, as the last step counts them
-    assert peak <= 24 * cells + 9 * min(_TILE_CELLS, cells) + 2 ** 14, peak / (16 * cells)
+    # two real boxes and the tile buffers, as the last step counts them
+    assert peak <= 16 * cells + 9 * min(_TILE_CELLS, cells) + 2 ** 14, peak / (16 * cells)
 
 
 def test_sweep_dtype_follows_phi():
