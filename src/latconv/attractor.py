@@ -281,4 +281,5 @@ def llt_approx(analysis, n, window):
     """Local-limit approximation over an integer window as a function; see
     :func:`_llt_dense`."""
     total = _llt_dense(analysis, n, window)
-    return _extract_sparse(total.ndim, total, np.array([int(a) for a, _ in window]), 0.0)
+    with _config.holding(total.nbytes):
+        return _extract_sparse(total.ndim, total, np.array([int(a) for a, _ in window]), 0.0)

@@ -19,7 +19,7 @@ from . import _config, examples
 from .attractor import attractor_grid, llt_approx
 from .errors import ResourceLimitError
 from .expansion import analyze
-from .lattice import _check_box, norm_linf, power, read_function, write_function
+from .lattice import _blocks, _check_box, norm_linf, power, read_function, write_function
 from .legendre import ConjugateEvaluator
 from .symbol import SymbolView, check_von_neumann
 from .verify import (default_llt_window, derivative_bound_fit, gaussian_bound_fit,
@@ -105,8 +105,10 @@ def _out_path(args, name):
 
 
 def _columns(*columns):
-    """Rows, as tuples of Python scalars, of equal-length arrays."""
-    return zip(*(c.tolist() for c in columns))
+    """Rows, as tuples of Python scalars, of equal-length arrays, made one
+    block of rows at a time."""
+    for block in _blocks(len(columns[0])):
+        yield from zip(*(c[block].tolist() for c in columns))
 
 
 def _write_csv(path, header, rows):
@@ -378,15 +380,13 @@ def cmd_theta(args):
     _check_box([b - a + 1 for a, b in window], complex_arrays=f.dim)  # the mesh and its stack
     profile = walk_profile(f)
     axes = [np.arange(a, b + 1) for a, b in window]
-    rows = []
-    for n in n_values:
-        for pt in np.stack(np.meshgrid(*axes, indexing="ij"),
-                           axis=-1).reshape(-1, f.dim):
-            rows.append((n,) + tuple(int(c) for c in pt)
-                        + (theta(profile, n, pt.astype(float)),))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
+    # made as they are written
+    rows = ((n,) + tuple(int(c) for c in pt) + (theta(profile, n, pt.astype(float)),)
+            for n in n_values for pt in pts)
     header = ",".join(["n"] + [f"x_{j + 1}" for j in range(f.dim)] + ["theta"])
     _write_csv(_out_path(args, "theta.csv"), header, rows)
-    print(f"theta evaluated on {len(rows)} (n, x) pairs")
+    print(f"theta evaluated on {len(n_values) * len(pts)} (n, x) pairs")
     return EXIT_OK
 
 

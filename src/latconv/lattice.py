@@ -220,7 +220,8 @@ def translate(f, y):
 
 
 def _nbytes(f):
-    return f.points.nbytes + f.values.nbytes
+    # the values' buffer, a whole box when they were extracted in place
+    return f.points.nbytes + (f.values if f.values.base is None else f.values.base).nbytes
 
 
 def norm_l1(f):
@@ -258,14 +259,16 @@ def convolve(f, g):
         f, g = g, f
     (flo, fhi), (glo, ghi) = f.extent(), g.extent()
     shape = tuple(int(s) for s in (fhi - flo + ghi - glo + 1))
-    _check_box(shape, complex_arrays=1 + _sparse_boxes(f.dim, math.prod(shape), consume=True))
+    # the sum, and 6 int64 a point of f for a shift (d + 1 for its indices)
+    _check_box(shape, complex_arrays=1 + max(f.dim + 1, 6) * len(f) / (2 * math.prod(shape)))
     out = np.zeros(shape, dtype=np.complex128)
     flat = out.reshape(-1)
     base = np.ravel_multi_index(tuple((f.points - flo).T), shape)
     shifts = np.ravel_multi_index(tuple((g.points - glo).T), shape)
     for shift, v in zip(shifts, g.values):
         flat[base + shift] += f.values * v
-    return _extract_sparse(f.dim, out, flo + glo, 0.0, consume=True)
+    with _config.holding(out.nbytes):
+        return _extract_sparse(f.dim, out, flo + glo, 0.0, consume=True)
 
 
 class SupportLattice(NamedTuple):
@@ -498,13 +501,13 @@ def sweep(f, n_max, lattice=None):
 def _direct_stream(f, n_values):
     """Yield ``(n, phi^(n))`` for each requested n from one exact :func:`sweep`.
 
-    Each power is extracted when the sweep reaches it, and the sweep waits
-    while the caller reduces it; a caller that keeps no power drops it
-    before it asks for the next.  The last power is extracted once the
-    sweep has freed its tile buffers, and when it is the only one, from the
-    sweep's own array, in place when it is complex.  Each extraction checks
-    the cap for its sparse copy, the last one beside the array, which it
-    holds across the last ``yield``.
+    Each power is extracted when the sweep reaches it, from the array the
+    sweep holds, and the sweep waits while the caller reduces it; a caller
+    that keeps no power drops it before it asks for the next.  The last
+    power is extracted once the sweep has freed its tile buffers, and when
+    it is the only one, from the sweep's own array, in place when it is
+    complex.  That array is dropped before the last ``yield``, unless the
+    power's values stay in it.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if n_values[0] < 1:
@@ -517,14 +520,13 @@ def _direct_stream(f, n_values):
     for arr, lo in sweep(f, last, lattice):
         n += 1
         if n in early:
-            _check_box(arr.shape, complex_arrays=_sparse_boxes(f.dim, arr.size))
             yield n, _extract_sparse(f.dim, arr, lo, 0.0, basis=lattice.basis)
         if n < last:
             del arr  # the sweep drops its own name once it has relaid it
-    _check_box(arr.shape, complex_arrays=arr.itemsize / 16 + _sparse_boxes(
-        f.dim, arr.size, consume=not early and arr.dtype == np.complex128))
     with _config.holding(arr.nbytes):
-        yield last, _extract_sparse(f.dim, arr, lo, 0.0, consume=not early, basis=lattice.basis)
+        p = _extract_sparse(f.dim, arr, lo, 0.0, consume=not early, basis=lattice.basis)
+    del arr
+    yield last, p
 
 
 def _flat_offsets(cells, shape):
@@ -557,20 +559,6 @@ def _extract_chunk(cells):
     return max(_EXTRACT_CHUNK_CELLS, -(-cells // 64))
 
 
-def _sparse_boxes(dim, cells, consume=False):
-    """Complex boxes of ``cells`` cells, ``arr``'s size, that
-    :func:`_extract_sparse` allocates on a dense result: d int64 coordinates
-    per kept cell, the kept values (at most a quarter box when it consumes
-    ``arr``), the keep mask of one byte per cell and one chunk's
-    temporaries.  Those are, per kept cell of the chunk, its flat index, its
-    d cell coordinates and one product of them with a basis entry, 1 + d/2
-    complex numbers; the chunk is the whole box below the
-    ``_EXTRACT_CHUNK_CELLS`` floor."""
-    chunk = min(cells, _extract_chunk(cells))
-    return (dim / 2 + (0.25 if consume else 1.0) + 1 / 16
-            + chunk * (1 + dim / 2) / max(cells, 1))
-
-
 def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     """The entries of ``arr`` above ``floor`` as a function, ``arr[i]`` at ``lo + i @ basis``.
 
@@ -581,7 +569,9 @@ def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     are dropped as :func:`_canonical` drops them.  With ``consume`` a
     complex ``arr`` is overwritten: the kept values move to the front of
     its buffer, which the result keeps unless fewer than half of the cells
-    are kept.
+    are kept.  The caller holds ``arr``; the cap is checked for the keep mask
+    and one chunk's magnitudes, then for the points, the values and one
+    chunk's temporaries beside the mask.
     """
     if basis is None:
         basis = np.eye(dim, dtype=np.int64)
@@ -589,11 +579,18 @@ def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     # |v| > floor, written as |v| >= the next float so that it also covers ZERO_DROP
     cut = max(np.nextafter(floor, np.inf), ZERO_DROP)
     step = _extract_chunk(flat.size)
+    chunk, cells = min(step, flat.size), max(flat.size, 1)
+    _check_box(arr.shape, complex_arrays=(cells + 8 * chunk) / (16 * cells))
     keep = np.empty(flat.size, dtype=bool)
     for s in range(0, flat.size, step):
         np.greater_equal(np.abs(flat[s:s + step]), cut, out=keep[s:s + step])
     count = int(np.count_nonzero(keep))
     in_place = consume and flat.dtype == np.complex128
+    copied = 0 if in_place and 2 * count >= flat.size else count
+    # per kept cell of a chunk: its flat index, d coordinates and one product
+    # of them with a basis entry
+    _check_box(arr.shape, complex_arrays=(cells + 8 * dim * count + 16 * copied
+                                          + 8 * (dim + 2) * min(chunk, count)) / (16 * cells))
     points = np.empty((count, dim), dtype=np.int64)
     values = flat if in_place else np.empty(count, dtype=np.complex128)
     pos = 0
@@ -704,10 +701,10 @@ def power_torus(f, n, lo, hi):
     about its centre.  An axis whose torus would reach the full
     ``n * span + 1`` extent takes that extent and does not alias; when every
     axis does, this is the exact-extent :func:`power_dense`.  Each torus is
-    checked, beside what the caller holds, for the larger of its arrays (2
-    complex torus boxes for a real phi, 3 for a complex one, 1 fewer on the
-    exact extent) and the box beside the sparse copy that
-    :func:`_sparse_above_floor` makes of it, before its transform.
+    checked before its transform, beside what the caller holds, for two
+    spectra (of ``N // 2 + 1`` cells on the last axis for a real phi) and,
+    when it aliases, a complex torus box more for its magnitudes and the box
+    copy; a caller holds the box around any :func:`_extract_sparse` of it.
 
     Returns ``(array, lo)`` like :func:`power_dense`, covering every point of
     ``[lo, hi]`` where phi^(n) can be non-zero.
@@ -716,7 +713,6 @@ def power_torus(f, n, lo, hi):
     if not len(f):
         return power_dense(f, n)
     real = _is_real(f)
-    held = 0.5 if real else 1.0
     flo, fhi = f.extent()
     slo, shi = n * flo, n * fhi
     full = np.array([_fft.next_fast_len(e, real) for e in shi - slo + 1])
@@ -731,13 +727,8 @@ def power_torus(f, n, lo, hi):
         shape = np.where(exact, full, shape)
         lo, hi = np.where(exact, slo, lo), np.where(exact, shi, hi)
         width = hi - lo + 1
-        cells = math.prod(shape.tolist())
-        kept = cells if exact.all() else math.prod(width.tolist())
-        # the transform's boxes (then the torus's magnitudes and the box copy
-        # when it aliases), or else the box beside its sparse copy
-        _check_box(tuple(shape), complex_arrays=max(
-            2 * held + (not exact.all()),
-            kept / cells * (held + _sparse_boxes(f.dim, kept, consume=not real))))
+        spectrum = (shape[-1] // 2 + 1) / shape[-1] if real else 1.0
+        _check_box(tuple(shape), complex_arrays=2 * spectrum + (not exact.all()))
         if exact.all():
             return power_dense(f, n)
         arr, tlo = power_dense(f, n, tuple(shape))
@@ -750,6 +741,7 @@ def power_torus(f, n, lo, hi):
         mag[idx] = 0.0
         if float(mag.max()) < _alias_threshold(n, vmax):
             return box, lo
+        del arr, mag, box  # freed before the next torus is made
         grow = (width + 1) // 2
         lo, hi = np.maximum(lo - grow, slo), np.minimum(hi + grow, shi)
 
@@ -762,7 +754,7 @@ def power(f, n, method="spectral"):
     every axis is exact (``rfftn`` when phi is real), without the entries
     below the transform-noise floor; ``fast`` is an alias of ``spectral``.
     The paths agree entrywise within 1e-10 at desk scale.  The memory cap
-    covers the path's arrays and the sparse copy of a dense result.
+    covers the path's arrays and the sparse copy beside the dense result.
     """
     n = int(n)
     if n < 1:
@@ -776,14 +768,16 @@ def power(f, n, method="spectral"):
         return p
     flo, fhi = f.extent()
     arr, lo = power_torus(f, n, n * flo, n * fhi)
-    return _sparse_above_floor(f.dim, arr, lo, n)
+    with _config.holding(arr.nbytes):
+        return _sparse_above_floor(f.dim, arr, lo, n)
 
 
 def _sparse_above_floor(dim, arr, lo, n):
-    """The spectral result ``arr`` of :func:`power_torus`, which counted the
-    cap for it beside its sparse copy, without the entries below the noise
-    floor; ``arr`` is consumed."""
-    vmax = float(np.abs(arr).max())
+    """The spectral result ``arr`` of :func:`power_torus`, which the caller
+    holds and which is consumed, without the entries below the noise floor;
+    its maximum is taken one extraction chunk at a time."""
+    flat, step = arr.reshape(-1), _extract_chunk(arr.size)
+    vmax = max(float(np.abs(flat[s:s + step]).max()) for s in range(0, flat.size, step))
     return _extract_sparse(dim, arr, lo, _fft_noise_floor(n, vmax), consume=True)
 
 
@@ -812,6 +806,8 @@ def read_function(path):
                 re, im = float(tokens[dim]), float(tokens[dim + 1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed entry: {exc}") from exc
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"{path}:{lineno}: value {re} + {im}i is not finite")
             pts.append(coords)
             vals.append(complex(re, im))
     if dim is None:

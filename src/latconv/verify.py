@@ -151,6 +151,7 @@ def _kept_extent(arr, lo, n):
     """The first and last lattice coordinate per axis of the entries of
     ``arr`` (at ``lo + i``) that :func:`~latconv.lattice._sparse_above_floor`
     keeps."""
+    _check_box(arr.shape, complex_arrays=9 / 16)  # magnitudes and mask beside arr
     mag = np.abs(arr)
     keep = mag > _fft_noise_floor(n, float(mag.max()))
     del mag
@@ -194,9 +195,10 @@ def _certified_ladder(f, analysis, n_values):
                 hi = hull_hi + np.ceil(scale * above).astype(np.int64) + _LADDER_CELLS
         with _config.holding(arr.nbytes):
             arr, lo = power_torus(f, n, lo, hi)
-        if analysis.mu_phi is not None and n < ns[-1]:
-            first, last = _kept_extent(arr, lo, n)
-            prev = n, np.maximum(hull_lo - first, 0), np.maximum(last - hull_hi, 0)
+            if analysis.mu_phi is not None and n < ns[-1]:
+                with _config.holding(arr.nbytes):
+                    first, last = _kept_extent(arr, lo, n)
+                prev = n, np.maximum(hull_lo - first, 0), np.maximum(last - hull_hi, 0)
         with _config.holding(arr.nbytes):
             yield n, arr, lo
 
@@ -218,7 +220,8 @@ def power_near_drifts(f, analysis, n, window=None):
         lo = np.minimum(lo, [a for a, _ in window])
         hi = np.maximum(hi, [b for _, b in window])
     arr, lo = power_torus(f, n, lo, hi)
-    return _sparse_above_floor(f.dim, arr, lo, n)
+    with _config.holding(arr.nbytes):
+        return _sparse_above_floor(f.dim, arr, lo, n)
 
 
 def llt_error(f, analysis, n, window=None):
@@ -407,7 +410,8 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
                     env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
                 c_n = max(c_n, float(np.max(mags / env)))
         rows.append((n, c_n))
-        del pn
+        # the last block's arrays go with the power, before the next is made
+        del pn, pts, mags, env, y, r
     n_top = rows[-1][0]
     oct1 = max(c for n, c in rows if n > n_top / 2)
     oct2_vals = [c for n, c in rows if n_top / 4 < n <= n_top / 2]
@@ -458,6 +462,7 @@ def stability_report(f, n_max, method="auto"):
         with _config.holding(_nbytes(p)):
             _check_box((len(p),), complex_arrays=0.5)  # the magnitudes each norm takes
         rows.append((n, norm_l1(p), norm_linf(p)))
+        del p  # freed before the next power is made
     l1 = {n: r for n, r, _ in rows}
     top = max(v for n, v in l1.items() if n > n_max / 2)
     bottom = max(v for n, v in l1.items() if n <= n_max / 2)

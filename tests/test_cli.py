@@ -194,6 +194,24 @@ def test_query_mesh_is_checked_before_it_is_built(tmp_path, capsys, argv):
     assert peak < cap * 2 ** 30, peak
 
 
+def test_theta_rows_stream_within_the_cap(tmp_path, capsys):
+    # the 90,601 rows are written as they are made, and the legendre and
+    # power columns convert one block of rows at a time: a list of every
+    # row peaked at 13.6 MiB
+    import tracemalloc
+    cap = 0.004
+    tracemalloc.start()
+    try:
+        code = main(["--memory-cap", str(cap), "theta", "--example", "srw:2", "--n", "4",
+                     "--window=-150:150,-150:150", "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert "theta evaluated on 90601 (n, x) pairs" in capsys.readouterr().out
+    assert peak <= cap * 2 ** 30 + 2 ** 18, peak
+
+
 def test_theta_csv(tmp_path, capsys):
     code, out = run(tmp_path, "theta", "--example", "srw:2", "--n", "1,2",
                     "--window=-1:1,-1:1")
@@ -271,8 +289,14 @@ def test_cli_restores_run_configuration(monkeypatch):
      "--beta=-1,0"],
     ["stability", "--example", "srw:2", "--nmax", "0"],
     ["stability", "--example", "srw:2", "--nmax", "-3"],
+    # a NaN entry was dropped and an inf one ended in a traceback
+    ["analyze", "--input", "nan.fn"],
+    ["analyze", "--input", "inf.fn"],
 ])
-def test_input_errors_are_usage_errors(tmp_path, capsys, argv):
+def test_input_errors_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.fn").write_text("dim 1\n0 nan 0\n1 0.5 0\n-1 0.5 0\n")
+    (tmp_path / "inf.fn").write_text("dim 1\n0 0.5 0\n1 0.5 -inf\n")
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -546,9 +546,25 @@ def _ledger_cases():
     def poly(request):
         return intro(request).points[0].classification.poly
 
+    def convolve(g):
+        # the larger factor is a power of intro: one shift of a point mass
+        # takes temporaries of its size, many shifts of a power small ones
+        def make(request, monkeypatch):
+            f = verify.direct_powers(examples.intro(), [16])[16]
+            h = verify.direct_powers(examples.intro(), [g])[g] if g else latconv.delta((1, 0))
+            return lambda: latconv.convolve(f, h)
+        return make
+
     return {
         "power-direct": plain(lambda: latconv.power(examples.intro(), 64, method="direct")),
         "power-spectral": plain(lambda: latconv.power(examples.intro(), 128)),
+        "power-direct-srw:3": plain(lambda: latconv.power(examples.get("srw:3"), 32,
+                                                          method="direct")),
+        "power-spectral-srw:3": plain(lambda: latconv.power(examples.get("srw:3"), 32)),
+        "convolve": convolve(8),
+        "convolve-shift": convolve(0),
+        "llt_approx": lambda request, monkeypatch: lambda: attractor.llt_approx(
+            intro(request), 64, [(-60, 60), (-60, 60)]),
         "power_near_drifts": fit("power_near_drifts", "ex71_analysis", 512),
         "llt_error": fit("llt_error", "ex72_analysis", 64),
         "llt_error_ladder": fit("llt_error_ladder", "intro_analysis", [16, 32, 64]),
@@ -576,15 +592,15 @@ def _ledger_cases():
 
 @pytest.mark.parametrize("name", sorted(_ledger_cases()))
 def test_cap_at_the_ledger_high_water_mark_bounds_the_peak(name, request, monkeypatch):
-    # the largest held + request that any check saw at the default cap is
-    # the run's high-water mark H.  A cap of H admits the run, and its
-    # tracemalloc peak stays within H plus 256 KiB, for what no check
-    # counts: the interpreter's own objects, numpy's iterator buffers (8,192
-    # elements an operand), on_grid's per-axis power tables, and a fit's
-    # temporaries for one block of rows, which is bounded whatever n is: at
-    # most 19 float64 numbers a row, 152 KiB in the 1,024-row blocks used
-    # here.  A cap one byte below H refuses the run, and every hold is
-    # released either way
+    # the largest held + request that any check saw at the default cap,
+    # rounded up to whole bytes, is the run's high-water mark H.  A cap of H
+    # admits the run, and its tracemalloc peak stays within H plus 256 KiB,
+    # for what no check counts: the interpreter's own objects, numpy's
+    # iterator buffers (8,192 elements an operand), on_grid's per-axis power
+    # tables, and a fit's temporaries for one block of rows, which is bounded
+    # whatever n is: at most 19 float64 numbers a row, 152 KiB in the
+    # 1,024-row blocks used here.  A cap one byte below H refuses the run,
+    # and every hold is released either way
     import sys
     import tracemalloc
 
@@ -601,7 +617,7 @@ def test_cap_at_the_ledger_high_water_mark_bounds_the_peak(name, request, monkey
         if getattr(module, "_check_box", None) is check:
             monkeypatch.setattr(module, "_check_box", spy)
     call()
-    high = max(seen)
+    high = math.ceil(max(seen))
     assert _config._HELD.get() == 0
     tracemalloc.start()
     try:
@@ -652,11 +668,14 @@ def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch
 def test_fit_step_peak_is_one_block_beside_the_power(name, ns, monkeypatch):
     # blocks of 1,024 rows, and in d = 3 a grid scan of 16^3 points in blocks
     # of 8 rows.  Each fit's tracemalloc peak is within the largest held +
-    # request of its checks: the sweep's steps, the extractions beside the
-    # sweep's array, and in d = 3 the grid scan beside the power and that
-    # array.  Read in boxes of the last power: peaks of 3.17 of 4.05 on
-    # intro and 3.51 of 5.27 on srw:3, where the stream's one check with a
-    # block per row read 4.19, and 8.95 plus a scan of 2.54.  Unblocked, the
+    # request of its checks, plus 16 KiB for the interpreter's own objects,
+    # which no check counts: the sweep's steps, the extractions beside the
+    # sweep's array, and in d = 3 the grid scan beside the power.  Read in
+    # boxes of the last power: peaks of 3.18 of 3.55 on intro, and of 3.02
+    # of 4.01 (Gaussian) and 1.47 of 1.45 (subexp, 7 KiB over) on srw:3,
+    # where an extraction that counted every cell as kept read 4.05 and
+    # 5.27, and the stream's one check with a block per row read 4.19, and
+    # 8.95 plus a scan of 2.54.  Unblocked, the
     # envelope alone holds 9 numbers per point on intro (4.5 boxes) and
     # about 130 on srw:3
     import tracemalloc
@@ -689,7 +708,7 @@ def test_fit_step_peak_is_one_block_beside_the_power(name, ns, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= max(seen), (fit.__name__, peak / box, max(seen) / box)
+        assert peak <= max(seen) + 2 ** 14, (fit.__name__, peak / box, max(seen) / box)
 
 
 @pytest.mark.parametrize("name, ns", [("ex75:3", (64, 96, 128)), ("ex75:3,2", (4, 6, 8, 12)),
