@@ -113,16 +113,25 @@ def _columns(*columns):
 
 def _write_csv(path, header, rows):
     """Row tuples as CSV through one format, set by the first row's types:
-    a float as ``_fmt`` writes it, anything else as ``str`` does."""
+    a float as ``_fmt`` writes it, anything else as ``str`` does.  The rows
+    go to a sibling file that replaces ``path`` once the last is written, so
+    a row that raises leaves no partial file."""
     rows = iter(rows)
     first = next(rows, None)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        if first is not None:
-            fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
-                           for v in first) + "\n"
-            fh.write(fmt % first)
-            fh.writelines(fmt % row for row in rows)
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            if first is not None:
+                fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
+                               for v in first) + "\n"
+                fh.write(fmt % first)
+                fh.writelines(fmt % row for row in rows)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+    os.replace(part, path)
 
 
 def _write_report_csv(path, report):

@@ -570,8 +570,8 @@ def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     complex ``arr`` is overwritten: the kept values move to the front of
     its buffer, which the result keeps unless fewer than half of the cells
     are kept.  The caller holds ``arr``; the cap is checked for the keep mask
-    and one chunk's magnitudes, then for the points, the values and one
-    chunk's temporaries beside the mask.
+    and one chunk's magnitudes, then beside the mask for the points, the
+    values and one chunk's flat indices, coordinates and basis product.
     """
     if basis is None:
         basis = np.eye(dim, dtype=np.int64)
@@ -587,8 +587,6 @@ def _extract_sparse(dim, arr, lo, floor, consume=False, basis=None):
     count = int(np.count_nonzero(keep))
     in_place = consume and flat.dtype == np.complex128
     copied = 0 if in_place and 2 * count >= flat.size else count
-    # per kept cell of a chunk: its flat index, d coordinates and one product
-    # of them with a basis entry
     _check_box(arr.shape, complex_arrays=(cells + 8 * dim * count + 16 * copied
                                           + 8 * (dim + 2) * min(chunk, count)) / (16 * cells))
     points = np.empty((count, dim), dtype=np.int64)

@@ -410,8 +410,7 @@ def subexp_bound_fit(f, analysis, n_values, N=4):
                     env += n ** -float(poly.mu) * (1.0 + r) ** (-float(N))
                 c_n = max(c_n, float(np.max(mags / env)))
         rows.append((n, c_n))
-        # the last block's arrays go with the power, before the next is made
-        del pn, pts, mags, env, y, r
+        del pn, pts, mags, env, y, r  # the last block's arrays too
     n_top = rows[-1][0]
     oct1 = max(c for n, c in rows if n > n_top / 2)
     oct2_vals = [c for n, c in rows if n_top / 4 < n <= n_top / 2]

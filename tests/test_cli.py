@@ -227,6 +227,15 @@ def test_theta_csv(tmp_path, capsys):
     assert table[(1, 0, 0)] == pytest.approx(0.0)
 
 
+def test_theta_row_that_raises_leaves_no_csv(tmp_path):
+    # rows are made as they are written; at n = 10^9 the phase n*pi leaves
+    # an imaginary residue above 1e-9 after the n = 1 rows were written
+    with pytest.raises(ValueError, match="imaginary residue"):
+        main(["theta", "--example", "srw:2", "--n", "1,1000000000",
+              "--out", str(tmp_path / "o")])
+    assert not list((tmp_path / "o").iterdir())
+
+
 def test_vonneumann_violated_exit(tmp_path, capsys):
     bad = tmp_path / "grow.fn"
     bad.write_text("dim 1\n0 1 0\n1 1 0\n")

@@ -668,16 +668,22 @@ def test_gaussian_fit_cap_counts_what_a_step_holds(fixture, request, monkeypatch
 def test_fit_step_peak_is_one_block_beside_the_power(name, ns, monkeypatch):
     # blocks of 1,024 rows, and in d = 3 a grid scan of 16^3 points in blocks
     # of 8 rows.  Each fit's tracemalloc peak is within the largest held +
-    # request of its checks, plus 16 KiB for the interpreter's own objects,
-    # which no check counts: the sweep's steps, the extractions beside the
+    # request of its checks: the sweep's steps, the extractions beside the
     # sweep's array, and in d = 3 the grid scan beside the power.  Read in
     # boxes of the last power: peaks of 3.18 of 3.55 on intro, and of 3.02
-    # of 4.01 (Gaussian) and 1.47 of 1.45 (subexp, 7 KiB over) on srw:3,
-    # where an extraction that counted every cell as kept read 4.05 and
-    # 5.27, and the stream's one check with a block per row read 4.19, and
-    # 8.95 plus a scan of 2.54.  Unblocked, the
-    # envelope alone holds 9 numbers per point on intro (4.5 boxes) and
-    # about 130 on srw:3
+    # of 4.01 (Gaussian) and 1.47 of 1.45 (subexp) on srw:3, where an
+    # extraction that counted every cell as kept read 4.05 and 5.27, and the
+    # stream's one check with a block per row read 4.19, and 8.95 plus a scan
+    # of 2.54.  The subexp peak falls in the last extraction, whose request
+    # is exact: the arrays alive there (the sweep's array, the mask, the
+    # points, the values, one chunk's flat indices, coordinates and product)
+    # take 427,897 of the 429,097 bytes it asks, and the interpreter's
+    # objects beside them (about 7 KiB in some 115 allocations: the holds'
+    # context managers, the generators' frames, the arrays' headers), which
+    # no check counts, put the peak 7,312 bytes over; 16 KiB allows for
+    # them.  Its block loop peaks at 0.99 boxes.  Unblocked, the envelope
+    # alone holds 9 numbers per point on intro (4.5 boxes) and about 130 on
+    # srw:3
     import tracemalloc
 
     from latconv import _config, lattice, legendre
